@@ -51,6 +51,27 @@ def _load_config(path):
         return json.load(fh)
 
 
+def _setting(section, key, default):
+    try:
+        return float(section.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigurationError("%s must be a number" % key) from None
+
+
+def _check_config(cfg):
+    """Reject timing and controller settings that would divide by zero,
+    index an empty trace or never converge."""
+    if not _setting(cfg, "tau", 1.0) > 0.0:
+        raise ConfigurationError("tau must be positive")
+    if not _setting(cfg, "signal_samples_per_pulse", 50) > 0.0:
+        raise ConfigurationError("signal_samples_per_pulse must be positive")
+    c = cfg.get("controller") or {}
+    if _setting(c, "max_pulses", 200) < 0.0:
+        raise ConfigurationError("max_pulses must be nonnegative")
+    if c.get("tolerance") is not None and not _setting(c, "tolerance", None) >= 0.0:
+        raise ConfigurationError("tolerance must be nonnegative")
+
+
 def _build_field(cfg):
     spec = cfg.get("weighting", {"preset": "uniform"})
     if "grid_csv" in spec:
@@ -240,6 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_config(cfg)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
         np.random.seed(args.seed if args.seed is not None else cfg.get("seed", 0))

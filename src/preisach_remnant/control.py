@@ -10,7 +10,7 @@ below twice the inverse of the worst sector slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (
     ConfigurationError,
     DegenerateBoundsError,
 )
-from .interface import Box, MemoryInterface, VERTEX_MERGE_TOL
+from .interface import MemoryInterface
 from .weighting import QRegion, SectorBounds, evaluate_output, sector_bounds
 
 

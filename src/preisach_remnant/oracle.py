@@ -28,9 +28,7 @@ class RelayGrid:
         A = self.alphas[:, None]
         B = self.betas[None, :]
         self._A, self._B = A, B
-        weights = np.array(
-            [[mu.eval(float(a), float(b)) for b in self.betas] for a in self.alphas]
-        ) * (da * db)
+        weights = mu.eval(A, B) * (da * db)
         weights[A < B] = 0.0  # only alpha >= beta indexes a relay
         self.weights = weights
         self.states = np.full((n, n), -1, dtype=np.int8)

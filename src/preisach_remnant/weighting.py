@@ -10,19 +10,18 @@ integrals of the density, scanned over the quadrant alpha >= 0 >= beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateBoundsError,
-    EmptyIntersectionError,
-)
+from .errors import ConfigurationError, EmptyIntersectionError
 from .interface import Box, MemoryInterface, PlanePoint
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+#: scan lines per block of the sector-bound scan; bounds its peak memory
+SCAN_BLOCK_ROWS = 32
 
 
 def _gauss_segment(center: float, sigma: float, lo: float, hi: float) -> float:
@@ -32,6 +31,34 @@ def _gauss_segment(center: float, sigma: float, lo: float, hi: float) -> float:
     z0 = (lo - center) / (sigma * _SQRT2)
     z1 = (hi - center) / (sigma * _SQRT2)
     return sigma * _SQRT_HALF_PI * (math.erf(z1) - math.erf(z0))
+
+
+def _exp(x):
+    """Elementwise math.exp: np.exp differs from it in the last bit on some
+    inputs, and the array paths must give the per-point values exactly."""
+    return np.fromiter(map(math.exp, x), float, len(x))
+
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
+def _cells(edges, x):
+    """(cell index, inside the edges) of every coordinate in ``x``."""
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    return idx, (edges[0] <= x) & (x <= edges[-1])
+
+
+def _integrals_below_zero(edges, rows, cuts):
+    """Integral over [c, 0] of each piecewise-constant row (cells between
+    ``edges``) for every cut c <= 0: the partial cell at the cut plus an
+    exact sum of the cell terms above it, accumulated downward from zero."""
+    terms = rows * np.clip(np.minimum(edges[1:], 0.0) - edges[:-1], 0.0, None)
+    above = np.zeros_like(terms)
+    above[:, :-1] = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+    m = np.clip(np.searchsorted(edges, cuts, side="right") - 1, 0, len(edges) - 2)
+    part = np.clip(np.minimum(edges[m + 1], 0.0) - np.maximum(edges[m], cuts), 0.0, None)
+    return rows[:, m] * part + above[:, m]
 
 
 class GridWeighting:
@@ -55,14 +82,12 @@ class GridWeighting:
         self.alpha_edges = np.linspace(box.alpha_lo, box.alpha_hi, self.n_alpha + 1)
         self.beta_edges = np.linspace(box.beta_lo, box.beta_hi, self.n_beta + 1)
 
-    def eval(self, alpha: float, beta: float) -> float:
-        b = self.support_box
-        if not (b.alpha_lo <= alpha <= b.alpha_hi and b.beta_lo <= beta <= b.beta_hi):
-            return 0.0
-        i = min(int(np.searchsorted(self.alpha_edges, alpha, side="right")) - 1, self.n_alpha - 1)
-        j = min(int(np.searchsorted(self.beta_edges, beta, side="right")) - 1, self.n_beta - 1)
-        i, j = max(i, 0), max(j, 0)
-        return float(self.values[j, i])
+    def eval(self, alpha, beta):
+        """Cell value at (alpha, beta), 0 outside the support; arrays
+        broadcast, so column-by-row coordinates give a whole lattice."""
+        i, in_a = _cells(self.alpha_edges, np.asarray(alpha, float))
+        j, in_b = _cells(self.beta_edges, np.asarray(beta, float))
+        return _scalar_or_array(np.where(in_a & in_b, self.values[j, i], 0.0))
 
     def _overlap(self, edges, lo, hi):
         return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
@@ -72,25 +97,23 @@ class GridWeighting:
         lb = self._overlap(self.beta_edges, b_lo, b_hi)
         return float(lb @ (self.values @ la))
 
-    def line_integral_beta(self, alpha, b_lo, b_hi) -> float:
-        """Integral of mu(alpha, .) over [b_lo, b_hi]."""
-        b = self.support_box
-        if not (b.alpha_lo <= alpha <= b.alpha_hi):
-            return 0.0
-        i = min(int(np.searchsorted(self.alpha_edges, alpha, side="right")) - 1, self.n_alpha - 1)
-        i = max(i, 0)
-        lb = self._overlap(self.beta_edges, b_lo, b_hi)
-        return float(lb @ self.values[:, i])
-
-    def line_integral_alpha(self, beta, a_lo, a_hi) -> float:
-        """Integral of mu(., beta) over [a_lo, a_hi]."""
-        b = self.support_box
-        if not (b.beta_lo <= beta <= b.beta_hi):
-            return 0.0
-        j = min(int(np.searchsorted(self.beta_edges, beta, side="right")) - 1, self.n_beta - 1)
-        j = max(j, 0)
-        la = self._overlap(self.alpha_edges, a_lo, a_hi)
-        return float(la @ self.values[j, :])
+    def scan_blocks(self, axis, lines, cuts):
+        """Row blocks of M[i, j], the integral of mu along ``axis`` at the
+        other coordinate lines[i], between 0 and cuts[j]."""
+        if axis == "beta":
+            line_edges, edges, rows = self.alpha_edges, self.beta_edges, self.values.T
+        else:
+            line_edges, edges, rows = self.beta_edges, self.alpha_edges, self.values
+        lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
+        low = cuts <= 0.0
+        for start in range(0, len(lines), SCAN_BLOCK_ROWS):
+            idx, inside = _cells(line_edges, lines[start:start + SCAN_BLOCK_ROWS])
+            vals = np.where(inside[:, None], rows[idx], 0.0)
+            block = np.empty((len(vals), len(cuts)))
+            block[:, low] = _integrals_below_zero(edges, vals, cuts[low])
+            # cuts above zero: the same sums on the mirrored axis
+            block[:, ~low] = _integrals_below_zero(-edges[::-1], vals[:, ::-1], -cuts[~low])
+            yield block
 
     def total_mass(self) -> float:
         b = self.support_box
@@ -146,13 +169,23 @@ class GaussianComponent:
     sigma_beta: float
     box: Box
 
-    def eval(self, alpha, beta):
+    def _along(self, axis):
+        """(box lo, box hi, center, sigma) along ``axis``."""
         b = self.box
-        if not (b.alpha_lo <= alpha <= b.alpha_hi and b.beta_lo <= beta <= b.beta_hi):
-            return 0.0
-        za = (alpha - self.center_alpha) / self.sigma_alpha
-        zb = (beta - self.center_beta) / self.sigma_beta
-        return self.amplitude * math.exp(-0.5 * (za * za + zb * zb))
+        if axis == "alpha":
+            return b.alpha_lo, b.alpha_hi, self.center_alpha, self.sigma_alpha
+        return b.beta_lo, b.beta_hi, self.center_beta, self.sigma_beta
+
+    def eval(self, alpha, beta):
+        alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+        b = self.box
+        inside = (b.alpha_lo <= alpha) & (alpha <= b.alpha_hi)
+        inside &= (b.beta_lo <= beta) & (beta <= b.beta_hi)
+        za = (alpha[inside] - self.center_alpha) / self.sigma_alpha
+        zb = (beta[inside] - self.center_beta) / self.sigma_beta
+        out = np.zeros(alpha.shape)
+        out[inside] = self.amplitude * _exp(-0.5 * (za * za + zb * zb))
+        return _scalar_or_array(out)
 
 
 class GaussianWeighting:
@@ -176,7 +209,7 @@ class GaussianWeighting:
                 raise ConfigurationError("component box escapes the support box")
         self.support_box = support_box
 
-    def eval(self, alpha, beta) -> float:
+    def eval(self, alpha, beta):
         return sum(c.eval(alpha, beta) for c in self.components)
 
     def integrate_rect(self, a_lo, a_hi, b_lo, b_hi) -> float:
@@ -191,29 +224,34 @@ class GaussianWeighting:
             total += c.amplitude * ga * gb
         return total
 
-    def line_integral_beta(self, alpha, b_lo, b_hi) -> float:
-        total = 0.0
-        for c in self.components:
-            if not (c.box.alpha_lo <= alpha <= c.box.alpha_hi):
-                continue
-            za = (alpha - c.center_alpha) / c.sigma_alpha
-            gb = _gauss_segment(
-                c.center_beta, c.sigma_beta, max(b_lo, c.box.beta_lo), min(b_hi, c.box.beta_hi)
-            )
-            total += c.amplitude * math.exp(-0.5 * za * za) * gb
-        return total
+    def scan_blocks(self, axis, lines, cuts):
+        """Row blocks of M[i, j], the integral of mu along ``axis`` at the
+        other coordinate lines[i], between 0 and cuts[j].
 
-    def line_integral_alpha(self, beta, a_lo, a_hi) -> float:
-        total = 0.0
+        Each component adds the outer product of its Gaussian profile across
+        the lines and its erf segment up to each cut, in component order, so
+        every entry is the same float as a per-point sum of the same terms.
+        """
+        lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
+        across = "alpha" if axis == "beta" else "beta"
+        factors = []
         for c in self.components:
-            if not (c.box.beta_lo <= beta <= c.box.beta_hi):
-                continue
-            zb = (beta - c.center_beta) / c.sigma_beta
-            ga = _gauss_segment(
-                c.center_alpha, c.sigma_alpha, max(a_lo, c.box.alpha_lo), min(a_hi, c.box.alpha_hi)
-            )
-            total += c.amplitude * math.exp(-0.5 * zb * zb) * ga
-        return total
+            l_lo, l_hi, l_mid, l_sig = c._along(across)
+            x_lo, x_hi, x_mid, x_sig = c._along(axis)
+            z = (lines - l_mid) / l_sig
+            inside = (l_lo <= lines) & (lines <= l_hi)
+            profile = np.where(inside, c.amplitude * _exp(-0.5 * z * z), 0.0)
+            segment = np.array([
+                _gauss_segment(x_mid, x_sig, max(min(0.0, t), x_lo), min(max(0.0, t), x_hi))
+                for t in cuts.tolist()
+            ])
+            factors.append((profile, segment))
+        for start in range(0, len(lines), SCAN_BLOCK_ROWS):
+            rows = slice(start, start + SCAN_BLOCK_ROWS)
+            block = np.zeros((len(lines[rows]), len(cuts)))
+            for profile, segment in factors:
+                block += np.multiply.outer(profile[rows], segment)
+            yield block
 
     def total_mass(self) -> float:
         b = self.support_box
@@ -268,15 +306,16 @@ class QRegion:
             raise ConfigurationError("need alpha2 > 0 and beta2 < 0")
 
     def check_nonnegative(self, mu, samples: int = 100) -> None:
-        """Reject densities that dip below zero anywhere on a sample lattice."""
+        """Reject densities that dip below zero anywhere on a sample lattice;
+        the first offender in alpha-major order is reported."""
         alphas = np.linspace(0.0, self.alpha2, samples)
         betas = np.linspace(self.beta2, 0.0, samples)
-        for a in alphas:
-            for b in betas:
-                if mu.eval(float(a), float(b)) < 0.0:
-                    raise ConfigurationError(
-                        "weighting is negative on Q at (%g, %g)" % (a, b)
-                    )
+        negative = np.argwhere(mu.eval(alphas[:, None], betas[None, :]) < 0.0)
+        if len(negative):
+            i, j = negative[0]
+            raise ConfigurationError(
+                "weighting is negative on Q at (%g, %g)" % (alphas[i], betas[j])
+            )
 
 
 @dataclass(frozen=True)
@@ -305,50 +344,29 @@ class SectorBounds:
         }
 
 
-def _beta_cumulative_extrema(mu, a_lo, a_hi, b_lo, resolution):
-    """Extrema of F(alpha, b1) = int_{b1}^{0} mu(alpha, .) over the scan box."""
+def _cumulative_extrema(mu, axis, line_lo, line_hi, cut_end, resolution):
+    """Extrema of the integral of mu along ``axis``, between 0 and a cut
+    toward ``cut_end``, over lines across [line_lo, line_hi] of the other
+    coordinate.  The beta scan cuts below zero, the alpha scan above it."""
+    cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
     if isinstance(mu, GridWeighting):
-        # cell centers in alpha and cell edges in b1 hit every extremum exactly
-        alphas = 0.5 * (mu.alpha_edges[:-1] + mu.alpha_edges[1:])
-        alphas = alphas[(mu.alpha_edges[1:] > a_lo) & (mu.alpha_edges[:-1] < a_hi)]
-        b1s = np.unique(np.clip(mu.beta_edges, b_lo, 0.0))
+        # cell centers across the lines and cell edges as cuts hit every
+        # extremum exactly
+        line_edges, cut_edges = (
+            (mu.alpha_edges, mu.beta_edges) if axis == "beta" else (mu.beta_edges, mu.alpha_edges)
+        )
+        lines = 0.5 * (line_edges[:-1] + line_edges[1:])
+        lines = lines[(line_edges[1:] > line_lo) & (line_edges[:-1] < line_hi)]
+        cuts = cut_edges[(cut_edges > cut_lo) & (cut_edges < cut_hi)]
     else:
-        alphas = np.linspace(a_lo, a_hi, resolution)
-        b1s = np.linspace(b_lo, 0.0, resolution)
-    if b_lo not in b1s:
-        b1s = np.append(b1s, b_lo)
-    if 0.0 not in b1s:
-        b1s = np.append(b1s, 0.0)
-    if len(alphas) == 0:
+        lines = np.linspace(line_lo, line_hi, resolution)
+        cuts = np.linspace(cut_lo, cut_hi, resolution)
+    cuts = np.append(cuts, (cut_lo, cut_hi))
+    if len(lines) == 0:
         return 0.0, 0.0
     lo, hi = math.inf, -math.inf
-    for a in alphas:
-        for b1 in b1s:
-            val = mu.line_integral_beta(float(a), float(b1), 0.0)
-            lo, hi = min(lo, val), max(hi, val)
-    return lo, hi
-
-
-def _alpha_cumulative_extrema(mu, b_lo, b_hi, a_hi, resolution):
-    """Extrema of G(a1, beta) = int_{0}^{a1} mu(., beta) over the scan box."""
-    if isinstance(mu, GridWeighting):
-        betas = 0.5 * (mu.beta_edges[:-1] + mu.beta_edges[1:])
-        betas = betas[(mu.beta_edges[1:] > b_lo) & (mu.beta_edges[:-1] < b_hi)]
-        a1s = np.unique(np.clip(mu.alpha_edges, 0.0, a_hi))
-    else:
-        betas = np.linspace(b_lo, b_hi, resolution)
-        a1s = np.linspace(0.0, a_hi, resolution)
-    if a_hi not in a1s:
-        a1s = np.append(a1s, a_hi)
-    if 0.0 not in a1s:
-        a1s = np.append(a1s, 0.0)
-    if len(betas) == 0:
-        return 0.0, 0.0
-    lo, hi = math.inf, -math.inf
-    for b in betas:
-        for a1 in a1s:
-            val = mu.line_integral_alpha(float(b), 0.0, float(a1))
-            lo, hi = min(lo, val), max(hi, val)
+    for block in mu.scan_blocks(axis, lines, cuts):
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
     return lo, hi
 
 
@@ -367,13 +385,13 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     a_hi = box.alpha_hi
     b_lo = min(0.0, box.beta_lo)
 
-    f_lo, f_hi = _beta_cumulative_extrema(mu, a_lo, a_hi, b_lo, resolution)
-    g_lo, g_hi = _alpha_cumulative_extrema(mu, b_lo, min(0.0, box.beta_hi), a_hi, resolution)
+    f_lo, f_hi = _cumulative_extrema(mu, "beta", a_lo, a_hi, b_lo, resolution)
+    g_lo, g_hi = _cumulative_extrema(mu, "alpha", b_lo, min(0.0, box.beta_hi), a_hi, resolution)
 
     qa_hi = min(q.alpha2, a_hi)
     qb_lo = max(q.beta2, b_lo)
-    fq_lo, fq_hi = _beta_cumulative_extrema(mu, a_lo, qa_hi, qb_lo, resolution)
-    gq_lo, gq_hi = _alpha_cumulative_extrema(mu, qb_lo, 0.0, qa_hi, resolution)
+    fq_lo, fq_hi = _cumulative_extrema(mu, "beta", a_lo, qa_hi, qb_lo, resolution)
+    gq_lo, gq_hi = _cumulative_extrema(mu, "alpha", qb_lo, 0.0, qa_hi, resolution)
 
     return SectorBounds(
         gamma1_plus=2.0 * f_lo,

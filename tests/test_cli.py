@@ -105,6 +105,32 @@ class TestControl:
         assert run("control", cfg, tmp_path / "out") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "top, controller, field",
+        [
+            ({"tau": 0}, {}, "tau"),
+            ({"signal_samples_per_pulse": 0}, {}, "signal_samples_per_pulse"),
+            ({}, {"max_pulses": -1}, "max_pulses"),
+            ({}, {"tolerance": -1e-3}, "tolerance"),
+            ({"tau": None}, {}, "tau"),
+        ],
+        ids=[
+            "zero_tau",
+            "zero_samples_per_pulse",
+            "negative_max_pulses",
+            "negative_tolerance",
+            "null_tau",
+        ],
+    )
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, top, controller, field):
+        bad = dict(deadbeat_config(), **top)
+        bad["controller"].update(controller)
+        cfg = write_config(tmp_path, "c.json", bad)
+        assert run("control", cfg, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_emitted_numbers_are_finite(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", deadbeat_config())
         out = tmp_path / "out"

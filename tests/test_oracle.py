@@ -1,5 +1,8 @@
 """Brute-force relay lattice versus the exact staircase engine."""
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from preisach_remnant import (
     Box,
     MemoryInterface,
     QRegion,
+    RelayGrid,
     evaluate_output,
+    make_butterfly,
     oracle_pulse_remnants,
     oracle_simulate,
     remnant,
@@ -95,3 +100,52 @@ class TestOraclePulseRemnants:
             worst[n] = max(devs)
         assert worst[150] < worst[75]
         assert worst[300] < worst[150]
+
+
+def point_density(mu, a, b):
+    """Density at one relay, looked up without numpy."""
+    if hasattr(mu, "components"):
+        total = 0.0
+        for c in mu.components:
+            box = c.box
+            if box.alpha_lo <= a <= box.alpha_hi and box.beta_lo <= b <= box.beta_hi:
+                za = (a - c.center_alpha) / c.sigma_alpha
+                zb = (b - c.center_beta) / c.sigma_beta
+                total += c.amplitude * math.exp(-0.5 * (za * za + zb * zb))
+        return total
+    box = mu.support_box
+    if not (box.alpha_lo <= a <= box.alpha_hi and box.beta_lo <= b <= box.beta_hi):
+        return 0.0
+    i = min(max(bisect.bisect_right(list(mu.alpha_edges), a) - 1, 0), mu.n_alpha - 1)
+    j = min(max(bisect.bisect_right(list(mu.beta_edges), b) - 1, 0), mu.n_beta - 1)
+    return float(mu.values[j, i])
+
+
+def point_weights(mu, grid):
+    box = mu.support_box
+    cell = (box.alpha_hi - box.alpha_lo) / grid.n * ((box.beta_hi - box.beta_lo) / grid.n)
+    return np.array([
+        [point_density(mu, float(a), float(b)) * cell if a >= b else 0.0 for b in grid.betas]
+        for a in grid.alphas
+    ])
+
+
+class TestRelayGridWeights:
+    """Lattice weights equal a relay-by-relay density lookup bit for bit."""
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(51)
+        for n in (7, 40, 93):
+            mu = random_grid_field(rng)
+            grid = RelayGrid(mu, n)
+            assert np.array_equal(grid.weights, point_weights(mu, grid))
+
+    def test_uniform_single_cell(self):
+        mu, _ = uniform_scene()
+        grid = RelayGrid(mu, 50)
+        assert np.array_equal(grid.weights, point_weights(mu, grid))
+
+    def test_butterfly(self):
+        mu, _ = make_butterfly()
+        grid = RelayGrid(mu, 60)
+        assert np.array_equal(grid.weights, point_weights(mu, grid))

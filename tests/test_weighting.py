@@ -15,6 +15,7 @@ from preisach_remnant import (
     MemoryInterface,
     PlanePoint,
     QRegion,
+    SectorBounds,
     eval_mu,
     evaluate_output,
     integrate_staircase_region,
@@ -187,3 +188,174 @@ class TestButterfly:
         mu2, q2 = make_butterfly(ButterflyParams(scale=2.0))
         assert q2.alpha2 == pytest.approx(2.0 * q.alpha2)
         assert mu2.support_box.alpha_hi == pytest.approx(2.0 * mu.support_box.alpha_hi)
+
+
+# -- brute-force per-point reference of the sector-bound scan ----------------
+
+
+def _gauss_segment(center, sigma, lo, hi):
+    if hi <= lo:
+        return 0.0
+    z0 = (lo - center) / (sigma * math.sqrt(2.0))
+    z1 = (hi - center) / (sigma * math.sqrt(2.0))
+    return sigma * math.sqrt(math.pi / 2.0) * (math.erf(z1) - math.erf(z0))
+
+
+def _point_line_integral(mu, axis, line, lo, hi):
+    """Integral over [lo, hi] along ``axis`` of mu at the other coordinate
+    ``line``, one point at a time."""
+    if isinstance(mu, GridWeighting):
+        line_edges, edges = (
+            (mu.alpha_edges, mu.beta_edges) if axis == "beta" else (mu.beta_edges, mu.alpha_edges)
+        )
+        if not (line_edges[0] <= line <= line_edges[-1]):
+            return 0.0
+        k = int(np.searchsorted(line_edges, line, side="right")) - 1
+        k = min(max(k, 0), len(line_edges) - 2)
+        cells = mu.values[:, k] if axis == "beta" else mu.values[k, :]
+        overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
+        return float(overlap @ cells)
+    total = 0.0
+    for c in mu.components:
+        b = c.box
+        if axis == "beta":
+            inside = b.alpha_lo <= line <= b.alpha_hi
+            z = (line - c.center_alpha) / c.sigma_alpha
+            seg = _gauss_segment(
+                c.center_beta, c.sigma_beta, max(lo, b.beta_lo), min(hi, b.beta_hi)
+            )
+        else:
+            inside = b.beta_lo <= line <= b.beta_hi
+            z = (line - c.center_beta) / c.sigma_beta
+            seg = _gauss_segment(
+                c.center_alpha, c.sigma_alpha, max(lo, b.alpha_lo), min(hi, b.alpha_hi)
+            )
+        if inside:
+            total += c.amplitude * math.exp(-0.5 * z * z) * seg
+    return total
+
+
+def _point_extrema(mu, axis, line_lo, line_hi, cut_end, resolution):
+    cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
+    if isinstance(mu, GridWeighting):
+        line_edges, cut_edges = (
+            (mu.alpha_edges, mu.beta_edges) if axis == "beta" else (mu.beta_edges, mu.alpha_edges)
+        )
+        lines = 0.5 * (line_edges[:-1] + line_edges[1:])
+        lines = lines[(line_edges[1:] > line_lo) & (line_edges[:-1] < line_hi)]
+        cuts = list(np.unique(np.clip(cut_edges, cut_lo, cut_hi)))
+    else:
+        lines = np.linspace(line_lo, line_hi, resolution)
+        cuts = list(np.linspace(cut_lo, cut_hi, resolution))
+    cuts += [x for x in (cut_lo, cut_hi) if x not in cuts]
+    if len(lines) == 0:
+        return 0.0, 0.0
+    vals = [
+        _point_line_integral(mu, axis, float(line), min(0.0, float(c)), max(0.0, float(c)))
+        for line in lines
+        for c in cuts
+    ]
+    return min(vals), max(vals)
+
+
+def point_sector_bounds(mu, q, resolution=512):
+    box = mu.support_box
+    a_lo, a_hi, b_lo = max(0.0, box.alpha_lo), box.alpha_hi, min(0.0, box.beta_lo)
+    qa_hi, qb_lo = min(q.alpha2, a_hi), max(q.beta2, b_lo)
+    f_lo, f_hi = _point_extrema(mu, "beta", a_lo, a_hi, b_lo, resolution)
+    g_lo, g_hi = _point_extrema(mu, "alpha", b_lo, min(0.0, box.beta_hi), a_hi, resolution)
+    fq_lo, fq_hi = _point_extrema(mu, "beta", a_lo, qa_hi, qb_lo, resolution)
+    gq_lo, gq_hi = _point_extrema(mu, "alpha", qb_lo, 0.0, qa_hi, resolution)
+    return SectorBounds(
+        2.0 * f_lo, 2.0 * f_hi, 2.0 * g_hi, 2.0 * g_lo,
+        2.0 * fq_hi, 2.0 * gq_hi, 2.0 * fq_lo, 2.0 * gq_lo,
+    ).to_dict()
+
+
+def random_gaussian_field(rng):
+    """Signed lobes with overlapping boxes scattered over all four quadrants."""
+    comps = []
+    for _ in range(4):
+        a_lo, b_lo = float(rng.uniform(-0.8, 0.4)), float(rng.uniform(-1.2, 0.0))
+        a_w, b_w = float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.4, 1.0))
+        box = Box(a_lo, a_lo + a_w, b_lo, b_lo + b_w)
+        comps.append(GaussianComponent(
+            float(rng.normal()),
+            float(rng.uniform(box.alpha_lo, box.alpha_hi)),
+            float(rng.uniform(box.beta_lo, box.beta_hi)),
+            float(rng.uniform(0.1, 0.6)),
+            float(rng.uniform(0.1, 0.6)),
+            box,
+        ))
+    return GaussianWeighting(comps)
+
+
+class TestScanMatchesPointReference:
+    """The array scan gives the bounds of a point-by-point line-integral scan:
+    bit-equal for Gaussian sums, within 1e-12 relative for grids."""
+
+    def test_butterfly_is_bit_equal(self):
+        mu, q = make_butterfly()
+        assert sector_bounds(mu, q, 64).to_dict() == point_sector_bounds(mu, q, 64)
+
+    def test_overlapping_gaussians_with_clipping_q_are_bit_equal(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            mu = random_gaussian_field(rng)
+            box = mu.support_box
+            q = QRegion(0.6 * box.alpha_hi, 0.6 * box.beta_lo)  # cuts the scan short
+            assert sector_bounds(mu, q, 40).to_dict() == point_sector_bounds(mu, q, 40)
+
+    @staticmethod
+    def assert_close(mu, q):
+        got = sector_bounds(mu, q).to_dict()
+        for key, want in point_sector_bounds(mu, q).items():
+            assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+    def test_random_grids_with_off_edge_q(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            mu = random_grid_field(rng)
+            q = QRegion(float(rng.uniform(0.1, 1.4)), float(rng.uniform(-1.4, -0.1)))
+            assert q.alpha2 not in mu.alpha_edges and q.beta2 not in mu.beta_edges
+            self.assert_close(mu, q)
+
+    def test_single_cell_uniform_field(self):
+        self.assert_close(uniform_field(Q_UNIT, 2.5), Q_UNIT)
+
+    def test_all_zero_grid(self):
+        mu = GridWeighting(Box(-0.3, 1.0, -1.0, 0.4), np.zeros((4, 3)))
+        self.assert_close(mu, QRegion(0.7, -0.45))
+        assert set(sector_bounds(mu, Q_UNIT).to_dict().values()) == {0.0}
+
+
+class TestCheckNonnegative:
+    @staticmethod
+    def point_message(mu, q, samples=100):
+        for a in np.linspace(0.0, q.alpha2, samples):
+            for b in np.linspace(q.beta2, 0.0, samples):
+                if mu.eval(float(a), float(b)) < 0.0:
+                    return "weighting is negative on Q at (%g, %g)" % (a, b)
+        return None
+
+    def test_reports_the_first_offender_of_the_point_loop(self):
+        values = np.ones((5, 4))
+        values[1, 2] = values[3, 1] = -0.5  # two offenders, alpha-major order decides
+        mu = GridWeighting(Box(-0.2, 1.0, -1.0, 0.2), values)
+        q = QRegion(0.9, -0.9)
+        expected = self.point_message(mu, q)
+        assert expected is not None
+        with pytest.raises(ConfigurationError) as err:
+            q.check_nonnegative(mu)
+        assert str(err.value) == expected
+
+    def test_gaussian_dip_inside_q(self):
+        mu = GaussianWeighting([
+            GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, UNIT_BOX),
+            GaussianComponent(-2.0, 0.3, -0.2, 0.05, 0.05, Box(0.2, 0.4, -0.3, -0.1)),
+        ])
+        expected = self.point_message(mu, Q_UNIT)
+        assert expected is not None
+        with pytest.raises(ConfigurationError) as err:
+            Q_UNIT.check_nonnegative(mu)
+        assert str(err.value) == expected
