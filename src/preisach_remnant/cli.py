@@ -93,11 +93,10 @@ def _build_field(cfg):
     raise ConfigurationError("unknown weighting spec %r" % (spec,))
 
 
-def _build_scene(cfg, resolution):
+def _build_scene(cfg):
     mu, q = _build_field(cfg)
     iface = interface_from_spec(cfg.get("initial_interface", {}), mu.support_box)
-    bounds = sector_bounds(mu, q, resolution)
-    return mu, q, iface, bounds
+    return mu, q, iface
 
 
 def _controller_config(cfg, q, bounds):
@@ -135,7 +134,8 @@ def _write_signal_csv(path, t, u, y):
 
 
 def cmd_bounds(cfg, args) -> int:
-    mu, q, iface, bounds = _build_scene(cfg, args.resolution)
+    mu, q, iface = _build_scene(cfg)
+    bounds = sector_bounds(mu, q, args.resolution)
     g_max, g_min = remnant_extrema(mu, iface, q)
     report = bounds.to_dict()
     report.update(
@@ -150,7 +150,8 @@ def cmd_bounds(cfg, args) -> int:
 
 
 def _run_control(cfg, args):
-    mu, q, iface, bounds = _build_scene(cfg, args.resolution)
+    mu, q, iface = _build_scene(cfg)
+    bounds = sector_bounds(mu, q, args.resolution)
     ccfg = _controller_config(cfg, q, bounds)
     trace = run_controller(mu, iface, ccfg, bounds=bounds)
     return mu, q, iface, ccfg, trace
@@ -181,7 +182,7 @@ def cmd_control(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
-    mu, q, iface, bounds = _build_scene(cfg, args.resolution)
+    mu, _, iface = _build_scene(cfg)
     amplitudes = [float(w) for w in cfg.get("amplitudes", [])]
     tau = float(cfg.get("tau", 1.0))
     out = args.out or "."

@@ -20,7 +20,7 @@ from .errors import (
     DegenerateBoundsError,
 )
 from .interface import MemoryInterface
-from .weighting import QRegion, SectorBounds, evaluate_output, sector_bounds
+from .weighting import QRegion, SectorBounds, evaluate_output, rect_mass, sector_bounds
 
 
 def pulse_value(k: int, t: float, tau: float) -> float:
@@ -43,12 +43,15 @@ def render_signal(amplitudes, tau: float, sample_step: float):
     n = len(amplitudes)
     n_samples = int(round(n * tau / sample_step))
     t = np.arange(n_samples + 1) * sample_step
-    u = np.zeros_like(t)
-    for i, ti in enumerate(t):
-        k = min(int(ti / tau), n - 1) if n else 0
-        if n:
-            u[i] = amplitudes[k] * pulse_value(k, float(ti), tau)
-    return t, u
+    if not n:
+        return t, np.zeros_like(t)
+    # pulse_value's float operations, elementwise
+    k = np.minimum((t / tau).astype(int), n - 1)
+    t0 = k * tau
+    half = t0 + 0.5 * tau
+    shape = np.where(t <= half, 2.0 * (t - t0) / tau, 2.0 * (t0 + tau - t) / tau)
+    shape[(t < t0) | (t > t0 + tau)] = 0.0
+    return t, np.asarray(amplitudes, float)[k] * shape
 
 
 def _require_zero_crossing(iface: MemoryInterface):
@@ -96,7 +99,7 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
             if a_hi <= a_lo:
                 continue
             b_lo = max(level if level > -math.inf else box.beta_lo, box.beta_lo)
-            total += mu.integrate_rect(a_lo, a_hi, b_lo, 0.0)
+            total += rect_mass(mu, a_lo, a_hi, b_lo, 0.0)
         return 2.0 * total
     if w_next < m:
         total = 0.0
@@ -110,7 +113,7 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
             hi = min(b_prev, m)
             lo = max(b_next_corner, w_next, box.beta_lo)
             if hi > lo and a_i > 0.0:
-                total += mu.integrate_rect(0.0, a_i, lo, hi)
+                total += rect_mass(mu, 0.0, a_i, lo, hi)
             b_prev = b_next_corner
         return -2.0 * total
     return 0.0

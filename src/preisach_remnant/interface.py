@@ -21,6 +21,14 @@ from .errors import ConfigurationError, OutOfRangeError
 #: absolute tolerance below which adjacent corners are merged
 VERTEX_MERGE_TOL = 1e-12
 
+#: survivors that push_extremum canonicalises together with the new head.
+#: The survivors are a suffix of a canonical tuple, so corners can only
+#: merge or line up where the head meets them: with the first survivor and,
+#: once that one merges away, with the second.  Two more survivors must
+#: come out of the window unchanged, which shows that nothing reached the
+#: seam; otherwise the whole tuple is canonicalised.
+HEAD_WINDOW = 4
+
 _NEG_INF = float("-inf")
 
 
@@ -98,7 +106,12 @@ def _canonical_corners(corners, box: Box):
 
     if pts[-1][1] > tail_beta:
         pts.append((pts[-1][0], tail_beta))
+    return _merged_corners(pts)
 
+
+def _merged_corners(pts):
+    """Merge near-duplicate and collinear corners of an already clamped
+    corner list, then validate the staircase."""
     out = [pts[0]]
     for p in pts[1:]:
         q = out[-1]
@@ -209,17 +222,19 @@ class MemoryInterface:
             return self
         if v > v0:
             surv = [c for c in self.corners if c[0] > v]
-            if surv:
-                raw = [(v, v), (v, surv[0][1])] + surv
-            else:
-                raw = [(v, v)]
+            head = [(v, v), (v, surv[0][1])] if surv else [(v, v)]
         else:
             surv = [c for c in self.corners if c[1] < v]
-            if surv:
-                raw = [(v, v), (surv[0][0], v)] + surv
-            else:
-                raw = [(v, v)]
-        return MemoryInterface(_canonical_corners(raw, self.support_box), self.support_box)
+            head = [(v, v), (surv[0][0], v)] if surv else [(v, v)]
+        box = self.support_box
+        if surv and box.beta_lo <= min(v, v0) and max(v, v0) <= box.alpha_hi:
+            # the clamps are those the survivors were canonicalised with,
+            # so only the corners around the new head can change
+            window = _merged_corners(head + surv[:HEAD_WINDOW])
+            rest = surv[HEAD_WINDOW:]
+            if not rest or window[-2:] == tuple(surv[HEAD_WINDOW - 2:HEAD_WINDOW]):
+                return MemoryInterface(window + tuple(rest), box)
+        return MemoryInterface(_canonical_corners(head + surv, box), box)
 
     # -- line queries (curve re-parameterization) --------------------------
 
@@ -259,23 +274,6 @@ class MemoryInterface:
         if not vals:
             raise OutOfRangeError("line beta=%g misses the interface" % beta)
         return max(vals) if which == "max" else min(vals)
-
-    # -- region extraction --------------------------------------------------
-
-    def below_rectangles(self, box: Box):
-        """The +1 region clipped to ``box`` as disjoint rectangles
-        (a_lo, a_hi, b_lo, b_hi)."""
-        rects = []
-        for lo, hi, level in self.steps():
-            a_lo = max(lo, box.alpha_lo)
-            a_hi = min(hi, box.alpha_hi)
-            if a_hi <= a_lo:
-                continue
-            b_hi = min(level, box.beta_hi)
-            if b_hi <= box.beta_lo:
-                continue
-            rects.append((a_lo, a_hi, box.beta_lo, b_hi))
-        return rects
 
     # -- comparison / serialization ------------------------------------------
 

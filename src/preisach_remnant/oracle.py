@@ -27,7 +27,6 @@ class RelayGrid:
         self.betas = box.beta_lo + (np.arange(n) + 0.5) * db
         A = self.alphas[:, None]
         B = self.betas[None, :]
-        self._A, self._B = A, B
         weights = mu.eval(A, B) * (da * db)
         weights[A < B] = 0.0  # only alpha >= beta indexes a relay
         self.weights = weights
@@ -39,8 +38,10 @@ class RelayGrid:
             self.states[i, :] = np.where(self.betas <= level, 1, -1)
 
     def step(self, u: float):
-        self.states = np.where(u > self._A, 1, self.states)
-        self.states = np.where(u < self._B, -1, self.states)
+        # both axes ascend, so the relays with alpha < u are a leading block
+        # of rows and those with beta > u a trailing block of columns
+        self.states[: self.alphas.searchsorted(u, "left")] = 1
+        self.states[:, self.betas.searchsorted(u, "right"):] = -1
 
     def output(self) -> float:
         return float((self.states * self.weights).sum())

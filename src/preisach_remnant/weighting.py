@@ -1,10 +1,14 @@
 """Weighting densities over the relay plane and the sector-bound constants.
 
 Two representations are supported: a cell-centered piecewise-constant grid
-(integrated exactly against staircase regions) and a sum of signed Gaussian
-components, each truncated to its own rectangle (integrated in closed form
-via erf).  Sector bounds are the extrema of one-dimensional cumulative
-integrals of the density, scanned over the quadrant alpha >= 0 >= beta.
+and a sum of signed Gaussian components, each truncated to its own
+rectangle.  Each supplies one integration primitive, the Everett function
+E(alpha, beta): the mass of the density over [alpha_lo, alpha] x
+[beta_lo, beta] of its support box.  Every region the engine integrates
+(the area under the staircase memory curve, a remnant band, a rectangle)
+is a signed sum of E at a few corners.  Sector bounds are the extrema of
+one-dimensional cumulative integrals of the density, scanned over the
+quadrant alpha >= 0 >= beta.
 """
 
 from __future__ import annotations
@@ -33,6 +37,24 @@ def _gauss_segment(center: float, sigma: float, lo: float, hi: float) -> float:
     return sigma * _SQRT_HALF_PI * (math.erf(z1) - math.erf(z0))
 
 
+def _erf_constants(c, axis):
+    """Constants of the erf segments of component ``c`` along ``axis``
+    that start at its box's low edge: (lo, hi, center, sigma * sqrt 2,
+    erf at lo, sigma * sqrt(pi / 2))."""
+    lo, hi, mid, sigma = c._along(axis)
+    scale = sigma * _SQRT2
+    return lo, hi, mid, scale, math.erf((lo - mid) / scale), sigma * _SQRT_HALF_PI
+
+
+def _segments_from_lo(constants, xs):
+    """Integral of one component's profile along an axis from its box's low
+    edge up to each x in ``xs``, in plain floats: numpy's per-call cost would
+    outweigh the few corners of a typical read."""
+    lo, hi, mid, scale, erf_lo, k = constants
+    erf = math.erf
+    return [k * (erf((min(x, hi) - mid) / scale) - erf_lo) if x > lo else 0.0 for x in xs]
+
+
 def _exp(x):
     """Elementwise math.exp: np.exp differs from it in the last bit on some
     inputs, and the array paths must give the per-point values exactly."""
@@ -47,6 +69,14 @@ def _cells(edges, x):
     """(cell index, inside the edges) of every coordinate in ``x``."""
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
     return idx, (edges[0] <= x) & (x <= edges[-1])
+
+
+def _cell_fractions(edges, x):
+    """(cell index, fraction of the cell below x) of every coordinate in
+    ``x``, clamped to the edges."""
+    x = np.clip(np.asarray(x, float), edges[0], edges[-1])
+    idx = np.minimum(np.searchsorted(edges, x, side="right") - 1, len(edges) - 2)
+    return idx, (x - edges[idx]) / (edges[idx + 1] - edges[idx])
 
 
 def _integrals_below_zero(edges, rows, cuts):
@@ -81,6 +111,16 @@ class GridWeighting:
         self.n_beta, self.n_alpha = values.shape
         self.alpha_edges = np.linspace(box.alpha_lo, box.alpha_hi, self.n_alpha + 1)
         self.beta_edges = np.linspace(box.beta_lo, box.beta_hi, self.n_beta + 1)
+        # _prefix[j, i]: sum of the cell values below beta row j and left
+        # of alpha column i; times the cell area it is E at the lattice nodes
+        self._prefix = np.zeros((self.n_beta + 1, self.n_alpha + 1))
+        inner = self._prefix[1:, 1:]
+        np.cumsum(values, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        self._cell_area = (box.alpha_hi - box.alpha_lo) / self.n_alpha * (
+            (box.beta_hi - box.beta_lo) / self.n_beta
+        )
+        self.total_mass = self.everett([box.alpha_hi], [box.beta_hi])[0]
 
     def eval(self, alpha, beta):
         """Cell value at (alpha, beta), 0 outside the support; arrays
@@ -89,13 +129,18 @@ class GridWeighting:
         j, in_b = _cells(self.beta_edges, np.asarray(beta, float))
         return _scalar_or_array(np.where(in_a & in_b, self.values[j, i], 0.0))
 
-    def _overlap(self, edges, lo, hi):
-        return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
+    def everett(self, alphas, betas):
+        """E(alphas[k], betas[k]) for every k, as a list of floats.
 
-    def integrate_rect(self, a_lo, a_hi, b_lo, b_hi) -> float:
-        la = self._overlap(self.alpha_edges, a_lo, a_hi)
-        lb = self._overlap(self.beta_edges, b_lo, b_hi)
-        return float(lb @ (self.values @ la))
+        The density is constant on each cell, so E is bilinear inside a
+        cell and its bilinear interpolation of the prefix table is exact.
+        """
+        i, fa = _cell_fractions(self.alpha_edges, alphas)
+        j, fb = _cell_fractions(self.beta_edges, betas)
+        p = self._prefix
+        lower = (1.0 - fa) * p[j, i] + fa * p[j, i + 1]
+        upper = (1.0 - fa) * p[j + 1, i] + fa * p[j + 1, i + 1]
+        return (self._cell_area * ((1.0 - fb) * lower + fb * upper)).tolist()
 
     def scan_blocks(self, axis, lines, cuts):
         """Row blocks of M[i, j], the integral of mu along ``axis`` at the
@@ -114,10 +159,6 @@ class GridWeighting:
             # cuts above zero: the same sums on the mirrored axis
             block[:, ~low] = _integrals_below_zero(-edges[::-1], vals[:, ::-1], -cuts[~low])
             yield block
-
-    def total_mass(self) -> float:
-        b = self.support_box
-        return self.integrate_rect(b.alpha_lo, b.alpha_hi, b.beta_lo, b.beta_hi)
 
     def abs_mass(self) -> float:
         da = np.diff(self.alpha_edges)
@@ -208,21 +249,29 @@ class GaussianWeighting:
             if not support_box.contains(c.box):
                 raise ConfigurationError("component box escapes the support box")
         self.support_box = support_box
+        self._erf_terms = [
+            (c.amplitude, _erf_constants(c, "alpha"), _erf_constants(c, "beta"))
+            for c in self.components
+        ]
+        self.total_mass = self.everett([support_box.alpha_hi], [support_box.beta_hi])[0]
 
     def eval(self, alpha, beta):
         return sum(c.eval(alpha, beta) for c in self.components)
 
-    def integrate_rect(self, a_lo, a_hi, b_lo, b_hi) -> float:
-        total = 0.0
-        for c in self.components:
-            ga = _gauss_segment(
-                c.center_alpha, c.sigma_alpha, max(a_lo, c.box.alpha_lo), min(a_hi, c.box.alpha_hi)
-            )
-            gb = _gauss_segment(
-                c.center_beta, c.sigma_beta, max(b_lo, c.box.beta_lo), min(b_hi, c.box.beta_hi)
-            )
-            total += c.amplitude * ga * gb
-        return total
+    def everett(self, alphas, betas):
+        """E(alphas[k], betas[k]) for every k, as a list of floats: per
+        component, amplitude times the two erf segments.  Staircase corners
+        repeat each coordinate, so every segment is computed once per
+        distinct coordinate."""
+        ua, ub = {}, {}
+        ia = [ua.setdefault(a, len(ua)) for a in alphas]
+        ib = [ub.setdefault(b, len(ub)) for b in betas]
+        out = [0.0] * len(ia)
+        for amp, along_alpha, along_beta in self._erf_terms:
+            fa = _segments_from_lo(along_alpha, ua)
+            fb = _segments_from_lo(along_beta, ub)
+            out = [e + amp * fa[i] * fb[j] for e, i, j in zip(out, ia, ib)]
+        return out
 
     def scan_blocks(self, axis, lines, cuts):
         """Row blocks of M[i, j], the integral of mu along ``axis`` at the
@@ -253,10 +302,6 @@ class GaussianWeighting:
                 block += np.multiply.outer(profile[rows], segment)
             yield block
 
-    def total_mass(self) -> float:
-        b = self.support_box
-        return self.integrate_rect(b.alpha_lo, b.alpha_hi, b.beta_lo, b.beta_hi)
-
     def abs_mass(self) -> float:
         # components with disjoint boxes make this exact; overlapping boxes
         # give an upper bound, which is the safe direction for tolerances
@@ -272,26 +317,51 @@ def eval_mu(mu, p: PlanePoint) -> float:
     return mu.eval(p.alpha, p.beta)
 
 
-def integrate_staircase_region(mu, iface: MemoryInterface, side: str) -> float:
-    """Integral of mu over the region below or above the memory curve."""
+def rect_mass(mu, a_lo, a_hi, b_lo, b_hi) -> float:
+    """Mass of mu over [a_lo, a_hi] x [b_lo, b_hi], 0 when the rectangle is
+    empty: a four-corner difference of E."""
+    if a_hi <= a_lo or b_hi <= b_lo:
+        return 0.0
+    e = mu.everett([a_hi, a_lo, a_hi, a_lo], [b_hi, b_hi, b_lo, b_lo])
+    return (e[0] - e[1]) - (e[2] - e[3])
+
+
+def _below_terms(mu, iface: MemoryInterface):
+    """Signed terms of the mass of mu below the memory curve, from one call
+    of E.
+
+    With corners (a_k, b_k) from the diagonal outward, the region below the
+    curve is the union of [a_{k-1}, a_k] x [beta_lo, b_k] (a_{-1} =
+    alpha_lo), so its mass is sum_k E(a_k, b_k) - sum_{k>=1} E(a_{k-1}, b_k)
+    (Everett's identity).  On a vertical run (a_k = a_{k-1}) the two terms
+    cancel exactly, so only the other runs are evaluated.  E clamps its
+    arguments to the support box, so no corner needs clipping.
+    """
     if not iface.support_box.contains(mu.support_box):
         raise ConfigurationError(
             "interface support box does not contain the weighting support"
         )
-    below = sum(
-        mu.integrate_rect(*rect) for rect in iface.below_rectangles(mu.support_box)
+    c = iface.corners
+    runs = [(a, a_prev, b) for (a_prev, _), (a, b) in zip(c, c[1:]) if a != a_prev]
+    e = mu.everett(
+        [c[0][0]] + [a for a, _, _ in runs] + [a_prev for _, a_prev, _ in runs],
+        [c[0][1]] + [b for _, _, b in runs] * 2,
     )
-    if side == "below":
-        return below
-    if side == "above":
-        return mu.total_mass() - below
-    raise ConfigurationError("side must be 'below' or 'above'")
+    n = len(runs) + 1
+    return e[:n] + [-x for x in e[n:]]
+
+
+def integrate_staircase_region(mu, iface: MemoryInterface, side: str) -> float:
+    """Integral of mu over the region below or above the memory curve."""
+    if side not in ("below", "above"):
+        raise ConfigurationError("side must be 'below' or 'above'")
+    below = math.fsum(_below_terms(mu, iface))
+    return below if side == "below" else mu.total_mass - below
 
 
 def evaluate_output(mu, iface: MemoryInterface) -> float:
     """Relay-field output: mass below the curve minus mass above it."""
-    below = integrate_staircase_region(mu, iface, "below")
-    return 2.0 * below - mu.total_mass()
+    return 2.0 * math.fsum(_below_terms(mu, iface)) - mu.total_mass
 
 
 @dataclass(frozen=True)

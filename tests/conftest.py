@@ -27,6 +27,18 @@ def random_grid_field(rng) -> GridWeighting:
     return GridWeighting(box, values)
 
 
+def cell_sum(mu, a_lo, a_hi, b_lo, b_hi):
+    """Mass of a grid over a rectangle, cell by cell."""
+    total = 0.0
+    for j in range(mu.n_beta):
+        db = min(mu.beta_edges[j + 1], b_hi) - max(mu.beta_edges[j], b_lo)
+        for i in range(mu.n_alpha):
+            da = min(mu.alpha_edges[i + 1], a_hi) - max(mu.alpha_edges[i], a_lo)
+            if da > 0 and db > 0:
+                total += mu.values[j, i] * da * db
+    return total
+
+
 def random_gamma_interface(rng, box: Box) -> MemoryInterface:
     """Random extremum history finishing at input 0, so the curve passes
     through the diagonal origin."""

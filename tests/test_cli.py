@@ -177,6 +177,26 @@ class TestSimulate:
         assert remnants[1] == pytest.approx(0.5)  # dead zone
         assert remnants[2] == pytest.approx(0.125)
 
+    def test_needs_no_sector_bounds(self, tmp_path, capsys):
+        """A field that misses the alpha >= 0 >= beta quadrant has no sector
+        bounds, which simulate never reads."""
+        grid = tmp_path / "left.csv"
+        GridWeighting(Box(-2.0, -1.0, -1.0, 0.0), [[1.0]]).save_csv(grid)
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "weighting": {"grid_csv": str(grid)},
+                "q": {"alpha2": 1.0, "beta2": -1.0},
+                "amplitudes": [0.5, -0.5],
+            },
+        )
+        assert run("bounds", cfg, tmp_path / "b") == EXIT_CONFIG
+        assert run("simulate", cfg, tmp_path / "s") == EXIT_OK
+        rows = (tmp_path / "s" / "remnants.csv").read_text().strip().splitlines()[1:]
+        # every relay has alpha < 0, so it holds +1 at zero input
+        assert [float(r.split(",")[2]) for r in rows] == [1.0, 1.0]
+
 
 class TestOracleCheck:
     def test_uniform_scenario_passes(self, tmp_path, capsys):

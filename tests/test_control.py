@@ -56,6 +56,34 @@ class TestPulseShape:
         _, u = render_signal([0.0, 0.0], 1.0, 0.25)
         assert np.all(u == 0.0)
 
+    @pytest.mark.parametrize(
+        "amplitudes, tau, step",
+        [
+            ([1.0], 1.0, 0.25),
+            ([0.75, -0.25, 0.4], 1.0, 0.02),
+            ([0.3, -0.6, 0.9, -0.1], 0.1, 0.1 / 50),
+            ([0.5, -0.5], 0.7, 0.03),  # step divides neither tau nor tau/2
+            ([2, -1], 3.0, 0.2),  # integer amplitudes
+            ([], 1.0, 0.25),
+        ],
+    )
+    def test_render_is_bit_equal_to_the_sample_loop(self, amplitudes, tau, step):
+        def loop(amplitudes, tau, sample_step):
+            n = len(amplitudes)
+            n_samples = int(round(n * tau / sample_step))
+            t = np.arange(n_samples + 1) * sample_step
+            u = np.zeros_like(t)
+            for i, ti in enumerate(t):
+                k = min(int(ti / tau), n - 1) if n else 0
+                if n:
+                    u[i] = amplitudes[k] * pulse_value(k, float(ti), tau)
+            return t, u
+
+        t, u = render_signal(amplitudes, tau, step)
+        t_ref, u_ref = loop(amplitudes, tau, step)
+        assert t.tobytes() == t_ref.tobytes()
+        assert u.tobytes() == u_ref.tobytes()
+
     def test_render_negative_amplitude(self):
         t, u = render_signal([0.75, -0.25], 1.0, 0.25)
         assert u.min() == pytest.approx(-0.25)

@@ -64,6 +64,33 @@ class TestOracleSimulate:
         assert np.array_equal(y1, y2)
 
 
+def where_step(states, alphas, betas, u):
+    """The literal relay rule on the whole lattice."""
+    states = np.where(u > alphas[:, None], 1, states)
+    return np.where(u < betas[None, :], -1, states)
+
+
+class TestRelayGridStep:
+    def test_in_place_step_matches_the_where_rule(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            mu = random_grid_field(rng)
+            grid = RelayGrid(mu, int(rng.integers(5, 40)))
+            grid.initialize(MemoryInterface.virgin(mu.support_box))
+            box = mu.support_box
+            u = np.concatenate([
+                rng.uniform(box.beta_lo - 0.2, box.alpha_hi + 0.2, 40),
+                rng.choice(grid.alphas, 20),  # exactly on a lattice alpha
+                rng.choice(grid.betas, 20),  # exactly on a lattice beta
+            ])
+            rng.shuffle(u)
+            expected = grid.states.copy()
+            for ui in u:
+                grid.step(float(ui))
+                expected = where_step(expected, grid.alphas, grid.betas, float(ui))
+                assert np.array_equal(grid.states, expected)
+
+
 class TestOraclePulseRemnants:
     def test_matches_exact_remnants_within_one_percent(self):
         mu, iface = uniform_scene()

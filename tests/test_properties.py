@@ -1,0 +1,205 @@
+"""Property tests of the Everett corner sums and the head-only staircase
+update, each against a reference kept in this file."""
+
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from preisach_remnant import (
+    Box,
+    GaussianComponent,
+    GaussianWeighting,
+    GridWeighting,
+    MemoryInterface,
+    evaluate_output,
+)
+from preisach_remnant import interface
+from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
+from preisach_remnant.weighting import rect_mass
+
+from conftest import cell_sum
+
+#: derandomized so the suite gives the same verdict on every run
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+BOX = Box(-0.5, 1.0, -1.0, 0.5)
+
+
+# -- histories ------------------------------------------------------------------
+
+#: an input value anywhere, also outside the box on either side
+anywhere = st.floats(-1.6, 1.6, allow_nan=False)
+#: an earlier value again, moved by a multiple of the merge tolerance
+repeat = st.tuples(st.integers(0, 10**6), st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+
+
+@st.composite
+def histories(draw):
+    """A nested swing, each reversal a fraction of the last one, which
+    builds a deep staircase, with values anywhere and repeats put in."""
+    ratios = draw(st.lists(st.floats(0.3, 0.95), min_size=4, max_size=40))
+    ops = [("nest", r) for r in ratios]
+    for op in draw(st.lists(st.one_of(anywhere, repeat), max_size=12)):
+        ops.insert(draw(st.integers(0, len(ops))), op)
+    return ops
+
+
+def input_values(ops):
+    """The input values a history of ``ops`` describes."""
+    values = []
+    for op in ops:
+        if isinstance(op, float):
+            v = op
+        elif op[0] == "nest":
+            v = -op[1] * (values[-1] if values else 1.0)
+        else:
+            index, shift = op
+            v = (values[index % len(values)] if values else 0.0) + shift * VERTEX_MERGE_TOL
+        values.append(v)
+    return values
+
+
+def reference_push(iface, v):
+    """push_extremum with every corner canonicalised."""
+    v0 = iface.current_value
+    if abs(v - v0) <= VERTEX_MERGE_TOL:
+        return iface.corners
+    if v > v0:
+        surv = [c for c in iface.corners if c[0] > v]
+        raw = [(v, v), (v, surv[0][1])] + surv if surv else [(v, v)]
+    else:
+        surv = [c for c in iface.corners if c[1] < v]
+        raw = [(v, v), (surv[0][0], v)] + surv if surv else [(v, v)]
+    return _canonical_corners(raw, iface.support_box)
+
+
+@pytest.mark.parametrize("window", [1, 2, interface.HEAD_WINDOW])
+@PROPERTY
+@given(ops=histories())
+def test_head_only_push_equals_full_canonicalisation(window, ops):
+    """Windows too short to hold the head's merges must fall back to the
+    full canonicalisation and give the same corners."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interface, "HEAD_WINDOW", window)
+        iface = MemoryInterface.virgin(BOX)
+        for v in input_values(ops):
+            expected = reference_push(iface, v)
+            iface = iface.push_extremum(v)
+            assert iface.corners == expected
+
+
+# -- fields -----------------------------------------------------------------------
+
+
+@st.composite
+def boxes(draw):
+    a_lo = draw(st.floats(-1.0, 0.5))
+    b_lo = draw(st.floats(-1.5, 0.0))
+    return Box(a_lo, a_lo + draw(st.floats(0.1, 2.0)), b_lo, b_lo + draw(st.floats(0.1, 2.0)))
+
+
+@st.composite
+def grids(draw):
+    box = draw(boxes())
+    n_alpha, n_beta = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(value, min_size=n_alpha, max_size=n_alpha),
+                         min_size=n_beta, max_size=n_beta))
+    return GridWeighting(box, rows)
+
+
+@st.composite
+def gaussian_sums(draw):
+    support = draw(boxes())
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        box = []
+        for lo, hi in ((support.alpha_lo, support.alpha_hi), (support.beta_lo, support.beta_hi)):
+            f_lo = draw(st.floats(0.0, 0.9))
+            f_hi = draw(st.floats(f_lo + 0.05, 1.0))
+            box += [lo + f_lo * (hi - lo), lo + f_hi * (hi - lo)]
+        components.append(GaussianComponent(
+            amplitude=draw(st.floats(-3.0, 3.0)),
+            center_alpha=draw(st.floats(support.alpha_lo, support.alpha_hi)),
+            center_beta=draw(st.floats(support.beta_lo, support.beta_hi)),
+            sigma_alpha=draw(st.floats(0.05, 1.0)),
+            sigma_beta=draw(st.floats(0.05, 1.0)),
+            box=Box(*box),
+        ))
+    return GaussianWeighting(components, support_box=support)
+
+
+def erf_sum(mu, a_lo, a_hi, b_lo, b_hi):
+    """Mass of a Gaussian sum over a rectangle, component by component."""
+
+    def segment(center, sigma, lo, hi):
+        if hi <= lo:
+            return 0.0
+        s = sigma * math.sqrt(2.0)
+        return sigma * math.sqrt(math.pi / 2.0) * (math.erf((hi - center) / s) - math.erf((lo - center) / s))
+
+    total = 0.0
+    for c in mu.components:
+        ga = segment(c.center_alpha, c.sigma_alpha, max(a_lo, c.box.alpha_lo), min(a_hi, c.box.alpha_hi))
+        gb = segment(c.center_beta, c.sigma_beta, max(b_lo, c.box.beta_lo), min(b_hi, c.box.beta_hi))
+        total += c.amplitude * ga * gb
+    return total
+
+
+def rectangle_output(mu, iface, mass):
+    """Output as the sum over the rectangles under the staircase steps,
+    clipped to the support box, each integrated by ``mass``."""
+    box = mu.support_box
+    below = 0.0
+    for lo, hi, level in iface.steps():
+        a_lo, a_hi = max(lo, box.alpha_lo), min(hi, box.alpha_hi)
+        b_hi = min(level, box.beta_hi)
+        if a_hi > a_lo and b_hi > box.beta_lo:
+            below += mass(mu, a_lo, a_hi, box.beta_lo, b_hi)
+    return 2.0 * below - mass(mu, box.alpha_lo, box.alpha_hi, box.beta_lo, box.beta_hi)
+
+
+def history_on(box, ops):
+    """Interface after the inputs of ``ops``, mapped from [-1.6, 1.6] onto
+    the box's span widened by half of it on either side."""
+    iface = MemoryInterface.virgin(box)
+    span = box.alpha_hi - box.beta_lo
+    for v in input_values(ops):
+        iface = iface.push_extremum(box.beta_lo + (v / 1.6 + 0.5) * span)
+    return iface
+
+
+def assert_close(got, expected, mu):
+    """Within 1e-12 of the field's absolute mass; the smallest normal float
+    is the floor, because products that underflow into subnormals keep no
+    relative precision in either sum."""
+    assert abs(got - expected) <= 1e-12 * mu.abs_mass() + sys.float_info.min
+
+
+@PROPERTY
+@given(mu=grids(), ops=histories())
+def test_grid_output_matches_the_rectangle_sum(mu, ops):
+    iface = history_on(mu.support_box, ops)
+    got = evaluate_output(mu, iface)
+    assert type(got) is float
+    assert_close(got, rectangle_output(mu, iface, cell_sum), mu)
+
+
+@PROPERTY
+@given(mu=gaussian_sums(), ops=histories())
+def test_gaussian_output_matches_the_rectangle_sum(mu, ops):
+    iface = history_on(mu.support_box, ops)
+    got = evaluate_output(mu, iface)
+    assert type(got) is float
+    assert_close(got, rectangle_output(mu, iface, erf_sum), mu)
+
+
+@PROPERTY
+@given(mu=grids(), corners=st.lists(st.floats(-2.5, 2.5), min_size=4, max_size=4))
+def test_grid_rect_mass_matches_the_cell_sum(mu, corners):
+    """Rectangles also reach past the box or are empty."""
+    a_lo, a_hi, b_lo, b_hi = corners
+    assert_close(rect_mass(mu, a_lo, a_hi, b_lo, b_hi), cell_sum(mu, a_lo, a_hi, b_lo, b_hi), mu)

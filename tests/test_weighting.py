@@ -25,7 +25,7 @@ from preisach_remnant import (
     uniform_field,
 )
 
-from conftest import random_gamma_interface, random_grid_field
+from conftest import cell_sum, random_gamma_interface, random_grid_field
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -99,8 +99,8 @@ class TestStaircaseIntegration:
             if a_edge <= 0:
                 continue
             iface = excursion(mu.support_box, a_edge, 0.0)
-            expected = mu.integrate_rect(mu.support_box.alpha_lo, a_edge,
-                                         mu.support_box.beta_lo, 0.0)
+            expected = cell_sum(mu, mu.support_box.alpha_lo, a_edge,
+                                mu.support_box.beta_lo, 0.0)
             got = integrate_staircase_region(mu, iface, "below")
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
