@@ -14,6 +14,7 @@ from .weighting import (
     GaussianComponent,
     GaussianWeighting,
     GridWeighting,
+    OutputReader,
     QRegion,
     SectorBounds,
     eval_mu,
@@ -32,6 +33,7 @@ from .control import (
     dense_response,
     last_input_extrema,
     max_gain,
+    pulse_remnants,
     pulse_value,
     remnant,
     remnant_extrema,

@@ -14,7 +14,7 @@ from .control import (
     ControllerConfig,
     dense_response,
     max_gain,
-    remnant,
+    pulse_remnants,
     remnant_extrema,
     run_controller,
 )
@@ -149,9 +149,18 @@ def cmd_bounds(cfg, args) -> int:
     return EXIT_OK
 
 
+def _control_scene(cfg, args):
+    """(mu, q, iface, bounds) of a control run: the ones a sweep prepared
+    for all its runs in ``args.scene``, or built from the config."""
+    scene = getattr(args, "scene", None)
+    if scene is None:
+        mu, q, iface = _build_scene(cfg)
+        scene = mu, q, iface, sector_bounds(mu, q, args.resolution)
+    return scene
+
+
 def _run_control(cfg, args):
-    mu, q, iface = _build_scene(cfg)
-    bounds = sector_bounds(mu, q, args.resolution)
+    mu, q, iface, bounds = _control_scene(cfg, args)
     ccfg = _controller_config(cfg, q, bounds)
     trace = run_controller(mu, iface, ccfg, bounds=bounds)
     return mu, q, iface, ccfg, trace
@@ -187,11 +196,9 @@ def cmd_simulate(cfg, args) -> int:
     tau = float(cfg.get("tau", 1.0))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    cur = iface
     with open(os.path.join(out, "remnants.csv"), "w") as fh:
         fh.write("k,w_k,gamma_k\n")
-        for k, w in enumerate(amplitudes):
-            g, cur = remnant(mu, cur, w)
+        for k, (w, g) in enumerate(zip(amplitudes, pulse_remnants(mu, iface, amplitudes))):
             fh.write("%d,%r,%r\n" % (k, w, g))
     step = tau / float(cfg.get("signal_samples_per_pulse", 50))
     t, u, y = dense_response(mu, iface, amplitudes, tau, step)
@@ -225,12 +232,16 @@ def cmd_sweep(cfg, args) -> int:
     param = sweep["param"]
     out = args.out or "sweep_out"
     os.makedirs(out, exist_ok=True)
+    # both swept parameters are controller settings: every run shares the
+    # field, the interface and the sector bounds
+    scene = _control_scene(cfg, args)
     results = []
     worst = EXIT_OK
     for value in sweep["values"]:
         sub = json.loads(json.dumps(cfg))
         sub.setdefault("controller", {})[param] = value
         sub_args = argparse.Namespace(**vars(args))
+        sub_args.scene = scene
         sub_args.out = os.path.join(out, "%s_%r" % (param, value))
         os.makedirs(sub_args.out, exist_ok=True)
         code = cmd_control(sub, sub_args)

@@ -20,7 +20,14 @@ from .errors import (
     DegenerateBoundsError,
 )
 from .interface import MemoryInterface
-from .weighting import QRegion, SectorBounds, evaluate_output, rect_mass, sector_bounds
+from .weighting import (
+    OutputReader,
+    QRegion,
+    SectorBounds,
+    evaluate_output,
+    rect_mass,
+    sector_bounds,
+)
 
 
 def pulse_value(k: int, t: float, tau: float) -> float:
@@ -74,6 +81,17 @@ def remnant(mu, iface: MemoryInterface, w: float):
     """Remnant after a pulse of amplitude w; returns (value, new interface)."""
     new = apply_pulse(iface, w)
     return evaluate_output(mu, new), new
+
+
+def pulse_remnants(mu, iface: MemoryInterface, amplitudes):
+    """Remnant after each pulse of a train: the values of chained
+    ``remnant`` calls, read incrementally."""
+    reader = OutputReader(mu)
+    out = []
+    for w in amplitudes:
+        iface = apply_pulse(iface, w)
+        out.append(reader.read(iface))
+    return out
 
 
 def last_input_extrema(iface: MemoryInterface):
@@ -253,12 +271,14 @@ def run_controller(
     step_sign = -1.0 if cfg.mu_sign_mode == "positive" else 1.0
 
     iface = iface0
+    reader = OutputReader(mu)
     w = cfg.w0
     clamped = False
     records = []
     status = "max_pulses"
     for k in range(cfg.max_pulses + 1):
-        gamma_k, iface = remnant(mu, iface, w)
+        iface = apply_pulse(iface, w)
+        gamma_k = reader.read(iface)
         e_k = gamma_k - cfg.gamma_d
         records.append(PulseRecord(k, w, gamma_k, e_k, clamped))
         if abs(e_k) <= tol_e:
@@ -276,9 +296,10 @@ def run_controller(
 def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_step: float):
     """Sampled input and output time series for a pulse train."""
     t, u = render_signal(amplitudes, tau, sample_step)
+    reader = OutputReader(mu)
     iface = iface0
     y = np.zeros_like(t)
-    for i, ui in enumerate(u):
-        iface = iface.push_extremum(float(ui))
-        y[i] = evaluate_output(mu, iface)
+    for i, ui in enumerate(u.tolist()):
+        iface = iface.push_extremum(ui)
+        y[i] = reader.read(iface)
     return t, u, y

@@ -27,15 +27,22 @@ class RelayGrid:
         self.betas = box.beta_lo + (np.arange(n) + 0.5) * db
         A = self.alphas[:, None]
         B = self.betas[None, :]
-        weights = mu.eval(A, B) * (da * db)
+        weights = mu.eval(A, B)
+        weights *= da * db  # in place: the output buffer below takes its room
         weights[A < B] = 0.0  # only alpha >= beta indexes a relay
         self.weights = weights
         self.states = np.full((n, n), -1, dtype=np.int8)
+        self._products = np.empty((n, n))
 
     def initialize(self, iface: MemoryInterface):
-        for i, a in enumerate(self.alphas):
-            level = iface.upper_beta(float(a))
-            self.states[i, :] = np.where(self.betas <= level, 1, -1)
+        # the steps partition the alpha axis into (lo, hi] intervals with
+        # ascending hi, so the step holding each lattice alpha is the first
+        # one whose hi reaches it
+        steps = iface.steps()
+        his = np.array([hi for _, hi, _ in steps])
+        levels = np.array([level for _, _, level in steps])
+        level = levels[his.searchsorted(self.alphas, "left")]
+        self.states[:] = np.where(self.betas[None, :] <= level[:, None], np.int8(1), np.int8(-1))
 
     def step(self, u: float):
         # both axes ascend, so the relays with alpha < u are a leading block
@@ -44,7 +51,7 @@ class RelayGrid:
         self.states[:, self.betas.searchsorted(u, "right"):] = -1
 
     def output(self) -> float:
-        return float((self.states * self.weights).sum())
+        return float(np.multiply(self.states, self.weights, out=self._products).sum())
 
 
 def oracle_simulate(mu, init: MemoryInterface, u_samples, n: int):

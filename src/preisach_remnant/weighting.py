@@ -6,7 +6,9 @@ rectangle.  Each supplies one integration primitive, the Everett function
 E(alpha, beta): the mass of the density over [alpha_lo, alpha] x
 [beta_lo, beta] of its support box.  Every region the engine integrates
 (the area under the staircase memory curve, a remnant band, a rectangle)
-is a signed sum of E at a few corners.  Sector bounds are the extrema of
+is a signed sum of E at a few corners, and ``OutputReader`` reads the
+output along a sequence of pushes by re-evaluating E only at the corners a
+push changed.  Sector bounds are the extrema of
 one-dimensional cumulative integrals of the density, scanned over the
 quadrant alpha >= 0 >= beta.
 """
@@ -14,7 +16,9 @@ quadrant alpha >= 0 >= beta.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,12 +75,13 @@ def _cells(edges, x):
     return idx, (edges[0] <= x) & (x <= edges[-1])
 
 
-def _cell_fractions(edges, x):
-    """(cell index, fraction of the cell below x) of every coordinate in
-    ``x``, clamped to the edges."""
-    x = np.clip(np.asarray(x, float), edges[0], edges[-1])
-    idx = np.minimum(np.searchsorted(edges, x, side="right") - 1, len(edges) - 2)
-    return idx, (x - edges[idx]) / (edges[idx + 1] - edges[idx])
+def _cell_fraction(edges, x):
+    """(cell index, fraction of the cell below x) of one coordinate clamped
+    to ``edges``, a list."""
+    lo, hi = edges[0], edges[-1]
+    x = lo if x < lo else hi if x > hi else x
+    i = min(bisect_right(edges, x) - 1, len(edges) - 2)
+    return i, (x - edges[i]) / (edges[i + 1] - edges[i])
 
 
 def _integrals_below_zero(edges, rows, cuts):
@@ -111,6 +116,7 @@ class GridWeighting:
         self.n_beta, self.n_alpha = values.shape
         self.alpha_edges = np.linspace(box.alpha_lo, box.alpha_hi, self.n_alpha + 1)
         self.beta_edges = np.linspace(box.beta_lo, box.beta_hi, self.n_beta + 1)
+        self._edge_lists = self.alpha_edges.tolist(), self.beta_edges.tolist()
         # _prefix[j, i]: sum of the cell values below beta row j and left
         # of alpha column i; times the cell area it is E at the lattice nodes
         self._prefix = np.zeros((self.n_beta + 1, self.n_alpha + 1))
@@ -134,13 +140,19 @@ class GridWeighting:
 
         The density is constant on each cell, so E is bilinear inside a
         cell and its bilinear interpolation of the prefix table is exact.
+        Plain floats: a read along a push sequence asks for a few points,
+        where numpy's per-call cost would outweigh the work.
         """
-        i, fa = _cell_fractions(self.alpha_edges, alphas)
-        j, fb = _cell_fractions(self.beta_edges, betas)
-        p = self._prefix
-        lower = (1.0 - fa) * p[j, i] + fa * p[j, i + 1]
-        upper = (1.0 - fa) * p[j + 1, i] + fa * p[j + 1, i + 1]
-        return (self._cell_area * ((1.0 - fb) * lower + fb * upper)).tolist()
+        alpha_edges, beta_edges = self._edge_lists
+        item, area = self._prefix.item, self._cell_area
+        out = []
+        for a, b in zip(alphas, betas):
+            i, fa = _cell_fraction(alpha_edges, a)
+            j, fb = _cell_fraction(beta_edges, b)
+            lower = (1.0 - fa) * item(j, i) + fa * item(j, i + 1)
+            upper = (1.0 - fa) * item(j + 1, i) + fa * item(j + 1, i + 1)
+            out.append(area * ((1.0 - fb) * lower + fb * upper))
+        return out
 
     def scan_blocks(self, axis, lines, cuts):
         """Row blocks of M[i, j], the integral of mu along ``axis`` at the
@@ -185,18 +197,19 @@ class GridWeighting:
                 raise ConfigurationError("bad grid CSV header in %s" % path)
             a_lo, a_hi, b_lo, b_hi = map(float, head[:4])
             n_alpha, n_beta = int(head[4]), int(head[5])
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                vals = [float(x) for x in line.split(",")]
-                if len(vals) != n_alpha:
-                    raise ConfigurationError("bad grid CSV row length in %s" % path)
-                rows.append(vals)
-        if len(rows) != n_beta:
+            lines = [line for line in fh if line.strip()]
+        if len(lines) != n_beta:
             raise ConfigurationError("bad grid CSV row count in %s" % path)
-        return cls(Box(a_lo, a_hi, b_lo, b_hi), np.array(rows))
+        try:
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            # rows of unequal length, or a value that is not a number
+            if any(line.count(",") != n_alpha - 1 for line in lines):
+                raise ConfigurationError("bad grid CSV row length in %s" % path) from None
+            raise
+        if rows.shape[1] != n_alpha:
+            raise ConfigurationError("bad grid CSV row length in %s" % path)
+        return cls(Box(a_lo, a_hi, b_lo, b_hi), rows)
 
 
 @dataclass(frozen=True)
@@ -326,42 +339,83 @@ def rect_mass(mu, a_lo, a_hi, b_lo, b_hi) -> float:
     return (e[0] - e[1]) - (e[2] - e[3])
 
 
-def _below_terms(mu, iface: MemoryInterface):
-    """Signed terms of the mass of mu below the memory curve, from one call
-    of E.
+def _corner_terms(mu, corners, stop):
+    """Signed Everett terms of corners[:stop], one tuple per corner, from
+    one call of E.
 
     With corners (a_k, b_k) from the diagonal outward, the region below the
     curve is the union of [a_{k-1}, a_k] x [beta_lo, b_k] (a_{-1} =
-    alpha_lo), so its mass is sum_k E(a_k, b_k) - sum_{k>=1} E(a_{k-1}, b_k)
-    (Everett's identity).  On a vertical run (a_k = a_{k-1}) the two terms
-    cancel exactly, so only the other runs are evaluated.  E clamps its
+    alpha_lo), so its mass is E(a_0, b_0) plus, for every k >= 1,
+    E(a_k, b_k) - E(a_{k-1}, b_k) (Everett's identity).  On a vertical run
+    (a_k = a_{k-1}) the two terms cancel exactly, so that corner has none.
+    A corner's terms depend only on it and its predecessor.  E clamps its
     arguments to the support box, so no corner needs clipping.
     """
-    if not iface.support_box.contains(mu.support_box):
-        raise ConfigurationError(
-            "interface support box does not contain the weighting support"
-        )
-    c = iface.corners
-    runs = [(a, a_prev, b) for (a_prev, _), (a, b) in zip(c, c[1:]) if a != a_prev]
+    stop = min(stop, len(corners))
+    runs = [k for k in range(1, stop) if corners[k][0] != corners[k - 1][0]]
     e = mu.everett(
-        [c[0][0]] + [a for a, _, _ in runs] + [a_prev for _, a_prev, _ in runs],
-        [c[0][1]] + [b for _, _, b in runs] * 2,
+        [corners[0][0]] + [corners[k][0] for k in runs] + [corners[k - 1][0] for k in runs],
+        [corners[0][1]] + [corners[k][1] for k in runs] * 2,
     )
-    n = len(runs) + 1
-    return e[:n] + [-x for x in e[n:]]
+    terms = [(e[0],)] + [()] * (stop - 1)
+    for r, k in enumerate(runs, 1):
+        terms[k] = (e[r], -e[r + len(runs)])
+    return terms
+
+
+class OutputReader:
+    """Relay-field output of one weighting, read incrementally along a
+    sequence of interfaces.
+
+    A push keeps a suffix of the corner tuple, the same tuple objects, and
+    changes only the corners in front of it.  ``read`` finds that suffix by
+    identity from the tail and keeps its terms; it evaluates E only for the
+    corners in front of it and the first shared corner, whose terms depend
+    on its predecessor.  math.fsum is correctly rounded, so the order of the
+    terms does not matter, and every read is the same float as
+    ``evaluate_output`` of the same interface.
+    """
+
+    def __init__(self, mu):
+        self.mu = mu
+        self._corners = ()
+        self._terms = []
+
+    def below(self, iface: MemoryInterface) -> float:
+        """Mass of mu below the memory curve of ``iface``."""
+        if not iface.support_box.contains(self.mu.support_box):
+            raise ConfigurationError(
+                "interface support box does not contain the weighting support"
+            )
+        old, new = self._corners, iface.corners
+        shared = 0
+        for a, b in zip(reversed(new), reversed(old)):
+            if a is not b:
+                break
+            shared += 1
+        # the head in front of the shared suffix, and the suffix's first
+        # corner, whose predecessor may have changed
+        changed = len(new) - shared + 1
+        self._terms = _corner_terms(self.mu, new, changed) + self._terms[len(old) - shared + 1:]
+        self._corners = new
+        return math.fsum(chain.from_iterable(self._terms))
+
+    def read(self, iface: MemoryInterface) -> float:
+        """Output of ``iface``: mass below the curve minus mass above it."""
+        return 2.0 * self.below(iface) - self.mu.total_mass
 
 
 def integrate_staircase_region(mu, iface: MemoryInterface, side: str) -> float:
     """Integral of mu over the region below or above the memory curve."""
     if side not in ("below", "above"):
         raise ConfigurationError("side must be 'below' or 'above'")
-    below = math.fsum(_below_terms(mu, iface))
+    below = OutputReader(mu).below(iface)
     return below if side == "below" else mu.total_mass - below
 
 
 def evaluate_output(mu, iface: MemoryInterface) -> float:
     """Relay-field output: mass below the curve minus mass above it."""
-    return 2.0 * math.fsum(_below_terms(mu, iface)) - mu.total_mass
+    return OutputReader(mu).read(iface)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from preisach_remnant import cli
 from preisach_remnant.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -81,6 +82,31 @@ class TestBounds:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("bounds", str(tmp_path / "nope.json")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.0,1.0,-1.0,0.0,2\n1.0,2.0\n", "bad grid CSV header"),
+            ("0.0,1.0,-1.0,0.0,2,1\n1.0,2.0,3.0\n", "bad grid CSV row length"),
+            ("0.0,1.0,-1.0,0.0,2,2\n1.0,2.0\n3.0\n", "bad grid CSV row length"),
+            ("0.0,1.0,-1.0,0.0,2,2\n1.0,2.0\n", "bad grid CSV row count"),
+        ],
+        ids=["header", "row_length", "ragged_rows", "row_count"],
+    )
+    def test_bad_grid_csv_is_config_error(self, tmp_path, capsys, text, message):
+        grid = tmp_path / "bad.csv"
+        grid.write_text(text)
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "weighting": {"grid_csv": str(grid)},
+                "q": {"alpha2": 1.0, "beta2": -1.0},
+                "controller": {"gamma_d": 0.0},
+            },
+        )
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 class TestControl:
@@ -229,3 +255,26 @@ class TestSweep:
         for r in results:
             run_dir = out / ("gamma_d_%r" % r["value"])
             assert (run_dir / "trace.csv").exists()
+
+    def test_runs_share_one_scan_and_match_single_runs(self, tmp_path, capsys, monkeypatch):
+        """The swept runs reuse the sweep's sector bounds and write what a
+        control run of each value writes alone."""
+        values = [0.3, -0.2, 0.6]
+        base = dict(deadbeat_config(), weighting={"preset": "butterfly"})
+        base["controller"] = {"gamma_d": 0.0, "lambda": "auto"}
+        cfg = write_config(tmp_path, "c.json", dict(base, sweep={"param": "gamma_d", "values": values}))
+        scans = []
+        real = cli.sector_bounds
+        monkeypatch.setattr(cli, "sector_bounds", lambda *a: scans.append(a) or real(*a))
+        out = tmp_path / "sweep"
+        assert run("sweep", cfg, out, ["--resolution", "64"]) == EXIT_OK
+        assert len(scans) == 1
+        for v in values:
+            single = dict(base, controller=dict(base["controller"], gamma_d=v))
+            alone = tmp_path / ("alone_%r" % v)
+            assert run("control", write_config(tmp_path, "s.json", single), alone,
+                       ["--resolution", "64"]) == EXIT_OK
+            swept = out / ("gamma_d_%r" % v)
+            assert sorted(os.listdir(swept)) == sorted(os.listdir(alone))
+            for name in os.listdir(alone):
+                assert (swept / name).read_bytes() == (alone / name).read_bytes()

@@ -16,8 +16,11 @@ from preisach_remnant import (
     apply_pulse,
     delta_remnant_explicit,
     dense_response,
+    evaluate_output,
     last_input_extrema,
+    make_butterfly,
     max_gain,
+    pulse_remnants,
     pulse_value,
     remnant,
     remnant_extrema,
@@ -28,6 +31,8 @@ from preisach_remnant import (
     validate_initial_interface,
 )
 from preisach_remnant.presets import pzt_shelf_interface
+
+from conftest import random_grid_field
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -293,6 +298,45 @@ class TestController:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,w_k,gamma_k,e_k,clamped"
         assert len(lines) == 1 + len(trace.records)
+
+
+def incremental_scenes():
+    """Grid fields and the butterfly with pulse trains that include a zero
+    pulse, repeats and pulses past the support box."""
+    rng = np.random.default_rng(71)
+    for _ in range(4):
+        mu = random_grid_field(rng)
+        box = mu.support_box
+        amplitudes = [float(w) for w in rng.uniform(box.beta_lo - 0.3, box.alpha_hi + 0.3, 12)]
+        yield mu, MemoryInterface.virgin(box), amplitudes + [0.0, amplitudes[3], amplitudes[3]]
+    mu, _ = make_butterfly()
+    yield mu, MemoryInterface.virgin(mu.support_box), [0.9, -0.7, 0.0, 0.5, -0.2, 0.5, 1.2]
+
+
+class TestIncrementalReads:
+    """Reads along a pulse train give the floats of full reads."""
+
+    def test_pulse_remnants_equal_chained_remnants(self):
+        for mu, iface, amplitudes in incremental_scenes():
+            expected, cur = [], iface
+            for w in amplitudes:
+                g, cur = remnant(mu, cur, w)
+                expected.append(g)
+            assert pulse_remnants(mu, iface, amplitudes) == expected
+
+    def test_pulse_remnants_need_a_zero_crossing(self):
+        mu, iface = uniform_scene()
+        with pytest.raises(AdmissibilityError):
+            pulse_remnants(mu, iface.push_extremum(0.5), [0.2])
+
+    def test_dense_response_equals_full_reads(self):
+        for mu, iface, amplitudes in incremental_scenes():
+            _, u, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
+            expected, cur = [], iface
+            for v in u.tolist():
+                cur = cur.push_extremum(v)
+                expected.append(evaluate_output(mu, cur))
+            assert y.tolist() == expected
 
 
 class TestDenseResponse:

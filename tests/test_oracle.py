@@ -91,6 +91,40 @@ class TestRelayGridStep:
                 assert np.array_equal(grid.states, expected)
 
 
+def row_by_row_states(grid, iface):
+    """The relay states of ``iface`` on the lattice, one row per alpha."""
+    states = np.full((grid.n, grid.n), -1, dtype=np.int8)
+    for i, a in enumerate(grid.alphas):
+        states[i, :] = np.where(grid.betas <= iface.upper_beta(float(a)), 1, -1)
+    return states
+
+
+class TestRelayGridStates:
+    def test_initialize_matches_the_row_by_row_rule(self):
+        rng = np.random.default_rng(61)
+        for _ in range(8):
+            mu = random_grid_field(rng)
+            box = mu.support_box
+            grid = RelayGrid(mu, int(rng.integers(5, 60)))
+            iface = MemoryInterface.virgin(box)
+            for _ in range(int(rng.integers(0, 8))):
+                iface = iface.push_extremum(float(rng.uniform(box.beta_lo - 0.2, box.alpha_hi + 0.2)))
+            # a curve corner exactly on a lattice alpha
+            iface = iface.push_extremum(float(rng.choice(grid.alphas))).push_extremum(0.0)
+            grid.initialize(iface)
+            assert grid.states.dtype == np.int8
+            assert np.array_equal(grid.states, row_by_row_states(grid, iface))
+
+    def test_output_is_the_sum_of_weighted_states(self):
+        rng = np.random.default_rng(62)
+        mu, _ = make_butterfly()
+        grid = RelayGrid(mu, 90)
+        grid.initialize(MemoryInterface.virgin(mu.support_box))
+        for u in rng.uniform(-1.0, 1.0, 30):
+            grid.step(float(u))
+            assert grid.output() == float((grid.states * grid.weights).sum())
+
+
 class TestOraclePulseRemnants:
     def test_matches_exact_remnants_within_one_percent(self):
         mu, iface = uniform_scene()

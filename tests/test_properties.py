@@ -1,9 +1,11 @@
-"""Property tests of the Everett corner sums and the head-only staircase
-update, each against a reference kept in this file."""
+"""Property tests of the Everett corner sums, the incremental output reads
+and the head-only staircase update, each against a reference kept in this
+file."""
 
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from preisach_remnant import (
 )
 from preisach_remnant import interface
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
-from preisach_remnant.weighting import rect_mass
+from preisach_remnant.weighting import OutputReader, rect_mass
 
 from conftest import cell_sum
 
@@ -162,13 +164,18 @@ def rectangle_output(mu, iface, mass):
     return 2.0 * below - mass(mu, box.alpha_lo, box.alpha_hi, box.beta_lo, box.beta_hi)
 
 
-def history_on(box, ops):
-    """Interface after the inputs of ``ops``, mapped from [-1.6, 1.6] onto
-    the box's span widened by half of it on either side."""
-    iface = MemoryInterface.virgin(box)
+def inputs_on(box, ops):
+    """The inputs of ``ops``, mapped from [-1.6, 1.6] onto the box's span
+    widened by half of it on either side."""
     span = box.alpha_hi - box.beta_lo
-    for v in input_values(ops):
-        iface = iface.push_extremum(box.beta_lo + (v / 1.6 + 0.5) * span)
+    return [box.beta_lo + (v / 1.6 + 0.5) * span for v in input_values(ops)]
+
+
+def history_on(box, ops):
+    """Interface after the inputs of ``ops`` mapped onto the box."""
+    iface = MemoryInterface.virgin(box)
+    for v in inputs_on(box, ops):
+        iface = iface.push_extremum(v)
     return iface
 
 
@@ -203,3 +210,91 @@ def test_grid_rect_mass_matches_the_cell_sum(mu, corners):
     """Rectangles also reach past the box or are empty."""
     a_lo, a_hi, b_lo, b_hi = corners
     assert_close(rect_mass(mu, a_lo, a_hi, b_lo, b_hi), cell_sum(mu, a_lo, a_hi, b_lo, b_hi), mu)
+
+
+# -- incremental reads ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [1, 2, interface.HEAD_WINDOW])
+@PROPERTY
+@given(mu=st.one_of(grids(), gaussian_sums()), ops=histories())
+def test_incremental_reads_equal_full_reads(window, mu, ops):
+    """A reader's output after every push is the full Everett sum, also
+    when a short window makes push_extremum build every corner afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interface, "HEAD_WINDOW", window)
+        reader = OutputReader(mu)
+        iface = MemoryInterface.virgin(mu.support_box)
+        assert reader.read(iface) == evaluate_output(mu, iface)
+        for v in inputs_on(mu.support_box, ops):
+            iface = iface.push_extremum(v)
+            got = reader.read(iface)
+            assert type(got) is float
+            assert got == evaluate_output(mu, iface)
+
+
+# -- grid E in plain floats -------------------------------------------------------
+
+
+def numpy_everett(mu, alphas, betas):
+    """Grid E at arrays of points: clip, searchsorted and the bilinear
+    interpolation of the prefix table, as numpy array expressions."""
+
+    def cell_fractions(edges, x):
+        x = np.clip(np.asarray(x, float), edges[0], edges[-1])
+        idx = np.minimum(np.searchsorted(edges, x, side="right") - 1, len(edges) - 2)
+        return idx, (x - edges[idx]) / (edges[idx + 1] - edges[idx])
+
+    p = np.zeros((mu.n_beta + 1, mu.n_alpha + 1))
+    p[1:, 1:] = np.cumsum(np.cumsum(mu.values, axis=0), axis=1)
+    box = mu.support_box
+    area = (box.alpha_hi - box.alpha_lo) / mu.n_alpha * ((box.beta_hi - box.beta_lo) / mu.n_beta)
+    i, fa = cell_fractions(mu.alpha_edges, alphas)
+    j, fb = cell_fractions(mu.beta_edges, betas)
+    lower = (1.0 - fa) * p[j, i] + fa * p[j, i + 1]
+    upper = (1.0 - fa) * p[j + 1, i] + fa * p[j + 1, i + 1]
+    return (area * ((1.0 - fb) * lower + fb * upper)).tolist()
+
+
+#: box bounds that put an edge at a signed zero, inside the box or on it
+ZERO_EDGE_LO = st.one_of(st.sampled_from([0.0, -0.0, -0.5, -1.0]), st.floats(-1.0, 0.5))
+ZERO_EDGE_HI = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-0.5, 1.0))
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid whose box may have an edge at +0.0 or -0.0, and points on its
+    cell edges, at signed zeros, outside the box and anywhere."""
+    a_lo = draw(ZERO_EDGE_LO)
+    b_hi = draw(ZERO_EDGE_HI)
+    a_hi = draw(st.one_of(st.sampled_from([-a_lo, 1.0]), st.floats(0.1, 2.0).map(lambda w: a_lo + w)))
+    b_lo = draw(st.one_of(st.sampled_from([-b_hi, -1.0]), st.floats(0.1, 2.0).map(lambda w: b_hi - w)))
+    if not (a_hi > a_lo and b_hi > b_lo):
+        a_hi, b_lo = a_lo + 1.0, b_hi - 1.0
+    n_alpha, n_beta = draw(st.sampled_from([1, 2, 4, 7])), draw(st.sampled_from([1, 2, 4, 7]))
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(value, min_size=n_alpha, max_size=n_alpha),
+                         min_size=n_beta, max_size=n_beta))
+    mu = GridWeighting(Box(a_lo, a_hi, b_lo, b_hi), rows)
+
+    def coordinate(edges):
+        lo, hi = edges[0], edges[-1]
+        return st.one_of(
+            st.sampled_from(edges),
+            st.sampled_from([0.0, -0.0, lo - 1.0, hi + 1.0]),
+            st.floats(lo - 1.0, hi + 1.0),
+        )
+
+    n = draw(st.integers(1, 12))
+    alphas = draw(st.lists(coordinate(mu.alpha_edges.tolist()), min_size=n, max_size=n))
+    betas = draw(st.lists(coordinate(mu.beta_edges.tolist()), min_size=n, max_size=n))
+    return mu, alphas, betas
+
+
+@PROPERTY
+@given(case=grids_and_points())
+def test_grid_everett_is_bit_equal_to_the_array_formula(case):
+    mu, alphas, betas = case
+    got = mu.everett(alphas, betas)
+    assert all(type(e) is float for e in got)
+    assert [e.hex() for e in got] == [e.hex() for e in numpy_everett(mu, alphas, betas)]
