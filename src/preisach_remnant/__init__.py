@@ -8,7 +8,7 @@ from .errors import (
     EmptyIntersectionError,
     OutOfRangeError,
 )
-from .interface import Box, MemoryInterface, PlanePoint, push_extremum, relay_state
+from .interface import Box, MemoryInterface, PlanePoint
 from .weighting import (
     ButterflyParams,
     GaussianComponent,
@@ -17,7 +17,6 @@ from .weighting import (
     OutputReader,
     QRegion,
     SectorBounds,
-    eval_mu,
     evaluate_output,
     integrate_staircase_region,
     make_butterfly,

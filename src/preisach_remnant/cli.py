@@ -244,9 +244,16 @@ def cmd_sweep(cfg, args) -> int:
         sub_args.scene = scene
         sub_args.out = os.path.join(out, "%s_%r" % (param, value))
         os.makedirs(sub_args.out, exist_ok=True)
-        code = cmd_control(sub, sub_args)
-        worst = max(worst, code)
-        results.append({"value": value, "exit_code": code})
+        record = {"value": value}
+        try:
+            record["exit_code"] = cmd_control(sub, sub_args)
+        except (ConfigurationError, AdmissibilityError) as exc:
+            # a bad value (a target outside the reachable range, a gain
+            # outside the admissible interval) ends its own run only
+            print("config error: %s=%r: %s" % (param, value, exc), file=sys.stderr)
+            record.update(exit_code=EXIT_CONFIG, error=str(exc))
+        worst = max(worst, record["exit_code"])
+        results.append(record)
     _dump_json(results, out, "sweep.json")
     print(json.dumps(results, sort_keys=True))
     return worst

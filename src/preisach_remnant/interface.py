@@ -7,6 +7,13 @@ from the diagonal outward; its infinite tail is clamped to the support box
 because the weighting density vanishes outside it, so nothing observable is
 lost.
 
+The corners are held as a chain of nodes ``(corner, next, depth)``: the
+head node is the diagonal corner, ``next`` is the node one step toward the
+tail (``None`` after the tail) and ``depth`` counts the nodes behind it, so
+the tail has depth 0.  A push builds new nodes only for the new head and
+links them to the first surviving node, which all later interfaces share
+by identity.
+
 All values are immutable; every update returns a new interface.
 """
 
@@ -20,14 +27,6 @@ from .errors import ConfigurationError, OutOfRangeError
 
 #: absolute tolerance below which adjacent corners are merged
 VERTEX_MERGE_TOL = 1e-12
-
-#: survivors that push_extremum canonicalises together with the new head.
-#: The survivors are a suffix of a canonical tuple, so corners can only
-#: merge or line up where the head meets them: with the first survivor and,
-#: once that one merges away, with the second.  Two more survivors must
-#: come out of the window unchanged, which shows that nothing reached the
-#: seam; otherwise the whole tuple is canonicalised.
-HEAD_WINDOW = 4
 
 _NEG_INF = float("-inf")
 
@@ -106,12 +105,7 @@ def _canonical_corners(corners, box: Box):
 
     if pts[-1][1] > tail_beta:
         pts.append((pts[-1][0], tail_beta))
-    return _merged_corners(pts)
 
-
-def _merged_corners(pts):
-    """Merge near-duplicate and collinear corners of an already clamped
-    corner list, then validate the staircase."""
     out = [pts[0]]
     for p in pts[1:]:
         q = out[-1]
@@ -146,20 +140,58 @@ def _merged_corners(pts):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def _chain(corners):
+    """Head node of a chain holding ``corners`` (diagonal corner first)."""
+    node = None
+    for depth, corner in enumerate(reversed(corners)):
+        node = (corner, node, depth)
+    return node
+
+
 class MemoryInterface:
     """Canonical staircase memory curve plus the support box it is clamped to.
 
     ``corners`` runs from the diagonal corner outward; consecutive corners
-    share either the alpha or the beta coordinate.
+    share either the alpha or the beta coordinate.  ``head`` is the chain
+    node of the diagonal corner (see the module docstring); the tuple
+    ``corners`` is built from the chain when first asked for.  Build
+    interfaces with ``from_corners``, ``virgin``, ``from_extrema`` and
+    ``push_extremum``.
     """
 
-    corners: tuple
-    support_box: Box
+    __slots__ = ("head", "support_box", "_corners")
+
+    def __init__(self, head, support_box: Box, corners=None):
+        self.head = head
+        self.support_box = support_box
+        self._corners = corners
+
+    @property
+    def corners(self) -> tuple:
+        if self._corners is None:
+            out = []
+            node = self.head
+            while node is not None:
+                out.append(node[0])
+                node = node[1]
+            self._corners = tuple(out)
+        return self._corners
+
+    def __eq__(self, other):
+        if not isinstance(other, MemoryInterface):
+            return NotImplemented
+        return self.corners == other.corners and self.support_box == other.support_box
+
+    def __hash__(self):
+        return hash((self.corners, self.support_box))
+
+    def __repr__(self):
+        return "MemoryInterface(corners=%r, support_box=%r)" % (self.corners, self.support_box)
 
     @classmethod
     def from_corners(cls, corners, box: Box) -> "MemoryInterface":
-        return cls(_canonical_corners([tuple(map(float, c)) for c in corners], box), box)
+        corners = _canonical_corners([tuple(map(float, c)) for c in corners], box)
+        return cls(_chain(corners), box, corners)
 
     @classmethod
     def virgin(cls, box: Box, value: float = 0.0) -> "MemoryInterface":
@@ -180,7 +212,7 @@ class MemoryInterface:
 
     @property
     def current_value(self) -> float:
-        return self.corners[0][0]
+        return self.head[0][0]
 
     def steps(self):
         """Upper-envelope of the +1 region as a step function of alpha.
@@ -214,27 +246,47 @@ class MemoryInterface:
         """Monotone input sweep to value v.
 
         An increase switches every relay with alpha < v to +1 and wipes the
-        dominated corners; a decrease is the mirror image.
+        dominated corners; a decrease is the mirror image.  The survivors
+        are a suffix of the chain and are kept as they are.
         """
         v = float(v)
-        v0 = self.current_value
+        node = self.head
+        v0 = node[0][0]
         if abs(v - v0) <= VERTEX_MERGE_TOL:
             return self
-        if v > v0:
-            surv = [c for c in self.corners if c[0] > v]
-            head = [(v, v), (v, surv[0][1])] if surv else [(v, v)]
+        rising = v > v0
+        if rising:
+            while node is not None and node[0][0] <= v:
+                node = node[1]
         else:
-            surv = [c for c in self.corners if c[1] < v]
-            head = [(v, v), (surv[0][0], v)] if surv else [(v, v)]
+            while node is not None and node[0][1] >= v:
+                node = node[1]
         box = self.support_box
-        if surv and box.beta_lo <= min(v, v0) and max(v, v0) <= box.alpha_hi:
-            # the clamps are those the survivors were canonicalised with,
-            # so only the corners around the new head can change
-            window = _merged_corners(head + surv[:HEAD_WINDOW])
-            rest = surv[HEAD_WINDOW:]
-            if not rest or window[-2:] == tuple(surv[HEAD_WINDOW - 2:HEAD_WINDOW]):
-                return MemoryInterface(window + tuple(rest), box)
-        return MemoryInterface(_canonical_corners(head + surv, box), box)
+        if node is not None:
+            a_s, b_s = node[0]
+            # The survivors are a suffix of a canonical staircase with the
+            # clamps of the current box.  When v keeps those clamps and lies
+            # more than the merge tolerance inside the first survivor's
+            # corner, the new head neither merges with it nor lines up with
+            # it, so canonicalising would return the head plus the survivors.
+            if (
+                a_s - v > VERTEX_MERGE_TOL
+                and v - b_s > VERTEX_MERGE_TOL
+                and box.beta_lo <= min(v, v0)
+                and max(v, v0) <= box.alpha_hi
+            ):
+                depth = node[2]
+                seam = (v, b_s) if rising else (a_s, v)
+                return MemoryInterface(((v, v), (seam, node, depth + 1), depth + 2), box)
+        surv = []
+        while node is not None:
+            surv.append(node[0])
+            node = node[1]
+        head = [(v, v)]
+        if surv:
+            head.append((v, surv[0][1]) if rising else (surv[0][0], v))
+        corners = _canonical_corners(head + surv, box)
+        return MemoryInterface(_chain(corners), box, corners)
 
     # -- line queries (curve re-parameterization) --------------------------
 
@@ -285,9 +337,6 @@ class MemoryInterface:
             for (a1, b1), (a2, b2) in zip(self.corners, other.corners)
         )
 
-    def corners_json(self) -> str:
-        return json.dumps([{"alpha": a, "beta": b} for a, b in self.corners])
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -302,10 +351,3 @@ class MemoryInterface:
         box = Box.from_dict(d["support_box"])
         return cls.from_corners([(c["alpha"], c["beta"]) for c in d["corners"]], box)
 
-
-def relay_state(p: PlanePoint, iface: MemoryInterface) -> int:
-    return iface.relay_state(p)
-
-
-def push_extremum(iface: MemoryInterface, v: float) -> MemoryInterface:
-    return iface.push_extremum(v)

@@ -17,10 +17,6 @@ def butterfly_preset(scale: float = 1.0):
     return make_butterfly(ButterflyParams(scale=scale))
 
 
-def virgin_interface(box: Box) -> MemoryInterface:
-    return MemoryInterface.virgin(box)
-
-
 def pzt_shelf_interface(
     box: Box = None,
     alpha_max: float = 1400.0,

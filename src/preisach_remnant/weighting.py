@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError, EmptyIntersectionError
-from .interface import Box, MemoryInterface, PlanePoint
+from .interface import Box, MemoryInterface
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -73,15 +72,6 @@ def _cells(edges, x):
     """(cell index, inside the edges) of every coordinate in ``x``."""
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
     return idx, (edges[0] <= x) & (x <= edges[-1])
-
-
-def _cell_fraction(edges, x):
-    """(cell index, fraction of the cell below x) of one coordinate clamped
-    to ``edges``, a list."""
-    lo, hi = edges[0], edges[-1]
-    x = lo if x < lo else hi if x > hi else x
-    i = min(bisect_right(edges, x) - 1, len(edges) - 2)
-    return i, (x - edges[i]) / (edges[i + 1] - edges[i])
 
 
 def _integrals_below_zero(edges, rows, cuts):
@@ -144,11 +134,19 @@ class GridWeighting:
         where numpy's per-call cost would outweigh the work.
         """
         alpha_edges, beta_edges = self._edge_lists
+        a_lo, a_hi, n_a = alpha_edges[0], alpha_edges[-1], self.n_alpha
+        b_lo, b_hi, n_b = beta_edges[0], beta_edges[-1], self.n_beta
         item, area = self._prefix.item, self._cell_area
         out = []
         for a, b in zip(alphas, betas):
-            i, fa = _cell_fraction(alpha_edges, a)
-            j, fb = _cell_fraction(beta_edges, b)
+            # clamp to the box, find the cell (the last one holds the top
+            # edge) and the fraction of the cell below the point
+            a = a_lo if a < a_lo else a_hi if a > a_hi else a
+            b = b_lo if b < b_lo else b_hi if b > b_hi else b
+            i = bisect_right(alpha_edges, a, 0, n_a) - 1
+            j = bisect_right(beta_edges, b, 0, n_b) - 1
+            fa = (a - alpha_edges[i]) / (alpha_edges[i + 1] - alpha_edges[i])
+            fb = (b - beta_edges[j]) / (beta_edges[j + 1] - beta_edges[j])
             lower = (1.0 - fa) * item(j, i) + fa * item(j, i + 1)
             upper = (1.0 - fa) * item(j + 1, i) + fa * item(j + 1, i + 1)
             out.append(area * ((1.0 - fb) * lower + fb * upper))
@@ -326,10 +324,6 @@ class GaussianWeighting:
         return total
 
 
-def eval_mu(mu, p: PlanePoint) -> float:
-    return mu.eval(p.alpha, p.beta)
-
-
 def rect_mass(mu, a_lo, a_hi, b_lo, b_hi) -> float:
     """Mass of mu over [a_lo, a_hi] x [b_lo, b_hi], 0 when the rectangle is
     empty: a four-corner difference of E."""
@@ -339,47 +333,55 @@ def rect_mass(mu, a_lo, a_hi, b_lo, b_hi) -> float:
     return (e[0] - e[1]) - (e[2] - e[3])
 
 
-def _corner_terms(mu, corners, stop):
-    """Signed Everett terms of corners[:stop], one tuple per corner, from
-    one call of E.
-
-    With corners (a_k, b_k) from the diagonal outward, the region below the
-    curve is the union of [a_{k-1}, a_k] x [beta_lo, b_k] (a_{-1} =
-    alpha_lo), so its mass is E(a_0, b_0) plus, for every k >= 1,
-    E(a_k, b_k) - E(a_{k-1}, b_k) (Everett's identity).  On a vertical run
-    (a_k = a_{k-1}) the two terms cancel exactly, so that corner has none.
-    A corner's terms depend only on it and its predecessor.  E clamps its
-    arguments to the support box, so no corner needs clipping.
-    """
-    stop = min(stop, len(corners))
-    runs = [k for k in range(1, stop) if corners[k][0] != corners[k - 1][0]]
-    e = mu.everett(
-        [corners[0][0]] + [corners[k][0] for k in runs] + [corners[k - 1][0] for k in runs],
-        [corners[0][1]] + [corners[k][1] for k in runs] * 2,
-    )
-    terms = [(e[0],)] + [()] * (stop - 1)
-    for r, k in enumerate(runs, 1):
-        terms[k] = (e[r], -e[r + len(runs)])
-    return terms
+def _grow(expansion, terms):
+    """Exact sum of the floats of ``expansion`` and of ``terms``, as a new
+    list of floats (an expansion; Shewchuk 1997, the ``msum`` recipe):
+    every addition keeps its rounding error as a further float, so
+    ``math.fsum`` of the result is ``math.fsum`` of all the inputs."""
+    partials = list(expansion)
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
 
 
 class OutputReader:
     """Relay-field output of one weighting, read incrementally along a
     sequence of interfaces.
 
-    A push keeps a suffix of the corner tuple, the same tuple objects, and
-    changes only the corners in front of it.  ``read`` finds that suffix by
-    identity from the tail and keeps its terms; it evaluates E only for the
-    corners in front of it and the first shared corner, whose terms depend
-    on its predecessor.  math.fsum is correctly rounded, so the order of the
-    terms does not matter, and every read is the same float as
-    ``evaluate_output`` of the same interface.
+    With corners (a_j, b_j) from the diagonal outward to the tail corner
+    (a_n, b_n), the region below the curve is the union of the slabs
+    [alpha_lo, a_j] x [b_{j+1}, b_j] and [alpha_lo, a_n] x [beta_lo, b_n],
+    so its mass is, by Everett's identity,
+
+        sum over j < n of E(a_j, b_j) - E(a_j, b_{j+1}),  plus E(a_n, b_n).
+
+    A corner's terms depend only on the corner and the next one toward the
+    tail; where b_j == b_{j+1} the two terms cancel exactly and are left
+    out.  E clamps its arguments to the support box, so no corner needs
+    clipping.
+
+    The reader keeps, for each depth of the corner chain, the node it last
+    saw there and an exact expansion of the terms of that node and every
+    node behind it.  A push shares the surviving nodes by identity, so a
+    read walks in from the head to the first node it has seen and evaluates
+    E only for the nodes in front of it.  The expansion holds the exact sum
+    and math.fsum rounds it correctly, so every read is the same float as
+    ``math.fsum`` of all the terms, whatever the order of the pushes.
     """
 
     def __init__(self, mu):
         self.mu = mu
-        self._corners = ()
-        self._terms = []
+        self._seen = []  # per depth: (node, expansion of its terms to the tail)
 
     def below(self, iface: MemoryInterface) -> float:
         """Mass of mu below the memory curve of ``iface``."""
@@ -387,18 +389,43 @@ class OutputReader:
             raise ConfigurationError(
                 "interface support box does not contain the weighting support"
             )
-        old, new = self._corners, iface.corners
-        shared = 0
-        for a, b in zip(reversed(new), reversed(old)):
-            if a is not b:
+        seen = self._seen
+        node, new = iface.head, []
+        while node is not None:
+            depth = node[2]
+            if depth < len(seen) and seen[depth][0] is node:
                 break
-            shared += 1
-        # the head in front of the shared suffix, and the suffix's first
-        # corner, whose predecessor may have changed
-        changed = len(new) - shared + 1
-        self._terms = _corner_terms(self.mu, new, changed) + self._terms[len(old) - shared + 1:]
-        self._corners = new
-        return math.fsum(chain.from_iterable(self._terms))
+            new.append(node)
+            node = node[1]
+        del seen[0 if node is None else node[2] + 1:]
+        # the points of E each new node needs: E(a_j, b_j) and E(a_j, b_{j+1})
+        # where the next corner is lower, E(a_n, b_n) at the tail
+        alphas, betas = [], []
+        for (a, b), nxt, _ in new:
+            if nxt is None:
+                alphas.append(a)
+                betas.append(b)
+            elif nxt[0][1] != b:
+                alphas += (a, a)
+                betas += (b, nxt[0][1])
+        e = self.mu.everett(alphas, betas)
+        # the nodes from the tail side in, each one's terms from the end of e
+        expansion = seen[-1][1] if seen else []
+        end = len(e)
+        for node in reversed(new):
+            nxt = node[1]
+            if nxt is None:
+                terms = (e[end - 1],)
+                end -= 1
+            elif nxt[0][1] != node[0][1]:
+                terms = (e[end - 2], -e[end - 1])
+                end -= 2
+            else:
+                terms = ()
+            if terms:
+                expansion = _grow(expansion, terms)
+            seen.append((node, expansion))
+        return math.fsum(expansion)
 
     def read(self, iface: MemoryInterface) -> float:
         """Output of ``iface``: mass below the curve minus mass above it."""

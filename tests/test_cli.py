@@ -256,6 +256,24 @@ class TestSweep:
             run_dir = out / ("gamma_d_%r" % r["value"])
             assert (run_dir / "trace.csv").exists()
 
+    def test_bad_value_is_recorded_and_the_sweep_goes_on(self, tmp_path, capsys):
+        """A target outside the reachable range fails its own run with exit
+        2; the values after it still run and sweep.json lists all three."""
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            dict(deadbeat_config(), sweep={"param": "gamma_d", "values": [0.0, 99.0, 0.5]}),
+        )
+        out = tmp_path / "sweep"
+        assert run("sweep", cfg, out) == EXIT_CONFIG
+        results = json.loads((out / "sweep.json").read_text())
+        assert [r["value"] for r in results] == [0.0, 99.0, 0.5]
+        assert [r["exit_code"] for r in results] == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
+        assert "outside the reachable remnant range" in results[1]["error"]
+        assert "error" not in results[0] and "error" not in results[2]
+        assert (out / "gamma_d_0.5" / "summary.json").exists()
+        assert "gamma_d=99.0" in capsys.readouterr().err
+
     def test_runs_share_one_scan_and_match_single_runs(self, tmp_path, capsys, monkeypatch):
         """The swept runs reuse the sweep's sector bounds and write what a
         control run of each value writes alone."""

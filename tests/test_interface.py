@@ -9,8 +9,6 @@ from preisach_remnant import (
     MemoryInterface,
     OutOfRangeError,
     PlanePoint,
-    push_extremum,
-    relay_state,
 )
 from preisach_remnant.oracle import RelayGrid
 
@@ -62,16 +60,16 @@ class TestConstruction:
 class TestRelayState:
     def test_virgin_state_is_all_minus(self):
         iface = MemoryInterface.virgin(UNIT_BOX)
-        assert relay_state(PlanePoint(1.0, -1.0), iface) == -1
+        assert iface.relay_state(PlanePoint(1.0, -1.0)) == -1
 
     def test_point_under_the_shelf_is_plus(self):
-        assert relay_state(PlanePoint(0.3, -0.5), shelf_iface()) == +1
+        assert shelf_iface().relay_state(PlanePoint(0.3, -0.5)) == +1
 
     def test_point_past_the_shelf_is_minus(self):
-        assert relay_state(PlanePoint(0.9, -0.5), shelf_iface()) == -1
+        assert shelf_iface().relay_state(PlanePoint(0.9, -0.5)) == -1
 
     def test_point_on_the_curve_counts_as_below(self):
-        assert relay_state(PlanePoint(0.3, 0.0), shelf_iface()) == +1
+        assert shelf_iface().relay_state(PlanePoint(0.3, 0.0)) == +1
 
     def test_plane_point_rejects_lower_triangle(self):
         with pytest.raises(ValueError):
@@ -97,7 +95,8 @@ class TestPushExtremum:
         assert via.close_to(direct)
 
     def test_module_level_wrapper(self):
-        iface = push_extremum(MemoryInterface.virgin(UNIT_BOX), 0.5)
+        """The function form of a push is the method called on the class."""
+        iface = MemoryInterface.push_extremum(MemoryInterface.virgin(UNIT_BOX), 0.5)
         assert iface.current_value == 0.5
 
     def test_random_histories_stay_canonical(self):

@@ -18,9 +18,8 @@ from preisach_remnant import (
     MemoryInterface,
     evaluate_output,
 )
-from preisach_remnant import interface
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
-from preisach_remnant.weighting import OutputReader, rect_mass
+from preisach_remnant.weighting import OutputReader, _grow, rect_mass
 
 from conftest import cell_sum
 
@@ -78,19 +77,20 @@ def reference_push(iface, v):
     return _canonical_corners(raw, iface.support_box)
 
 
-@pytest.mark.parametrize("window", [1, 2, interface.HEAD_WINDOW])
+@pytest.mark.parametrize("plays", [1, 2, 4])
 @PROPERTY
 @given(ops=histories())
-def test_head_only_push_equals_full_canonicalisation(window, ops):
-    """Windows too short to hold the head's merges must fall back to the
-    full canonicalisation and give the same corners."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interface, "HEAD_WINDOW", window)
-        iface = MemoryInterface.virgin(BOX)
-        for v in input_values(ops):
-            expected = reference_push(iface, v)
-            iface = iface.push_extremum(v)
-            assert iface.corners == expected
+def test_head_only_push_equals_full_canonicalisation(plays, ops):
+    """Pushes that link a new head to the survivors, and those that fall
+    back to the full canonicalisation (values outside the box, repeats
+    within the merge tolerance), give the corners of a full
+    canonicalisation, also when the history is played again and its
+    values land on corners already in the staircase."""
+    iface = MemoryInterface.virgin(BOX)
+    for v in input_values(ops) * plays:
+        expected = reference_push(iface, v)
+        iface = iface.push_extremum(v)
+        assert iface.corners == expected
 
 
 # -- fields -----------------------------------------------------------------------
@@ -215,22 +215,77 @@ def test_grid_rect_mass_matches_the_cell_sum(mu, corners):
 # -- incremental reads ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("window", [1, 2, interface.HEAD_WINDOW])
+def corner_run_output(mu, iface):
+    """Output as fsum of the Everett terms by horizontal run: E(a_0, b_0),
+    and E(a_k, b_k) - E(a_{k-1}, b_k) for every k with a_k != a_{k-1}."""
+    c = iface.corners
+    runs = [k for k in range(1, len(c)) if c[k][0] != c[k - 1][0]]
+    e = mu.everett([c[0][0]] + [c[k][0] for k in runs] + [c[k - 1][0] for k in runs],
+                   [c[0][1]] + [c[k][1] for k in runs] * 2)
+    return 2.0 * math.fsum(e[:len(runs) + 1] + [-x for x in e[len(runs) + 1:]]) - mu.total_mass
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4])
 @PROPERTY
 @given(mu=st.one_of(grids(), gaussian_sums()), ops=histories())
-def test_incremental_reads_equal_full_reads(window, mu, ops):
-    """A reader's output after every push is the full Everett sum, also
-    when a short window makes push_extremum build every corner afresh."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interface, "HEAD_WINDOW", window)
-        reader = OutputReader(mu)
-        iface = MemoryInterface.virgin(mu.support_box)
-        assert reader.read(iface) == evaluate_output(mu, iface)
-        for v in inputs_on(mu.support_box, ops):
-            iface = iface.push_extremum(v)
-            got = reader.read(iface)
-            assert type(got) is float
-            assert got == evaluate_output(mu, iface)
+def test_incremental_reads_equal_full_reads(stride, mu, ops):
+    """A reader's output after every ``stride`` pushes is the full Everett
+    sum, also after a push that falls back to the full canonicalisation and
+    builds every corner afresh, and the same float as the sum by horizontal
+    run.  Reads that skip pushes must catch up over nodes the reader never
+    saw."""
+    reader = OutputReader(mu)
+    iface = MemoryInterface.virgin(mu.support_box)
+    assert reader.read(iface) == evaluate_output(mu, iface)
+    for i, v in enumerate(inputs_on(mu.support_box, ops)):
+        iface = iface.push_extremum(v)
+        if i % stride != stride - 1:
+            continue
+        got = reader.read(iface)
+        assert type(got) is float
+        assert got == evaluate_output(mu, iface) == corner_run_output(mu, iface)
+
+
+# -- exact expansions ------------------------------------------------------------
+
+#: magnitudes from subnormal to 1e300, so that sums of a few dozen stay finite
+wide = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+    st.integers(-60, 60).map(lambda k: math.ldexp(1.0, k)),
+)
+
+
+@st.composite
+def cancelling_terms(draw):
+    """Terms of wide magnitudes with some of them added again negated,
+    some nudged by an ulp, in any order, cut into groups of 0 to 3."""
+    terms = draw(st.lists(wide, max_size=30))
+    for t in draw(st.lists(st.sampled_from(terms), max_size=10)) if terms else []:
+        terms.append(-draw(st.sampled_from([t, math.nextafter(t, math.inf)])))
+    terms = draw(st.permutations(terms))
+    groups = []
+    while terms:
+        k = draw(st.integers(0, 3))
+        groups.append(terms[:k])
+        terms = terms[k:]
+    return groups
+
+
+@PROPERTY
+@given(groups=cancelling_terms())
+def test_expansion_fsum_equals_fsum_of_the_terms(groups):
+    """Growing an expansion group by group, as a reader does node by node,
+    keeps the exact sum, and leaves the expansions it grew from as they
+    were."""
+    expansion, terms = [], []
+    for group in groups:
+        before = list(expansion)
+        grown = _grow(expansion, group)
+        assert expansion == before
+        expansion = grown
+        terms += group
+        assert math.fsum(expansion).hex() == math.fsum(terms).hex()
 
 
 # -- grid E in plain floats -------------------------------------------------------

@@ -13,10 +13,9 @@ from preisach_remnant import (
     GaussianWeighting,
     GridWeighting,
     MemoryInterface,
-    PlanePoint,
+    OutputReader,
     QRegion,
     SectorBounds,
-    eval_mu,
     evaluate_output,
     integrate_staircase_region,
     make_butterfly,
@@ -41,11 +40,11 @@ def excursion(box, *values):
 class TestEval:
     def test_uniform_cell_lookup(self):
         mu = uniform_field(Q_UNIT)
-        assert eval_mu(mu, PlanePoint(0.5, -0.5)) == 1.0
+        assert mu.eval(0.5, -0.5) == 1.0
 
     def test_zero_outside_support(self):
         mu = uniform_field(Q_UNIT)
-        assert eval_mu(mu, PlanePoint(2.0, -0.5)) == 0.0
+        assert mu.eval(2.0, -0.5) == 0.0
 
     def test_gaussian_peak_value(self):
         g = GaussianWeighting(
@@ -114,6 +113,41 @@ class TestStaircaseIntegration:
         again = GridWeighting.load_csv(path)
         assert again.support_box == mu.support_box
         assert again.values.tobytes() == mu.values.tobytes()
+
+
+def nested_history(box, pushes):
+    """Interface after ``pushes`` alternating pushes of shrinking size:
+    each reversal nests inside the last, so the staircase deepens."""
+    iface = MemoryInterface.virgin(box)
+    for k in range(pushes):
+        iface = iface.push_extremum((-1.0) ** k * 0.95 * 0.96 ** k)
+    return iface
+
+
+class TestOutputReader:
+    @pytest.mark.parametrize("pushes", [3, 79])
+    def test_a_step_evaluates_e_at_two_points_at_any_depth(self, pushes):
+        """After a full read, a push that continues the last sweep and one
+        that turns it round each cost at most 2 points of E, on a curve of
+        4 corners as on one of 80."""
+        rng = np.random.default_rng(5)
+        mu = GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), rng.uniform(0.0, 1.0, (20, 20)))
+        iface = nested_history(mu.support_box, pushes)
+        assert len(iface.corners) == pushes + 1
+        points = []
+        everett = mu.everett
+        mu.everett = lambda alphas, betas: points.append(len(alphas)) or everett(alphas, betas)
+        reader = OutputReader(mu)
+        reader.read(iface)
+        v = iface.current_value
+        # on, on, back, on
+        for step in (1.02 * v, 1.04 * v, 1.0 * v, 0.98 * v):
+            iface = iface.push_extremum(step)
+            del points[:]
+            got = reader.read(iface)
+            assert sum(points) <= 2
+            assert got == evaluate_output(mu, iface)
+        assert len(iface.corners) == pushes + 2
 
 
 class TestSectorBounds:
