@@ -6,7 +6,6 @@ from .errors import (
     ConfigurationError,
     DegenerateBoundsError,
     EmptyIntersectionError,
-    OutOfRangeError,
 )
 from .interface import Box, MemoryInterface, PlanePoint
 from .weighting import (
@@ -18,7 +17,6 @@ from .weighting import (
     QRegion,
     SectorBounds,
     evaluate_output,
-    integrate_staircase_region,
     make_butterfly,
     sector_bounds,
     uniform_field,

@@ -23,9 +23,8 @@ from .errors import (
     ConfigurationError,
     DegenerateBoundsError,
     EmptyIntersectionError,
-    OutOfRangeError,
 )
-from .oracle import oracle_pulse_remnants
+from .oracle import DEFAULT_SAMPLES_PER_PULSE, oracle_pulse_remnants
 from .presets import butterfly_preset, interface_from_spec, uniform_preset
 from .weighting import GridWeighting, QRegion, sector_bounds
 
@@ -39,16 +38,10 @@ _CONFIG_ERRORS = (
     ConfigurationError,
     AdmissibilityError,
     EmptyIntersectionError,
-    OutOfRangeError,
     KeyError,
     ValueError,
     FileNotFoundError,
 )
-
-
-def _load_config(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _setting(section, key, default):
@@ -101,16 +94,16 @@ def _build_scene(cfg):
 
 def _controller_config(cfg, q, bounds):
     c = cfg.get("controller", {})
-    lam = c.get("lambda", "auto")
-    if lam == "auto":
+    if c.get("lambda", "auto") == "auto":
         lam = 0.95 * max_gain(bounds, c.get("mode", "positive"))
-    gamma_d = c["gamma_d"]
-    if isinstance(gamma_d, str):
+    else:
+        lam = _setting(c, "lambda", None)
+    if isinstance(c.get("gamma_d"), str):
         raise ConfigurationError("gamma_d must be a number")
     return ControllerConfig(
-        gamma_d=float(gamma_d),
+        gamma_d=_setting(c, "gamma_d", None),
         lam=float(lam),
-        w0=float(c.get("w0", 0.0)),
+        w0=_setting(c, "w0", 0.0),
         q=q,
         tolerance=c.get("tolerance"),
         max_pulses=int(c.get("max_pulses", 200)),
@@ -212,7 +205,7 @@ def cmd_oracle_check(cfg, args) -> int:
     span = abs(trace.gamma_max - trace.gamma_min) or 1.0
     exact = np.array([r.gamma for r in trace.records])
     amplitudes = trace.amplitudes
-    spp = int(cfg.get("oracle_samples_per_pulse", 1000))
+    spp = int(cfg.get("oracle_samples_per_pulse", DEFAULT_SAMPLES_PER_PULSE))
     report = {}
     deviations = {}
     for n in (args.oracle_n // 2, args.oracle_n):
@@ -272,18 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--resolution", type=int, default=512, help="sector-bound scan lines")
     p.add_argument("--oracle-n", type=int, default=300, help="relay lattice size per axis")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
         _check_config(cfg)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-        np.random.seed(args.seed if args.seed is not None else cfg.get("seed", 0))
         handler = {
             "bounds": cmd_bounds,
             "control": cmd_control,

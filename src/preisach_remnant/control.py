@@ -19,7 +19,7 @@ from .errors import (
     ConfigurationError,
     DegenerateBoundsError,
 )
-from .interface import MemoryInterface
+from .interface import VERTEX_MERGE_TOL, MemoryInterface
 from .weighting import (
     OutputReader,
     QRegion,
@@ -95,9 +95,20 @@ def pulse_remnants(mu, iface: MemoryInterface, amplitudes):
 
 
 def last_input_extrema(iface: MemoryInterface):
-    """(M, m): alpha of the last input maximum and beta of the last minimum."""
+    """(M, m): alpha of the last input maximum and beta of the last minimum.
+
+    At a zero crossing the head corner sits at the origin and the next
+    corner ends the curve's first run: a horizontal run along beta = 0 ends
+    at alpha = M, a vertical run along alpha = 0 ends at beta = m, and a
+    canonical staircase has no third corner on either run.
+    """
     _require_zero_crossing(iface)
-    return iface.ell_alpha(0.0, "max"), iface.ell_beta(0.0, "min")
+    head = iface.head
+    a0, b0 = head[0]
+    a1, b1 = (head[1] or head)[0]  # a box floor at zero leaves one node
+    M = a1 if abs(b1 - b0) <= VERTEX_MERGE_TOL else a0
+    m = b1 if abs(a1 - a0) <= VERTEX_MERGE_TOL else b0
+    return M, m
 
 
 def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> float:
@@ -150,12 +161,6 @@ def validate_initial_interface(iface: MemoryInterface, q: QRegion) -> bool:
             return False
         # strip 2: beta < beta2, 0 <= alpha < alpha2
         if b_lo < b2 - tol and a_lo < a2 - tol and a_hi >= -tol:
-            return False
-    if len(iface.corners) == 1:
-        a, b = iface.corners[0]
-        if a > a2 + tol and b2 - tol < b <= tol:
-            return False
-        if b < b2 - tol and -tol <= a < a2 - tol:
             return False
     return True
 
@@ -242,7 +247,6 @@ def run_controller(
     iface0: MemoryInterface,
     cfg: ControllerConfig,
     bounds: SectorBounds = None,
-    resolution: int = 512,
 ) -> ControlTrace:
     """Iterate the amplitude update until the remnant error is within
     tolerance or the pulse budget runs out."""
@@ -252,7 +256,7 @@ def run_controller(
     if not (q.beta2 <= cfg.w0 <= q.alpha2):
         raise ConfigurationError("w0 must lie in [beta2, alpha2]")
     if bounds is None:
-        bounds = sector_bounds(mu, q, resolution)
+        bounds = sector_bounds(mu, q)
     gain_cap = max_gain(bounds, cfg.mu_sign_mode)
     if not (0.0 < cfg.lam < gain_cap):
         raise ConfigurationError(

@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Inconsistent inputs: box mismatches, bad parameters, invalid config."""
 
 
-class OutOfRangeError(ValueError):
-    """A queried line does not intersect the memory interface."""
-
-
 class EmptyIntersectionError(ValueError):
     """The weighting support does not meet the remnant quadrant."""
 

@@ -19,11 +19,10 @@ All values are immutable; every update returns a new interface.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, OutOfRangeError
+from .errors import ConfigurationError
 
 #: absolute tolerance below which adjacent corners are merged
 VERTEX_MERGE_TOL = 1e-12
@@ -51,18 +50,6 @@ class Box:
             and self.beta_lo <= other.beta_lo + tol
             and self.beta_hi >= other.beta_hi - tol
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha_lo": self.alpha_lo,
-            "alpha_hi": self.alpha_hi,
-            "beta_lo": self.beta_lo,
-            "beta_hi": self.beta_hi,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box":
-        return cls(d["alpha_lo"], d["alpha_hi"], d["beta_lo"], d["beta_hi"])
 
 
 @dataclass(frozen=True)
@@ -111,22 +98,16 @@ def _canonical_corners(corners, box: Box):
         q = out[-1]
         if abs(p[0] - q[0]) <= VERTEX_MERGE_TOL and abs(p[1] - q[1]) <= VERTEX_MERGE_TOL:
             continue
+        if len(out) > 1:
+            r = out[-2]
+            if (
+                abs(r[0] - q[0]) <= VERTEX_MERGE_TOL and abs(q[0] - p[0]) <= VERTEX_MERGE_TOL
+            ) or (
+                abs(r[1] - q[1]) <= VERTEX_MERGE_TOL and abs(q[1] - p[1]) <= VERTEX_MERGE_TOL
+            ):
+                out[-1] = p  # q is the middle of three on one alpha or beta line
+                continue
         out.append(p)
-
-    i = 1
-    while i + 1 < len(out):
-        a_run = (
-            abs(out[i - 1][0] - out[i][0]) <= VERTEX_MERGE_TOL
-            and abs(out[i][0] - out[i + 1][0]) <= VERTEX_MERGE_TOL
-        )
-        b_run = (
-            abs(out[i - 1][1] - out[i][1]) <= VERTEX_MERGE_TOL
-            and abs(out[i][1] - out[i + 1][1]) <= VERTEX_MERGE_TOL
-        )
-        if a_run or b_run:
-            del out[i]
-        else:
-            i += 1
 
     for (a1, b1), (a2, b2) in zip(out, out[1:]):
         if a2 < a1 - VERTEX_MERGE_TOL or b2 > b1 + VERTEX_MERGE_TOL:
@@ -288,46 +269,7 @@ class MemoryInterface:
         corners = _canonical_corners(head + surv, box)
         return MemoryInterface(_chain(corners), box, corners)
 
-    # -- line queries (curve re-parameterization) --------------------------
-
-    def _segments(self):
-        return list(zip(self.corners, self.corners[1:]))
-
-    def ell_beta(self, alpha: float, which: str, tol: float = 1e-9) -> float:
-        """Max/min beta over curve points on the line alpha = const."""
-        vals = []
-        for (a, b) in [self.corners[0]] if len(self.corners) == 1 else []:
-            if abs(a - alpha) <= tol:
-                vals.append(b)
-        for (a1, b1), (a2, b2) in self._segments():
-            if abs(b1 - b2) <= VERTEX_MERGE_TOL:  # horizontal run
-                if a1 - tol <= alpha <= a2 + tol:
-                    vals.append(b1)
-            else:  # vertical run at alpha = a1
-                if abs(a1 - alpha) <= tol:
-                    vals.extend((b1, b2))
-        if not vals:
-            raise OutOfRangeError("line alpha=%g misses the interface" % alpha)
-        return max(vals) if which == "max" else min(vals)
-
-    def ell_alpha(self, beta: float, which: str, tol: float = 1e-9) -> float:
-        """Max/min alpha over curve points on the line beta = const."""
-        vals = []
-        for (a, b) in [self.corners[0]] if len(self.corners) == 1 else []:
-            if abs(b - beta) <= tol:
-                vals.append(a)
-        for (a1, b1), (a2, b2) in self._segments():
-            if abs(a1 - a2) <= VERTEX_MERGE_TOL:  # vertical run
-                if b2 - tol <= beta <= b1 + tol:
-                    vals.append(a1)
-            else:  # horizontal run at beta = b1
-                if abs(b1 - beta) <= tol:
-                    vals.extend((a1, a2))
-        if not vals:
-            raise OutOfRangeError("line beta=%g misses the interface" % beta)
-        return max(vals) if which == "max" else min(vals)
-
-    # -- comparison / serialization ------------------------------------------
+    # -- comparison ----------------------------------------------------------
 
     def close_to(self, other: "MemoryInterface", tol: float = 1e-9) -> bool:
         if len(self.corners) != len(other.corners):
@@ -336,18 +278,3 @@ class MemoryInterface:
             abs(a1 - a2) <= tol and abs(b1 - b2) <= tol
             for (a1, b1), (a2, b2) in zip(self.corners, other.corners)
         )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "corners": [{"alpha": a, "beta": b} for a, b in self.corners],
-                "support_box": self.support_box.to_dict(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MemoryInterface":
-        d = json.loads(text)
-        box = Box.from_dict(d["support_box"])
-        return cls.from_corners([(c["alpha"], c["beta"]) for c in d["corners"]], box)
-

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,8 +92,6 @@ class GridWeighting:
     ``values[j, i]`` is the cell value at beta row j (ascending) and alpha
     column i (ascending), matching the CSV layout.
     """
-
-    kind = "grid"
 
     def __init__(self, box: Box, values):
         values = np.asarray(values, dtype=float)
@@ -242,8 +240,6 @@ class GaussianComponent:
 
 class GaussianWeighting:
     """Signed sum of truncated Gaussian lobes."""
-
-    kind = "analytic"
 
     def __init__(self, components, support_box: Box = None):
         if not components:
@@ -432,14 +428,6 @@ class OutputReader:
         return 2.0 * self.below(iface) - self.mu.total_mass
 
 
-def integrate_staircase_region(mu, iface: MemoryInterface, side: str) -> float:
-    """Integral of mu over the region below or above the memory curve."""
-    if side not in ("below", "above"):
-        raise ConfigurationError("side must be 'below' or 'above'")
-    below = OutputReader(mu).below(iface)
-    return below if side == "below" else mu.total_mass - below
-
-
 def evaluate_output(mu, iface: MemoryInterface) -> float:
     """Relay-field output: mass below the curve minus mass above it."""
     return OutputReader(mu).read(iface)
@@ -483,16 +471,7 @@ class SectorBounds:
     gamma2_minus_q: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "gamma1_plus": self.gamma1_plus,
-            "gamma2_plus": self.gamma2_plus,
-            "gamma1_minus": self.gamma1_minus,
-            "gamma2_minus": self.gamma2_minus,
-            "gamma2_plus_q": self.gamma2_plus_q,
-            "gamma1_minus_q": self.gamma1_minus_q,
-            "gamma1_plus_q": self.gamma1_plus_q,
-            "gamma2_minus_q": self.gamma2_minus_q,
-        }
+        return asdict(self)
 
 
 def _cumulative_extrema(mu, axis, line_lo, line_hi, cut_end, resolution):

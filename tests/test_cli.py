@@ -139,6 +139,9 @@ class TestControl:
             ({}, {"max_pulses": -1}, "max_pulses"),
             ({}, {"tolerance": -1e-3}, "tolerance"),
             ({"tau": None}, {}, "tau"),
+            ({}, {"lambda": None}, "lambda"),
+            ({}, {"gamma_d": None}, "gamma_d"),
+            ({}, {"w0": None}, "w0"),
         ],
         ids=[
             "zero_tau",
@@ -146,6 +149,9 @@ class TestControl:
             "negative_max_pulses",
             "negative_tolerance",
             "null_tau",
+            "null_lambda",
+            "null_gamma_d",
+            "null_w0",
         ],
     )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, top, controller, field):
@@ -169,8 +175,8 @@ class TestControl:
     def test_identical_config_gives_byte_identical_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", deadbeat_config())
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run("control", cfg, a, ["--seed", "7"]) == EXIT_OK
-        assert run("control", cfg, b, ["--seed", "7"]) == EXIT_OK
+        assert run("control", cfg, a) == EXIT_OK
+        assert run("control", cfg, b) == EXIT_OK
         for name in ("trace.csv", "signal.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -273,6 +279,19 @@ class TestSweep:
         assert "error" not in results[0] and "error" not in results[2]
         assert (out / "gamma_d_0.5" / "summary.json").exists()
         assert "gamma_d=99.0" in capsys.readouterr().err
+
+    def test_null_value_is_recorded_and_the_sweep_goes_on(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            dict(deadbeat_config(), sweep={"param": "lambda", "values": [0.5, None, 0.3]}),
+        )
+        out = tmp_path / "sweep"
+        assert run("sweep", cfg, out) == EXIT_CONFIG
+        results = json.loads((out / "sweep.json").read_text())
+        assert [r["value"] for r in results] == [0.5, None, 0.3]
+        assert [r["exit_code"] for r in results] == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
+        assert "lambda must be a number" in results[1]["error"]
 
     def test_runs_share_one_scan_and_match_single_runs(self, tmp_path, capsys, monkeypatch):
         """The swept runs reuse the sweep's sector bounds and write what a

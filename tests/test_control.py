@@ -124,6 +124,26 @@ class TestApplyPulse:
         after = apply_pulse(iface, 0.75)
         assert last_input_extrema(after) == (pytest.approx(0.75), pytest.approx(0.0))
 
+    @pytest.mark.parametrize("box", [UNIT_BOX, Box(-0.5, 1.0, -1.0, 0.5)])
+    def test_last_extrema_follow_the_pulse_train(self, box):
+        """(M, m) are the last input maximum and minimum, clamped to the box:
+        a positive pulse raises M and its return to zero sets m = 0, a
+        negative pulse is the mirror image."""
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            iface = MemoryInterface.virgin(box)
+            M, m = 0.0, min(0.0, box.beta_lo)
+            for w in rng.uniform(-1.5, 1.5, size=int(rng.integers(1, 10))).tolist():
+                iface = apply_pulse(iface, w)
+                if w > 0.0:
+                    M, m = max(M, min(w, box.alpha_hi)), 0.0
+                else:
+                    M, m = 0.0, min(m, max(w, box.beta_lo))
+                assert last_input_extrema(iface) == (M, m)
+
+    def test_last_extrema_of_the_pzt_shelf(self):
+        assert last_input_extrema(pzt_shelf_interface()) == (0.0, -800.0)
+
 
 class TestRemnant:
     def test_half_pulse(self):

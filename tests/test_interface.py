@@ -7,7 +7,6 @@ from preisach_remnant import (
     Box,
     ConfigurationError,
     MemoryInterface,
-    OutOfRangeError,
     PlanePoint,
 )
 from preisach_remnant.oracle import RelayGrid
@@ -50,11 +49,44 @@ class TestConstruction:
         )
         assert all(b >= -1.0 for _, b in iface.corners)
 
-    def test_json_round_trip(self):
-        iface = shelf_iface()
-        again = MemoryInterface.from_json(iface.to_json())
-        assert again.close_to(iface)
-        assert again.support_box == iface.support_box
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (
+                [(0, 0), (0.2, 0), (0.5, 0), (0.7, 0), (0.7, -1)],
+                ((0.0, 0.0), (0.7, 0.0), (0.7, -1.0)),
+            ),
+            (
+                [(0, 0), (0.4, 0), (0.4, -0.2), (0.4, -0.6), (0.4, -0.9), (0.8, -0.9)],
+                ((0.0, 0.0), (0.4, 0.0), (0.4, -0.9), (0.8, -0.9), (0.8, -1.0)),
+            ),
+            (
+                [(0, 0), (0.5, 0), (0.5 + 5e-13, -4e-13), (0.5, -1)],
+                ((0.0, 0.0), (0.5, 0.0), (0.5, -1.0)),
+            ),
+            (
+                [(0, 0), (0.3, 0), (0.3 + 9e-13, 0), (0.6, 0), (0.6, -1)],
+                ((0.0, 0.0), (0.6, 0.0), (0.6, -1.0)),
+            ),
+            (
+                [(0, 0), (1.5, 0), (1.5, -2), (3, -2)],
+                ((0.0, 0.0), (1.0, 0.0), (1.0, -1.0)),
+            ),
+            ([(0, 0), (0, -0.5), (0, -0.3)], ((0.0, 0.0), (0.0, -1.0))),
+            ([(-2, -2)], ((-2.0, -2.0),)),
+        ],
+        ids=[
+            "collinear_alpha_run",
+            "collinear_beta_run",
+            "near_duplicate",
+            "near_duplicate_then_collinear",
+            "past_the_box",
+            "backtracking_vertical_run",
+            "head_below_the_box",
+        ],
+    )
+    def test_canonical_corners_of_raw_lists(self, raw, expected):
+        assert MemoryInterface.from_corners(raw, UNIT_BOX).corners == expected
 
 
 class TestRelayState:
@@ -123,27 +155,6 @@ class TestPushExtremum:
             assert base.push_extremum(lo).push_extremum(hi).close_to(
                 base.push_extremum(hi)
             )
-
-
-class TestLineQueries:
-    def test_rightmost_alpha_on_the_zero_shelf(self):
-        assert shelf_iface().ell_alpha(0.0, "max") == pytest.approx(0.75)
-
-    def test_min_beta_at_alpha_zero(self):
-        assert shelf_iface().ell_beta(0.0, "min") == pytest.approx(0.0)
-
-    def test_virgin_point_query(self):
-        iface = MemoryInterface.virgin(UNIT_BOX)
-        assert iface.ell_beta(0.0, "max") == pytest.approx(0.0)
-
-    def test_vertical_segment_spans_min_and_max(self):
-        iface = shelf_iface()
-        assert iface.ell_beta(0.75, "max") == pytest.approx(0.0)
-        assert iface.ell_beta(0.75, "min") == pytest.approx(-1.0)
-
-    def test_missing_line_raises(self):
-        with pytest.raises(OutOfRangeError):
-            shelf_iface().ell_beta(0.9, "max")
 
 
 class TestOracleConsistency:

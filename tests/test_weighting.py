@@ -17,7 +17,6 @@ from preisach_remnant import (
     QRegion,
     SectorBounds,
     evaluate_output,
-    integrate_staircase_region,
     make_butterfly,
     remnant,
     sector_bounds,
@@ -61,19 +60,20 @@ class TestStaircaseIntegration:
     def test_virgin_mass_is_all_above(self):
         mu = uniform_field(Q_UNIT)
         iface = MemoryInterface.virgin(UNIT_BOX)
-        assert integrate_staircase_region(mu, iface, "above") == pytest.approx(1.0)
-        assert integrate_staircase_region(mu, iface, "below") == pytest.approx(0.0)
+        below = OutputReader(mu).below(iface)
+        assert mu.total_mass - below == pytest.approx(1.0)
+        assert below == pytest.approx(0.0)
 
     def test_half_excursion_splits_the_mass(self):
         mu = uniform_field(Q_UNIT)
         iface = excursion(UNIT_BOX, 0.5, 0.0)
-        assert integrate_staircase_region(mu, iface, "below") == pytest.approx(0.5)
+        assert OutputReader(mu).below(iface) == pytest.approx(0.5)
 
     def test_box_mismatch_is_rejected(self):
         mu = uniform_field(QRegion(2.0, -1.0))
         iface = MemoryInterface.virgin(UNIT_BOX)
         with pytest.raises(ConfigurationError):
-            integrate_staircase_region(mu, iface, "below")
+            OutputReader(mu).below(iface)
 
     def test_output_examples(self):
         mu = uniform_field(Q_UNIT)
@@ -100,7 +100,7 @@ class TestStaircaseIntegration:
             iface = excursion(mu.support_box, a_edge, 0.0)
             expected = cell_sum(mu, mu.support_box.alpha_lo, a_edge,
                                 mu.support_box.beta_lo, 0.0)
-            got = integrate_staircase_region(mu, iface, "below")
+            got = OutputReader(mu).below(iface)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_csv_round_trip(self, tmp_path):
