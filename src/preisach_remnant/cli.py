@@ -51,35 +51,48 @@ def _setting(section, key, default):
         raise ConfigurationError("%s must be a number" % key) from None
 
 
+def _section(cfg, key, default=None):
+    """The mapping under ``key``, or ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise ConfigurationError("%s must be a mapping, got %r" % (key, value))
+    return value
+
+
 def _check_config(cfg):
     """Reject timing and controller settings that would divide by zero,
-    index an empty trace or never converge."""
+    index an empty trace, never converge or be silently rounded."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("config must be a mapping")
     if not _setting(cfg, "tau", 1.0) > 0.0:
         raise ConfigurationError("tau must be positive")
     if not _setting(cfg, "signal_samples_per_pulse", 50) > 0.0:
         raise ConfigurationError("signal_samples_per_pulse must be positive")
-    c = cfg.get("controller") or {}
-    if _setting(c, "max_pulses", 200) < 0.0:
-        raise ConfigurationError("max_pulses must be nonnegative")
+    c = _section(cfg, "controller", {})
+    max_pulses = _setting(c, "max_pulses", 200)
+    if not (max_pulses >= 0.0 and max_pulses.is_integer()):
+        raise ConfigurationError("max_pulses must be a nonnegative integer")
     if c.get("tolerance") is not None and not _setting(c, "tolerance", None) >= 0.0:
         raise ConfigurationError("tolerance must be nonnegative")
 
 
 def _build_field(cfg):
-    spec = cfg.get("weighting", {"preset": "uniform"})
+    spec = _section(cfg, "weighting", {"preset": "uniform"})
     if "grid_csv" in spec:
         mu = GridWeighting.load_csv(spec["grid_csv"])
-        qspec = cfg.get("q")
+        qspec = _section(cfg, "q")
         if qspec is None:
             raise ConfigurationError("grid weighting needs an explicit q region")
         return mu, QRegion(qspec["alpha2"], qspec["beta2"])
     preset = spec.get("preset")
     if preset == "uniform":
-        qspec = cfg.get("q", {"alpha2": 1.0, "beta2": -1.0})
+        qspec = _section(cfg, "q", {"alpha2": 1.0, "beta2": -1.0})
         return uniform_preset(qspec["alpha2"], qspec["beta2"], spec.get("value", 1.0))
     if preset == "butterfly":
         mu, q = butterfly_preset(scale=spec.get("scale", 1.0))
-        qspec = cfg.get("q")
+        qspec = _section(cfg, "q")
         if qspec is not None:
             q = QRegion(qspec["alpha2"], qspec["beta2"])
         return mu, q
@@ -88,12 +101,12 @@ def _build_field(cfg):
 
 def _build_scene(cfg):
     mu, q = _build_field(cfg)
-    iface = interface_from_spec(cfg.get("initial_interface", {}), mu.support_box)
+    iface = interface_from_spec(_section(cfg, "initial_interface", {}), mu.support_box)
     return mu, q, iface
 
 
 def _controller_config(cfg, q, bounds):
-    c = cfg.get("controller", {})
+    c = _section(cfg, "controller", {})
     if c.get("lambda", "auto") == "auto":
         lam = 0.95 * max_gain(bounds, c.get("mode", "positive"))
     else:
@@ -106,7 +119,7 @@ def _controller_config(cfg, q, bounds):
         w0=_setting(c, "w0", 0.0),
         q=q,
         tolerance=c.get("tolerance"),
-        max_pulses=int(c.get("max_pulses", 200)),
+        max_pulses=int(_setting(c, "max_pulses", 200)),
         mu_sign_mode=c.get("mode", "positive"),
     )
 
@@ -135,7 +148,7 @@ def cmd_bounds(cfg, args) -> int:
         {
             "gamma_max": g_max,
             "gamma_min": g_min,
-            "max_gain": max_gain(bounds, cfg.get("controller", {}).get("mode", "positive")),
+            "max_gain": max_gain(bounds, _section(cfg, "controller", {}).get("mode", "positive")),
         }
     )
     print(_dump_json(report, args.out, "bounds.json"))
@@ -219,7 +232,7 @@ def cmd_oracle_check(cfg, args) -> int:
 
 
 def cmd_sweep(cfg, args) -> int:
-    sweep = cfg.get("sweep")
+    sweep = _section(cfg, "sweep")
     if not sweep or sweep.get("param") not in ("gamma_d", "lambda"):
         raise ConfigurationError("sweep needs param 'gamma_d' or 'lambda' and values")
     param = sweep["param"]

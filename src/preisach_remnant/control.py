@@ -298,12 +298,27 @@ def run_controller(
 
 
 def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_step: float):
-    """Sampled input and output time series for a pulse train."""
+    """Sampled input and output time series for a pulse train.
+
+    Along a monotone ramp every push links a new head to survivors of the
+    state at the ramp's start, which the reader has read, so the outputs of
+    the ramp are read in one batch and only its last state is read in full.
+    A sample that starts no such ramp is pushed and read on its own.
+    """
     t, u = render_signal(amplitudes, tau, sample_step)
+    values = u.tolist()
     reader = OutputReader(mu)
-    iface = iface0
-    y = np.zeros_like(t)
-    for i, ui in enumerate(u.tolist()):
-        iface = iface.push_extremum(ui)
-        y[i] = reader.read(iface)
-    return t, u, y
+    iface = iface0.push_extremum(values[0])
+    y = [reader.read(iface)]
+    i = 1
+    while i < len(values):
+        heads = iface.ramp_heads(values, i)
+        if heads:
+            y += reader.read_heads(heads[:-1])
+            iface = MemoryInterface(heads[-1], iface.support_box)
+            i += len(heads)
+        else:
+            iface = iface.push_extremum(values[i])
+            i += 1
+        y.append(reader.read(iface))
+    return t, u, np.array(y)

@@ -129,6 +129,43 @@ def _chain(corners):
     return node
 
 
+def _survivor(node, v: float, rising: bool):
+    """First node, from ``node`` toward the tail, that a monotone sweep to v
+    leaves standing; None when the sweep wipes them all."""
+    if rising:
+        while node is not None and node[0][0] <= v:
+            node = node[1]
+    else:
+        while node is not None and node[0][1] >= v:
+            node = node[1]
+    return node
+
+
+def _linked_head(box: Box, v0: float, v: float, survivor):
+    """Head node of a sweep from v0 to v that links a diagonal corner and a
+    seam corner to ``survivor``, or None when the sweep must canonicalise.
+
+    The survivors are a suffix of a canonical staircase with the clamps of
+    the box.  When v and v0 keep those clamps and v lies more than the merge
+    tolerance inside the survivor's corner (the seam rule), the new head
+    neither merges with the survivor nor lines up with it, so
+    canonicalising would return the head plus the survivors.
+    """
+    if survivor is None:
+        return None
+    a_s, b_s = survivor[0]
+    if not (
+        a_s - v > VERTEX_MERGE_TOL
+        and v - b_s > VERTEX_MERGE_TOL
+        and box.beta_lo <= min(v, v0)
+        and max(v, v0) <= box.alpha_hi
+    ):
+        return None
+    depth = survivor[2]
+    seam = (v, b_s) if v > v0 else (a_s, v)
+    return ((v, v), (seam, survivor, depth + 1), depth + 2)
+
+
 class MemoryInterface:
     """Canonical staircase memory curve plus the support box it is clamped to.
 
@@ -231,34 +268,15 @@ class MemoryInterface:
         are a suffix of the chain and are kept as they are.
         """
         v = float(v)
-        node = self.head
-        v0 = node[0][0]
+        v0 = self.current_value
         if abs(v - v0) <= VERTEX_MERGE_TOL:
             return self
         rising = v > v0
-        if rising:
-            while node is not None and node[0][0] <= v:
-                node = node[1]
-        else:
-            while node is not None and node[0][1] >= v:
-                node = node[1]
+        node = _survivor(self.head, v, rising)
         box = self.support_box
-        if node is not None:
-            a_s, b_s = node[0]
-            # The survivors are a suffix of a canonical staircase with the
-            # clamps of the current box.  When v keeps those clamps and lies
-            # more than the merge tolerance inside the first survivor's
-            # corner, the new head neither merges with it nor lines up with
-            # it, so canonicalising would return the head plus the survivors.
-            if (
-                a_s - v > VERTEX_MERGE_TOL
-                and v - b_s > VERTEX_MERGE_TOL
-                and box.beta_lo <= min(v, v0)
-                and max(v, v0) <= box.alpha_hi
-            ):
-                depth = node[2]
-                seam = (v, b_s) if rising else (a_s, v)
-                return MemoryInterface(((v, v), (seam, node, depth + 1), depth + 2), box)
+        head = _linked_head(box, v0, v, node)
+        if head is not None:
+            return MemoryInterface(head, box)
         surv = []
         while node is not None:
             surv.append(node[0])
@@ -268,6 +286,34 @@ class MemoryInterface:
             head.append((v, surv[0][1]) if rising else (surv[0][0], v))
         corners = _canonical_corners(head + surv, box)
         return MemoryInterface(_chain(corners), box, corners)
+
+    def ramp_heads(self, values, start: int = 0) -> list:
+        """Head nodes of the interfaces that pushing values[start],
+        values[start + 1], ... one after another passes through, for as
+        long as the pushes sweep on in one direction, each by more than
+        the merge tolerance, and each links a new head to the survivors.
+
+        Each push wipes the two nodes the one before it built, and the
+        survivors of this interface it walks past were wiped by that push
+        too.  So every head is also the head of this interface pushed to
+        its value directly, and links to a node of this interface.
+        """
+        box = self.support_box
+        v0 = self.current_value
+        node = self.head
+        heads = []
+        rising = values[start] > v0
+        for i in range(start, len(values)):
+            v = values[i]
+            if (v - v0 if rising else v0 - v) <= VERTEX_MERGE_TOL:
+                break
+            node = _survivor(node, v, rising)
+            head = _linked_head(box, v0, v, node)
+            if head is None:
+                break
+            heads.append(head)
+            v0 = v
+        return heads
 
     # -- comparison ----------------------------------------------------------
 

@@ -427,6 +427,36 @@ class OutputReader:
         """Output of ``iface``: mass below the curve minus mass above it."""
         return 2.0 * self.below(iface) - self.mu.total_mass
 
+    def read_heads(self, heads) -> list:
+        """Outputs of the curves whose chains start at ``heads``, each the
+        two nodes a push links to a survivor of the last curve read (see
+        ``MemoryInterface.ramp_heads``), with one call of E for them all.
+
+        The seam rule gives each head one slab of its own: below the
+        diagonal corner down to the seam after a rise, below the seam down
+        to the survivor after a fall.  ``math.fsum`` of the survivor's
+        expansion and the slab's two terms rounds their exact sum
+        correctly, so every output is the float ``read`` gives; the reader
+        keeps none of these curves.
+        """
+        alphas, betas = [], []
+        for (v, _), ((a, b), survivor, _), _ in heads:
+            if b != v:  # a rise
+                alphas += (v, v)
+                betas += (v, b)
+            else:  # a fall
+                alphas += (a, a)
+                betas += (v, survivor[0][1])
+        e = self.mu.everett(alphas, betas)
+        seen, total = self._seen, self.mu.total_mass
+        out = []
+        for k, (_, (_, survivor, _), _) in enumerate(heads):
+            node, expansion = seen[survivor[2]]
+            if node is not survivor:
+                raise ValueError("head is not linked to the last curve read")
+            out.append(2.0 * math.fsum(expansion + [e[2 * k], -e[2 * k + 1]]) - total)
+        return out
+
 
 def evaluate_output(mu, iface: MemoryInterface) -> float:
     """Relay-field output: mass below the curve minus mass above it."""

@@ -108,6 +108,19 @@ class TestBounds:
         assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["controller", "weighting", "initial_interface", "q"])
+    def test_null_section_is_config_error(self, tmp_path, capsys, key):
+        bad = dict(deadbeat_config(), **{key: None})
+        cfg = write_config(tmp_path, "c.json", bad)
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must be a mapping" % key)
+
+    def test_config_that_is_not_a_mapping_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", [deadbeat_config()])
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: config must be a mapping")
+
 
 class TestControl:
     def test_deadbeat_artifacts(self, tmp_path, capsys):
@@ -137,6 +150,7 @@ class TestControl:
             ({"tau": 0}, {}, "tau"),
             ({"signal_samples_per_pulse": 0}, {}, "signal_samples_per_pulse"),
             ({}, {"max_pulses": -1}, "max_pulses"),
+            ({}, {"max_pulses": 2.5}, "max_pulses"),
             ({}, {"tolerance": -1e-3}, "tolerance"),
             ({"tau": None}, {}, "tau"),
             ({}, {"lambda": None}, "lambda"),
@@ -147,6 +161,7 @@ class TestControl:
             "zero_tau",
             "zero_samples_per_pulse",
             "negative_max_pulses",
+            "fractional_max_pulses",
             "negative_tolerance",
             "null_tau",
             "null_lambda",

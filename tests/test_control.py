@@ -31,6 +31,7 @@ from preisach_remnant import (
     validate_initial_interface,
 )
 from preisach_remnant.presets import pzt_shelf_interface
+from preisach_remnant.weighting import OutputReader
 
 from conftest import random_grid_field
 
@@ -372,6 +373,39 @@ class TestDenseResponse:
         for k, g in enumerate(expected):
             i = int(round((k + 1) / 0.05))
             assert y[i] == pytest.approx(g, abs=1e-12)
+
+    def test_ramps_are_read_in_batches_and_the_rest_sample_by_sample(self, monkeypatch):
+        """Samples that wipe every corner, lie past the box or repeat the
+        last input are pushed and read one at a time, the other ramps are
+        read in batches, and every output is the float of a push and a read
+        per sample."""
+        mu, iface = uniform_scene()
+        amplitudes = [0.75, -0.5, 1.25, 0.0, 0.5, 0.5, -0.25]
+        _, u = render_signal(amplitudes, 1.0, 0.1)
+        reader, cur, expected = OutputReader(mu), iface, []
+        for v in u.tolist():
+            cur = cur.push_extremum(v)
+            expected.append(reader.read(cur))
+
+        batched, pushed = [], []
+        read_heads, push = OutputReader.read_heads, MemoryInterface.push_extremum
+
+        def spy_read_heads(reader, heads):
+            batched.extend(heads)
+            return read_heads(reader, heads)
+
+        def spy_push(iface, v):
+            pushed.append(v)
+            return push(iface, v)
+
+        monkeypatch.setattr(OutputReader, "read_heads", spy_read_heads)
+        monkeypatch.setattr(MemoryInterface, "push_extremum", spy_push)
+        _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.1)
+        assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+        assert pushed[:6] == u.tolist()[:6]  # the first pulse wipes every corner
+        assert [v for v in pushed if v > 1.0] == [v for v in u.tolist() if v > 1.0]
+        assert pushed.count(0.0) >= 10  # the zero pulse
+        assert len(batched) > len(u) // 2
 
     def test_rate_independence_of_boundary_outputs(self):
         mu, iface = uniform_scene()

@@ -126,6 +126,23 @@ class TestPushExtremum:
         direct = MemoryInterface.virgin(UNIT_BOX).push_extremum(0.75)
         assert via.close_to(direct)
 
+    @pytest.mark.parametrize(
+        "corners, expected",
+        [
+            ([(-1.5, -1.5), (0.5, -1.5)], ((0.0, 0.0), (0.0, -1.0), (0.5, -1.0))),
+            ([(1.5, 1.5), (1.5, -0.5)], ((0.0, 0.0), (1.0, 0.0), (1.0, -1.0))),
+        ],
+        ids=["from_below_the_box", "from_above_the_box"],
+    )
+    def test_sweep_into_the_box_clamps_the_survivors_again(self, corners, expected):
+        """A curve whose diagonal corner lies past the box keeps survivors
+        clamped to it; a sweep back into the box clamps them to the box,
+        so it links no new head to them and starts no ramp."""
+        box = Box(-0.5, 1.0, -1.0, 0.5)
+        iface = MemoryInterface.from_corners(corners, box)
+        assert iface.push_extremum(0.0).corners == expected
+        assert iface.ramp_heads([0.0]) == []
+
     def test_module_level_wrapper(self):
         """The function form of a push is the method called on the class."""
         iface = MemoryInterface.push_extremum(MemoryInterface.virgin(UNIT_BOX), 0.5)

@@ -1,6 +1,6 @@
-"""Property tests of the Everett corner sums, the incremental output reads
-and the head-only staircase update, each against a reference kept in this
-file."""
+"""Property tests of the Everett corner sums, the incremental output reads,
+the batched reads along a ramp and the head-only staircase update, each
+against a reference kept in this file."""
 
 import math
 import sys
@@ -16,6 +16,7 @@ from preisach_remnant import (
     GaussianWeighting,
     GridWeighting,
     MemoryInterface,
+    dense_response,
     evaluate_output,
 )
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
@@ -244,6 +245,82 @@ def test_incremental_reads_equal_full_reads(stride, mu, ops):
         got = reader.read(iface)
         assert type(got) is float
         assert got == evaluate_output(mu, iface) == corner_run_output(mu, iface)
+
+
+# -- ramps -------------------------------------------------------------------------
+
+
+#: a step along a ramp: up to 0.3, or a few merge tolerances, or none
+ramp_step = st.one_of(
+    st.floats(0.0, 0.3),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]).map(lambda k: k * VERTEX_MERGE_TOL),
+)
+
+
+@PROPERTY
+@given(ops=histories(), rising=st.booleans(), steps=st.lists(ramp_step, min_size=1, max_size=30))
+def test_ramp_heads_are_the_heads_of_single_pushes(ops, rising, steps):
+    """Each head of a ramp is the head of the pushes of the ramp one after
+    another and of its value pushed directly.  The ramp stops only where
+    the next push links no new head to the survivors either: it is a no-op
+    or builds a chain that shares no node with the one before."""
+    iface = MemoryInterface.virgin(BOX)
+    for v in input_values(ops):
+        iface = iface.push_extremum(v)
+    values = [iface.current_value]
+    for step in steps:
+        values.append(values[-1] + (step if rising else -step))
+    heads = iface.ramp_heads(values, 1)
+    chained = iface
+    for v, head in zip(values[1:], heads):
+        chained = chained.push_extremum(v)
+        assert chained.head == head
+        assert iface.push_extremum(v).head == head
+    if len(heads) < len(steps):
+        nxt = chained.push_extremum(values[len(heads) + 1])
+        assert nxt is chained or not chain_ids(nxt) & chain_ids(chained)
+
+
+def chain_ids(iface):
+    """Identities of the nodes of an interface's chain."""
+    node, ids = iface.head, set()
+    while node is not None:
+        ids.add(id(node))
+        node = node[1]
+    return ids
+
+
+def per_sample_response(mu, iface, u):
+    """Output after each input sample, pushed and read one at a time."""
+    reader = OutputReader(mu)
+    out = []
+    for v in u:
+        iface = iface.push_extremum(v)
+        out.append(reader.read(iface))
+    return out
+
+
+@st.composite
+def pulse_trains(draw):
+    """A field, an initial interface and a pulse train: amplitudes anywhere
+    (also past the box), zero pulses and repeats within a few merge
+    tolerances, at odd and even samples per pulse."""
+    mu = draw(st.one_of(grids(), gaussian_sums()))
+    box = mu.support_box
+    iface = history_on(box, draw(histories())) if draw(st.booleans()) else MemoryInterface.virgin(box)
+    amplitudes = inputs_on(box, draw(histories()))
+    for i in draw(st.lists(st.integers(0, len(amplitudes) - 1), max_size=4)):
+        amplitudes[i] = 0.0
+    return mu, iface, amplitudes, draw(st.integers(2, 16))
+
+
+@PROPERTY
+@given(case=pulse_trains())
+def test_dense_response_equals_per_sample_reads(case):
+    mu, iface, amplitudes, samples_per_pulse = case
+    _, u, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / samples_per_pulse)
+    expected = per_sample_response(mu, iface, u.tolist())
+    assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
 
 
 # -- exact expansions ------------------------------------------------------------
