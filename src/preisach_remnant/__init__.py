@@ -9,7 +9,6 @@ from .errors import (
 )
 from .interface import Box, MemoryInterface, PlanePoint
 from .weighting import (
-    ButterflyParams,
     GaussianComponent,
     GaussianWeighting,
     GridWeighting,

@@ -1,5 +1,6 @@
 """Experiment runner: bounds, closed-loop control, open-loop simulation,
-oracle cross-checks and parameter sweeps driven by a JSON config file."""
+oracle cross-checks and parameter sweeps driven by a JSON config file;
+``load_config`` checks it once into the frozen ``Config`` the commands read."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,9 +26,10 @@ from .errors import (
     DegenerateBoundsError,
     EmptyIntersectionError,
 )
+from .interface import MemoryInterface
 from .oracle import DEFAULT_SAMPLES_PER_PULSE, oracle_pulse_remnants
-from .presets import butterfly_preset, interface_from_spec, uniform_preset
-from .weighting import GridWeighting, QRegion, sector_bounds
+from .presets import butterfly_preset, interface_from_spec, number, numbers
+from .weighting import GridWeighting, QRegion, SectorBounds, sector_bounds, uniform_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,21 +37,32 @@ EXIT_DEGENERATE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_ORACLE_MISMATCH = 5
 
-_CONFIG_ERRORS = (
-    ConfigurationError,
-    AdmissibilityError,
-    EmptyIntersectionError,
-    KeyError,
-    ValueError,
-    FileNotFoundError,
-)
+# OSError: the config or grid file cannot be opened
+_CONFIG_ERRORS = (ConfigurationError, AdmissibilityError, EmptyIntersectionError, OSError)
 
 
-def _setting(section, key, default):
-    try:
-        return float(section.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigurationError("%s must be a number" % key) from None
+@dataclass(frozen=True)
+class Config:
+    """A checked config with its field, Q region and initial interface built.
+    ``gamma_d`` is None when unset, ``lam`` a float or ``"auto"``, ``bounds``
+    the sector bounds a sweep shares among its runs (None: compute them)."""
+
+    mu: object
+    q: QRegion
+    iface: MemoryInterface
+    tau: float
+    sample_step: float
+    amplitudes: tuple
+    oracle_samples_per_pulse: int
+    gamma_d: float
+    lam: object
+    w0: float
+    tolerance: float
+    max_pulses: int
+    mode: str
+    sweep_param: str
+    sweep_values: tuple
+    bounds: SectorBounds = None
 
 
 def _section(cfg, key, default=None):
@@ -61,66 +75,80 @@ def _section(cfg, key, default=None):
     return value
 
 
-def _check_config(cfg):
-    """Reject timing and controller settings that would divide by zero,
-    index an empty trace, never converge or be silently rounded."""
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config must be a mapping")
-    if not _setting(cfg, "tau", 1.0) > 0.0:
-        raise ConfigurationError("tau must be positive")
-    if not _setting(cfg, "signal_samples_per_pulse", 50) > 0.0:
-        raise ConfigurationError("signal_samples_per_pulse must be positive")
-    c = _section(cfg, "controller", {})
-    max_pulses = _setting(c, "max_pulses", 200)
-    if not (max_pulses >= 0.0 and max_pulses.is_integer()):
-        raise ConfigurationError("max_pulses must be a nonnegative integer")
-    if c.get("tolerance") is not None and not _setting(c, "tolerance", None) >= 0.0:
-        raise ConfigurationError("tolerance must be nonnegative")
+def _controller_value(param, value):
+    """A ``gamma_d`` or ``lambda`` setting, from the config or a sweep."""
+    if param == "lambda" and value == "auto":
+        return value
+    return number(value, "controller." + param)
 
 
-def _build_field(cfg):
+def _field(cfg):
+    """(mu, q) of the ``weighting`` and ``q`` sections."""
     spec = _section(cfg, "weighting", {"preset": "uniform"})
+    qspec = _section(cfg, "q")
+    q = None
+    if qspec is not None:
+        q = QRegion(number(qspec.get("alpha2"), "q.alpha2"), number(qspec.get("beta2"), "q.beta2"))
     if "grid_csv" in spec:
-        mu = GridWeighting.load_csv(spec["grid_csv"])
-        qspec = _section(cfg, "q")
-        if qspec is None:
+        path = spec["grid_csv"]
+        if not isinstance(path, str):
+            raise ConfigurationError("weighting.grid_csv must be a path, got %r" % (path,))
+        if q is None:
             raise ConfigurationError("grid weighting needs an explicit q region")
-        return mu, QRegion(qspec["alpha2"], qspec["beta2"])
+        return GridWeighting.load_csv(path), q
     preset = spec.get("preset")
     if preset == "uniform":
-        qspec = _section(cfg, "q", {"alpha2": 1.0, "beta2": -1.0})
-        return uniform_preset(qspec["alpha2"], qspec["beta2"], spec.get("value", 1.0))
+        q = q or QRegion(1.0, -1.0)
+        return uniform_field(q, number(spec.get("value", 1.0), "weighting.value")), q
     if preset == "butterfly":
-        mu, q = butterfly_preset(scale=spec.get("scale", 1.0))
-        qspec = _section(cfg, "q")
-        if qspec is not None:
-            q = QRegion(qspec["alpha2"], qspec["beta2"])
-        return mu, q
+        mu, own_q = butterfly_preset(scale=number(spec.get("scale", 1.0), "weighting.scale"))
+        return mu, q or own_q
     raise ConfigurationError("unknown weighting spec %r" % (spec,))
 
 
-def _build_scene(cfg):
-    mu, q = _build_field(cfg)
-    iface = interface_from_spec(_section(cfg, "initial_interface", {}), mu.support_box)
-    return mu, q, iface
-
-
-def _controller_config(cfg, q, bounds):
+def load_config(path) -> Config:
+    """Read the JSON config at ``path`` and check every key once: its type,
+    ``null``, finiteness and range, and the mode and preset strings."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not UTF-8 JSON, or an integer too long to parse
+            raise ConfigurationError("%s is not a JSON config: %s" % (path, exc)) from None
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("config must be a mapping")
     c = _section(cfg, "controller", {})
-    if c.get("lambda", "auto") == "auto":
-        lam = 0.95 * max_gain(bounds, c.get("mode", "positive"))
-    else:
-        lam = _setting(c, "lambda", None)
-    if isinstance(c.get("gamma_d"), str):
-        raise ConfigurationError("gamma_d must be a number")
-    return ControllerConfig(
-        gamma_d=_setting(c, "gamma_d", None),
-        lam=float(lam),
-        w0=_setting(c, "w0", 0.0),
+    mode = c.get("mode", "positive")
+    if mode not in ("positive", "negative"):
+        raise ConfigurationError("controller.mode %r is not 'positive' or 'negative'" % (mode,))
+    sweep = _section(cfg, "sweep", {})
+    param, values = sweep.get("param"), sweep.get("values")
+    if sweep and param not in ("gamma_d", "lambda"):
+        raise ConfigurationError("sweep.param must be 'gamma_d' or 'lambda', got %r" % (param,))
+    if sweep and not isinstance(values, list):
+        raise ConfigurationError("sweep.values must be a list, got %r" % (values,))
+    tau = number(cfg.get("tau", 1.0), "tau", "positive")
+    spp = number(cfg.get("signal_samples_per_pulse", 50), "signal_samples_per_pulse", "positive")
+    oracle_spp = cfg.get("oracle_samples_per_pulse", DEFAULT_SAMPLES_PER_PULSE)
+    tolerance = c.get("tolerance")  # null or absent: 1e-6 of the remnant range
+    if tolerance is not None:
+        tolerance = number(tolerance, "controller.tolerance", "nonnegative")
+    mu, q = _field(cfg)
+    return Config(
+        mu=mu,
         q=q,
-        tolerance=c.get("tolerance"),
-        max_pulses=int(_setting(c, "max_pulses", 200)),
-        mu_sign_mode=c.get("mode", "positive"),
+        iface=interface_from_spec(_section(cfg, "initial_interface", {}), mu.support_box),
+        tau=tau,
+        sample_step=tau / spp,
+        amplitudes=numbers(cfg.get("amplitudes", []), "amplitudes"),
+        oracle_samples_per_pulse=number(oracle_spp, "oracle_samples_per_pulse", "an integer >= 1"),
+        gamma_d=_controller_value("gamma_d", c["gamma_d"]) if "gamma_d" in c else None,
+        lam=_controller_value("lambda", c.get("lambda", "auto")),
+        w0=number(c.get("w0", 0.0), "controller.w0"),
+        tolerance=tolerance,
+        max_pulses=number(c.get("max_pulses", 200), "controller.max_pulses", "an integer >= 0"),
+        mode=mode,
+        sweep_param=param,
+        sweep_values=tuple(values or ()),
     )
 
 
@@ -132,55 +160,42 @@ def _dump_json(obj, out_dir, name):
     return text
 
 
-def _write_signal_csv(path, t, u, y):
-    with open(path, "w") as fh:
-        fh.write("t,u,y\n")
-        for ti, ui, yi in zip(t, u, y):
-            fh.write("%r,%r,%r\n" % (float(ti), float(ui), float(yi)))
+def _write_signal(cfg, amplitudes, out):
+    """``signal.csv`` (t,u,y) of the pulse train, written in one pass."""
+    t, u, y = dense_response(cfg.mu, cfg.iface, amplitudes, cfg.tau, cfg.sample_step)
+    rows = ["%r,%r,%r\n" % row for row in zip(t.tolist(), u.tolist(), y.tolist())]
+    with open(os.path.join(out, "signal.csv"), "w") as fh:
+        fh.write("t,u,y\n" + "".join(rows))
+    return y
+
+
+def _controlled(cfg, args):
+    """(trace, gain) of the controller run ``cfg`` sets up."""
+    if cfg.gamma_d is None:
+        raise ConfigurationError("controller.gamma_d must be a number, got None")
+    bounds = cfg.bounds or sector_bounds(cfg.mu, cfg.q, args.resolution)
+    lam = 0.95 * max_gain(bounds, cfg.mode) if cfg.lam == "auto" else cfg.lam
+    ccfg = ControllerConfig(
+        cfg.gamma_d, lam, cfg.w0, cfg.q, cfg.tolerance, cfg.max_pulses, cfg.mode
+    )
+    return run_controller(cfg.mu, cfg.iface, ccfg, bounds=bounds), lam
 
 
 def cmd_bounds(cfg, args) -> int:
-    mu, q, iface = _build_scene(cfg)
-    bounds = sector_bounds(mu, q, args.resolution)
-    g_max, g_min = remnant_extrema(mu, iface, q)
+    bounds = sector_bounds(cfg.mu, cfg.q, args.resolution)
+    g_max, g_min = remnant_extrema(cfg.mu, cfg.iface, cfg.q)
     report = bounds.to_dict()
-    report.update(
-        {
-            "gamma_max": g_max,
-            "gamma_min": g_min,
-            "max_gain": max_gain(bounds, _section(cfg, "controller", {}).get("mode", "positive")),
-        }
-    )
+    report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds, cfg.mode))
     print(_dump_json(report, args.out, "bounds.json"))
     return EXIT_OK
 
 
-def _control_scene(cfg, args):
-    """(mu, q, iface, bounds) of a control run: the ones a sweep prepared
-    for all its runs in ``args.scene``, or built from the config."""
-    scene = getattr(args, "scene", None)
-    if scene is None:
-        mu, q, iface = _build_scene(cfg)
-        scene = mu, q, iface, sector_bounds(mu, q, args.resolution)
-    return scene
-
-
-def _run_control(cfg, args):
-    mu, q, iface, bounds = _control_scene(cfg, args)
-    ccfg = _controller_config(cfg, q, bounds)
-    trace = run_controller(mu, iface, ccfg, bounds=bounds)
-    return mu, q, iface, ccfg, trace
-
-
 def cmd_control(cfg, args) -> int:
-    mu, q, iface, ccfg, trace = _run_control(cfg, args)
-    tau = float(cfg.get("tau", 1.0))
+    trace, lam = _controlled(cfg, args)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     trace.write_csv(os.path.join(out, "trace.csv"))
-    step = tau / float(cfg.get("signal_samples_per_pulse", 50))
-    t, u, y = dense_response(mu, iface, trace.amplitudes, tau, step)
-    _write_signal_csv(os.path.join(out, "signal.csv"), t, u, y)
+    _write_signal(cfg, trace.amplitudes, out)
     summary = {
         "converged": trace.converged,
         "pulses": len(trace.records),
@@ -189,70 +204,61 @@ def cmd_control(cfg, args) -> int:
         "gamma_max": trace.gamma_max,
         "gamma_min": trace.gamma_min,
         "tolerance": trace.tolerance,
-        "lambda": ccfg.lam,
-        "gamma_d": ccfg.gamma_d,
+        "lambda": lam,
+        "gamma_d": cfg.gamma_d,
     }
     print(_dump_json(summary, out, "summary.json"))
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_simulate(cfg, args) -> int:
-    mu, _, iface = _build_scene(cfg)
-    amplitudes = [float(w) for w in cfg.get("amplitudes", [])]
-    tau = float(cfg.get("tau", 1.0))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
+    remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
     with open(os.path.join(out, "remnants.csv"), "w") as fh:
         fh.write("k,w_k,gamma_k\n")
-        for k, (w, g) in enumerate(zip(amplitudes, pulse_remnants(mu, iface, amplitudes))):
+        for k, (w, g) in enumerate(zip(cfg.amplitudes, remnants)):
             fh.write("%d,%r,%r\n" % (k, w, g))
-    step = tau / float(cfg.get("signal_samples_per_pulse", 50))
-    t, u, y = dense_response(mu, iface, amplitudes, tau, step)
-    _write_signal_csv(os.path.join(out, "signal.csv"), t, u, y)
-    print(_dump_json({"pulses": len(amplitudes), "final_output": float(y[-1]) if len(y) else 0.0}, out, "summary.json"))
+    y = _write_signal(cfg, cfg.amplitudes, out)
+    summary = {"pulses": len(cfg.amplitudes), "final_output": float(y[-1])}
+    print(_dump_json(summary, out, "summary.json"))
     return EXIT_OK
 
 
 def cmd_oracle_check(cfg, args) -> int:
-    mu, q, iface, ccfg, trace = _run_control(cfg, args)
+    trace, _ = _controlled(cfg, args)
     span = abs(trace.gamma_max - trace.gamma_min) or 1.0
     exact = np.array([r.gamma for r in trace.records])
-    amplitudes = trace.amplitudes
-    spp = int(cfg.get("oracle_samples_per_pulse", DEFAULT_SAMPLES_PER_PULSE))
     report = {}
-    deviations = {}
     for n in (args.oracle_n // 2, args.oracle_n):
-        approx = oracle_pulse_remnants(mu, iface, amplitudes, n, samples_per_pulse=spp)
-        deviations[n] = float(np.max(np.abs(approx - exact)) / span)
-        report["max_relative_deviation_n%d" % n] = deviations[n]
-    passed = deviations[args.oracle_n] <= 0.01
-    report["pass"] = passed
+        approx = oracle_pulse_remnants(
+            cfg.mu, cfg.iface, trace.amplitudes, n, samples_per_pulse=cfg.oracle_samples_per_pulse
+        )
+        report["max_relative_deviation_n%d" % n] = float(np.max(np.abs(approx - exact)) / span)
+    report["pass"] = report["max_relative_deviation_n%d" % args.oracle_n] <= 0.01
     print(_dump_json(report, args.out, "oracle_check.json"))
-    return EXIT_OK if passed else EXIT_ORACLE_MISMATCH
+    return EXIT_OK if report["pass"] else EXIT_ORACLE_MISMATCH
 
 
 def cmd_sweep(cfg, args) -> int:
-    sweep = _section(cfg, "sweep")
-    if not sweep or sweep.get("param") not in ("gamma_d", "lambda"):
-        raise ConfigurationError("sweep needs param 'gamma_d' or 'lambda' and values")
-    param = sweep["param"]
+    param = cfg.sweep_param
+    if param is None:
+        raise ConfigurationError("sweep needs a sweep section with param and values")
+    field = "lam" if param == "lambda" else param  # the Config field it sets
     out = args.out or "sweep_out"
     os.makedirs(out, exist_ok=True)
-    # both swept parameters are controller settings: every run shares the
-    # field, the interface and the sector bounds
-    scene = _control_scene(cfg, args)
+    # a swept key only sets the controller: the runs share field, interface and bounds
+    shared = replace(cfg, bounds=sector_bounds(cfg.mu, cfg.q, args.resolution))
     results = []
     worst = EXIT_OK
-    for value in sweep["values"]:
-        sub = json.loads(json.dumps(cfg))
-        sub.setdefault("controller", {})[param] = value
-        sub_args = argparse.Namespace(**vars(args))
-        sub_args.scene = scene
-        sub_args.out = os.path.join(out, "%s_%r" % (param, value))
-        os.makedirs(sub_args.out, exist_ok=True)
+    for value in cfg.sweep_values:
+        run_out = os.path.join(out, "%s_%r" % (param, value))
+        run_args = argparse.Namespace(**dict(vars(args), out=run_out))
+        os.makedirs(run_args.out, exist_ok=True)
         record = {"value": value}
         try:
-            record["exit_code"] = cmd_control(sub, sub_args)
+            run = replace(shared, **{field: _controller_value(param, value)})
+            record["exit_code"] = cmd_control(run, run_args)
         except (ConfigurationError, AdmissibilityError) as exc:
             # a bad value (a target outside the reachable range, a gain
             # outside the admissible interval) ends its own run only
@@ -263,6 +269,12 @@ def cmd_sweep(cfg, args) -> int:
     _dump_json(results, out, "sweep.json")
     print(json.dumps(results, sort_keys=True))
     return worst
+
+
+def _at_least_two(text):
+    if not (text.strip().isdecimal() and int(text) >= 2):
+        raise argparse.ArgumentTypeError("must be an integer >= 2, got %r" % text)
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,17 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=["bounds", "control", "simulate", "oracle-check", "sweep"])
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--resolution", type=int, default=512, help="sector-bound scan lines")
-    p.add_argument("--oracle-n", type=int, default=300, help="relay lattice size per axis")
+    p.add_argument("--resolution", type=_at_least_two, default=512, help="sector-bound scan lines")
+    p.add_argument("--oracle-n", type=_at_least_two, default=300, help="relays per lattice axis")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        _check_config(cfg)
+        cfg = load_config(args.config)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
         handler = {

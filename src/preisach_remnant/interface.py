@@ -43,12 +43,12 @@ class Box:
         if not (self.alpha_hi > self.alpha_lo and self.beta_hi > self.beta_lo):
             raise ConfigurationError("degenerate box: %r" % (self,))
 
-    def contains(self, other: "Box", tol: float = 1e-9) -> bool:
+    def contains(self, other: "Box") -> bool:
         return (
-            self.alpha_lo <= other.alpha_lo + tol
-            and self.alpha_hi >= other.alpha_hi - tol
-            and self.beta_lo <= other.beta_lo + tol
-            and self.beta_hi >= other.beta_hi - tol
+            self.alpha_lo <= other.alpha_lo + 1e-9
+            and self.alpha_hi >= other.alpha_hi - 1e-9
+            and self.beta_lo <= other.beta_lo + 1e-9
+            and self.beta_hi >= other.beta_hi - 1e-9
         )
 
 
@@ -212,19 +212,19 @@ class MemoryInterface:
         return cls(_chain(corners), box, corners)
 
     @classmethod
-    def virgin(cls, box: Box, value: float = 0.0) -> "MemoryInterface":
-        """All relays with alpha > value in the -1 state."""
-        return cls.from_corners([(value, value)], box)
+    def virgin(cls, box: Box) -> "MemoryInterface":
+        """All relays with alpha > 0 in the -1 state."""
+        return cls.from_corners([(0.0, 0.0)], box)
 
     @classmethod
-    def from_extrema(cls, box: Box, extrema, end_value: float = 0.0) -> "MemoryInterface":
+    def from_extrema(cls, box: Box, extrema) -> "MemoryInterface":
         """Replay an alternating extremum sequence (largest first) from the
-        virgin state, finishing with a sweep to ``end_value`` so the curve
-        passes through the diagonal at that input value."""
-        iface = cls.virgin(box, 0.0)
+        virgin state, finishing with a sweep to zero so the curve passes
+        through the diagonal at zero input."""
+        iface = cls.virgin(box)
         for v in extrema:
             iface = iface.push_extremum(float(v))
-        return iface.push_extremum(float(end_value))
+        return iface.push_extremum(0.0)
 
     # -- basic queries ----------------------------------------------------
 

@@ -1,46 +1,62 @@
-"""Ready-made weighting fields and initial interfaces for experiments."""
+"""Ready-made weighting fields and initial interfaces for experiments, and
+the rule every number of a JSON config obeys."""
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigurationError
 from .interface import Box, MemoryInterface
-from .weighting import ButterflyParams, QRegion, make_butterfly, uniform_field
+from .weighting import make_butterfly
 
 
-def uniform_preset(alpha2: float = 1.0, beta2: float = -1.0, value: float = 1.0):
-    """Constant density on Q; the textbook deadbeat scenario."""
-    q = QRegion(alpha2, beta2)
-    return uniform_field(q, value), q
+#: range rules of config numbers, by the words of their error message
+_RULES = {
+    "positive": lambda v: v > 0.0,
+    "nonnegative": lambda v: v >= 0.0,
+    "an integer >= 1": lambda v: v >= 1.0 and v.is_integer(),
+    "an integer >= 0": lambda v: v >= 0.0 and v.is_integer(),
+}
 
 
-def butterfly_preset(scale: float = 1.0):
-    return make_butterfly(ButterflyParams(scale=scale))
+def number(value, name: str, rule: str = None):
+    """``value`` as a float (an int under an integer rule) when it is a finite
+    JSON number that is ``rule``: not a string, a bool, ``null``, NaN or
+    Infinity.  Otherwise a ConfigurationError names the config key ``name``."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigurationError("%s must be a number, got %r" % (name, value))
+    if rule is not None and not _RULES[rule](float(value)):
+        raise ConfigurationError("%s must be %s, got %r" % (name, rule, value))
+    return int(value) if rule is not None and "integer" in rule else float(value)
 
 
-def pzt_shelf_interface(
-    box: Box = None,
-    alpha_max: float = 1400.0,
-    shelf_beta: float = -800.0,
-) -> MemoryInterface:
-    """Shelf interface: last maximum at alpha_max with a flat at shelf_beta."""
-    if box is None:
-        box = Box(0.0, alpha_max, -850.0, 0.0)
-    return MemoryInterface.from_corners(
-        [(0.0, 0.0), (0.0, shelf_beta), (alpha_max, shelf_beta)], box
-    )
+def numbers(value, name: str) -> tuple:
+    """``value`` as a tuple of floats when it is a list of numbers."""
+    if not isinstance(value, list):
+        raise ConfigurationError("%s must be a list of numbers, got %r" % (name, value))
+    return tuple(number(v, "%s[%d]" % (name, i)) for i, v in enumerate(value))
+
+
+butterfly_preset = make_butterfly
 
 
 def interface_from_spec(spec: dict, box: Box) -> MemoryInterface:
-    """Build an initial interface from a config mapping."""
+    """The initial interface an ``initial_interface`` mapping describes; the
+    ``pzt_shelf`` has its last maximum at alpha_max, a flat at shelf_beta."""
     if "extrema" in spec:
-        return MemoryInterface.from_extrema(box, spec["extrema"])
+        extrema = numbers(spec["extrema"], "initial_interface.extrema")
+        return MemoryInterface.from_extrema(box, extrema)
     preset = spec.get("preset", "virgin")
     if preset == "virgin":
         return MemoryInterface.virgin(box)
     if preset == "pzt_shelf":
-        return pzt_shelf_interface(
-            box,
-            alpha_max=spec.get("alpha_max", 1400.0),
-            shelf_beta=spec.get("shelf_beta", -800.0),
+        alpha_max = number(spec.get("alpha_max", 1400.0), "initial_interface.alpha_max")
+        shelf_beta = number(spec.get("shelf_beta", -800.0), "initial_interface.shelf_beta")
+        return MemoryInterface.from_corners(
+            [(0.0, 0.0), (0.0, shelf_beta), (alpha_max, shelf_beta)], box
         )
-    raise ConfigurationError("unknown interface preset %r" % preset)
+    raise ConfigurationError("unknown interface preset %r" % (preset,))

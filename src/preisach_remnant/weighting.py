@@ -187,13 +187,16 @@ class GridWeighting:
 
     @classmethod
     def load_csv(cls, path) -> "GridWeighting":
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # a stray byte fails as a bad field
             head = fh.readline().strip().split(",")
-            if len(head) != 6:
-                raise ConfigurationError("bad grid CSV header in %s" % path)
-            a_lo, a_hi, b_lo, b_hi = map(float, head[:4])
-            n_alpha, n_beta = int(head[4]), int(head[5])
             lines = [line for line in fh if line.strip()]
+        try:
+            a_lo, a_hi, b_lo, b_hi = map(float, head[:4])
+            n_alpha, n_beta = map(int, head[4:])
+        except ValueError:  # not six fields, or one that is not a number
+            raise ConfigurationError("bad grid CSV header in %s" % path) from None
+        if not (np.isfinite([a_lo, a_hi, b_lo, b_hi]).all() and min(n_alpha, n_beta) >= 1):
+            raise ConfigurationError("bad grid CSV header in %s" % path)
         if len(lines) != n_beta:
             raise ConfigurationError("bad grid CSV row count in %s" % path)
         try:
@@ -202,7 +205,7 @@ class GridWeighting:
             # rows of unequal length, or a value that is not a number
             if any(line.count(",") != n_alpha - 1 for line in lines):
                 raise ConfigurationError("bad grid CSV row length in %s" % path) from None
-            raise
+            raise ConfigurationError("bad grid CSV value in %s" % path) from None
         if rows.shape[1] != n_alpha:
             raise ConfigurationError("bad grid CSV row length in %s" % path)
         return cls(Box(a_lo, a_hi, b_lo, b_hi), rows)
@@ -474,11 +477,11 @@ class QRegion:
         if not (self.alpha2 > 0.0 and self.beta2 < 0.0):
             raise ConfigurationError("need alpha2 > 0 and beta2 < 0")
 
-    def check_nonnegative(self, mu, samples: int = 100) -> None:
+    def check_nonnegative(self, mu) -> None:
         """Reject densities that dip below zero anywhere on a sample lattice;
         the first offender in alpha-major order is reported."""
-        alphas = np.linspace(0.0, self.alpha2, samples)
-        betas = np.linspace(self.beta2, 0.0, samples)
+        alphas = np.linspace(0.0, self.alpha2, 100)
+        betas = np.linspace(self.beta2, 0.0, 100)
         negative = np.argwhere(mu.eval(alphas[:, None], betas[None, :]) < 0.0)
         if len(negative):
             i, j = negative[0]
@@ -565,42 +568,27 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     )
 
 
-@dataclass(frozen=True)
-class ButterflyParams:
-    """Synthetic butterfly density: one positive lobe inside Q plus negative
-    lobes outside it, all scaled by a common coordinate factor."""
-
-    scale: float = 1.0
-    positive_amplitude: float = 3.0
-    negative_amplitude: float = 1.2
-    q_alpha2: float = 1.0
-    q_beta2: float = -1.0
-
-
-def make_butterfly(params: ButterflyParams = ButterflyParams()):
-    """Build the butterfly preset and its Q region.
-
-    Returns (field, q_region).  Rejects parameter sets whose negative lobes
-    intrude into Q.
-    """
-    s = params.scale
+def make_butterfly(scale: float = 1.0):
+    """The butterfly preset and its Q region, (field, q_region): one positive
+    lobe on Q and two negative lobes whose boxes miss Q, so the density is
+    nonnegative there, all scaled by a common coordinate factor."""
+    s = float(scale)
     if s <= 0:
         raise ConfigurationError("scale must be positive")
-    q = QRegion(params.q_alpha2 * s, params.q_beta2 * s)
-    q_box = Box(0.0, q.alpha2, q.beta2, 0.0)
+    q = QRegion(s, -s)
     # wide in alpha, narrow in beta: keeps the per-pulse slope inside a
     # narrow band relative to the gain cap, so admissible gains converge
     # monotonically without dead-zone stalls
     pos = GaussianComponent(
-        amplitude=params.positive_amplitude,
+        amplitude=3.0,
         center_alpha=0.55 * s,
         center_beta=-0.5 * s,
         sigma_alpha=0.8 * s,
         sigma_beta=0.18 * s,
-        box=q_box,
+        box=Box(0.0, s, -s, 0.0),
     )
     neg_low = GaussianComponent(
-        amplitude=-params.negative_amplitude,
+        amplitude=-1.2,
         center_alpha=-0.3 * s,
         center_beta=-0.87 * s,
         sigma_alpha=0.15 * s,
@@ -608,28 +596,15 @@ def make_butterfly(params: ButterflyParams = ButterflyParams()):
         box=Box(-0.7 * s, -0.05 * s, -1.0 * s, -0.75 * s),
     )
     neg_high = GaussianComponent(
-        amplitude=-params.negative_amplitude,
+        amplitude=-1.2,
         center_alpha=0.8 * s,
         center_beta=0.25 * s,
         sigma_alpha=0.12 * s,
         sigma_beta=0.12 * s,
         box=Box(0.55 * s, 1.0 * s, 0.05 * s, 0.5 * s),
     )
-    for lobe in (neg_low, neg_high):
-        overlaps_q = (
-            lobe.box.alpha_hi > 0.0
-            and lobe.box.alpha_lo < q.alpha2
-            and lobe.box.beta_hi > q.beta2
-            and lobe.box.beta_lo < 0.0
-        )
-        if overlaps_q:
-            raise ConfigurationError("negative lobe intrudes into Q")
-    field = GaussianWeighting(
-        [pos, neg_low, neg_high],
-        support_box=Box(-0.7 * s, 1.0 * s, -1.0 * s, 0.5 * s),
-    )
-    q.check_nonnegative(field)
-    return field, q
+    support = Box(-0.7 * s, 1.0 * s, -1.0 * s, 0.5 * s)
+    return GaussianWeighting([pos, neg_low, neg_high], support_box=support), q
 
 
 def uniform_field(q: QRegion = QRegion(1.0, -1.0), value: float = 1.0) -> GridWeighting:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,8 +91,10 @@ class TestBounds:
             ("0.0,1.0,-1.0,0.0,2,1\n1.0,2.0,3.0\n", "bad grid CSV row length"),
             ("0.0,1.0,-1.0,0.0,2,2\n1.0,2.0\n3.0\n", "bad grid CSV row length"),
             ("0.0,1.0,-1.0,0.0,2,2\n1.0,2.0\n", "bad grid CSV row count"),
+            ("0.0,one,-1.0,0.0,2,1\n1.0,2.0\n", "bad grid CSV header"),
+            ("0.0,1.0,-1.0,0.0,2,1\n1.0,two\n", "bad grid CSV value"),
         ],
-        ids=["header", "row_length", "ragged_rows", "row_count"],
+        ids=["header", "row_length", "ragged_rows", "row_count", "header_field", "cell"],
     )
     def test_bad_grid_csv_is_config_error(self, tmp_path, capsys, text, message):
         grid = tmp_path / "bad.csv"
@@ -315,12 +318,14 @@ class TestSweep:
         base = dict(deadbeat_config(), weighting={"preset": "butterfly"})
         base["controller"] = {"gamma_d": 0.0, "lambda": "auto"}
         cfg = write_config(tmp_path, "c.json", dict(base, sweep={"param": "gamma_d", "values": values}))
-        scans = []
-        real = cli.sector_bounds
+        scans, controls = [], []
+        real, control = cli.sector_bounds, cli.cmd_control
         monkeypatch.setattr(cli, "sector_bounds", lambda *a: scans.append(a) or real(*a))
+        monkeypatch.setattr(cli, "cmd_control", lambda *a: controls.append(a) or control(*a))
         out = tmp_path / "sweep"
         assert run("sweep", cfg, out, ["--resolution", "64"]) == EXIT_OK
         assert len(scans) == 1
+        assert len(controls) == len(values)
         for v in values:
             single = dict(base, controller=dict(base["controller"], gamma_d=v))
             alone = tmp_path / ("alone_%r" % v)
@@ -330,3 +335,88 @@ class TestSweep:
             assert sorted(os.listdir(swept)) == sorted(os.listdir(alone))
             for name in os.listdir(alone):
                 assert (swept / name).read_bytes() == (alone / name).read_bytes()
+
+
+def with_changes(changes):
+    """The deadbeat config with each dotted key set to its value."""
+    cfg = deadbeat_config()
+    for dotted, value in changes.items():
+        *sections, key = dotted.split(".")
+        target = cfg
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = value
+    return cfg
+
+
+BUTTERFLY = {"weighting.preset": "butterfly"}
+PZT_SHELF = {"initial_interface.preset": "pzt_shelf"}
+SWEEP = {"sweep.param": "gamma_d"}
+
+#: id -> (config changes, command, flags, the key the error must name)
+BAD_INPUTS = {
+    "null_q_alpha2": ({"q.alpha2": None}, "bounds", [], "q.alpha2"),
+    "string_q_alpha2": ({"q.alpha2": "1"}, "bounds", [], "q.alpha2"),
+    "null_amplitudes": ({"amplitudes": None}, "simulate", [], "amplitudes"),
+    "null_amplitude": ({"amplitudes": [0.5, None]}, "simulate", [], "amplitudes[1]"),
+    "null_extrema": ({"initial_interface.extrema": None}, "bounds", [], "initial_interface.extrema"),
+    "null_extremum": (
+        {"initial_interface.extrema": [0.5, None]}, "bounds", [], "initial_interface.extrema[1]"
+    ),
+    "null_scale": (dict(BUTTERFLY, **{"weighting.scale": None}), "bounds", [], "weighting.scale"),
+    "null_grid_csv": ({"weighting.grid_csv": None}, "bounds", [], "weighting.grid_csv"),
+    "null_oracle_samples": (
+        {"oracle_samples_per_pulse": None}, "oracle-check", [], "oracle_samples_per_pulse"
+    ),
+    "null_sweep_values": (dict(SWEEP, **{"sweep.values": None}), "sweep", [], "sweep.values"),
+    "number_sweep_values": (dict(SWEEP, **{"sweep.values": 5}), "sweep", [], "sweep.values"),
+    "null_alpha_max": (
+        dict(PZT_SHELF, **{"initial_interface.alpha_max": None}),
+        "bounds",
+        [],
+        "initial_interface.alpha_max",
+    ),
+    "string_tolerance": ({"controller.tolerance": "1e-3"}, "control", [], "controller.tolerance"),
+    "bool_gamma_d": ({"controller.gamma_d": True}, "control", [], "controller.gamma_d"),
+    "bool_tau": ({"tau": True}, "control", [], "tau"),
+    "bool_max_pulses": ({"controller.max_pulses": False}, "control", [], "controller.max_pulses"),
+    "nan_tau": ({"tau": float("nan")}, "control", [], "tau"),
+    "infinite_w0": ({"controller.w0": float("inf")}, "control", [], "controller.w0"),
+    "negative_infinite_lambda": ({"controller.lambda": -float("inf")}, "control", [], "controller.lambda"),
+    "string_lambda": ({"controller.lambda": "0.5"}, "control", [], "controller.lambda"),
+    "unknown_mode": ({"controller.mode": "up"}, "bounds", [], "controller.mode"),
+    "oracle_n_1": ({}, "oracle-check", ["--oracle-n", "1"], "--oracle-n"),
+    "oracle_n_0": ({}, "oracle-check", ["--oracle-n", "0"], "--oracle-n"),
+    "resolution_0": ({}, "bounds", ["--resolution", "0"], "--resolution"),
+    "resolution_1": ({}, "bounds", ["--resolution", "1"], "--resolution"),
+    "negative_resolution": ({}, "bounds", ["--resolution", "-4"], "--resolution"),
+}
+
+
+@pytest.mark.parametrize("changes, command, flags, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, changes, command, flags, key):
+    """Every bad value exits 2 before any artifact is written: a config
+    value with a config error that names its key, a flag with a usage
+    error."""
+    cfg = write_config(tmp_path, "c.json", with_changes(changes))
+    out = tmp_path / "out"
+    if key.startswith("--"):
+        with pytest.raises(SystemExit) as exit_:
+            run(command, cfg, out, flags)
+        assert exit_.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and key in err
+    else:
+        assert run(command, cfg, out, flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s " % key)
+    assert not out.exists()
+
+
+def test_readme_sample_config_runs_bounds(tmp_path, capsys):
+    """The config shown under "Config file" in the README loads as it is."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = write_config(tmp_path, "c.json", json.loads(block))
+    assert run("bounds", cfg, tmp_path / "out") == EXIT_OK
+    assert json.loads((tmp_path / "out" / "bounds.json").read_text())["max_gain"] > 0.0

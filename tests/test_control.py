@@ -30,13 +30,18 @@ from preisach_remnant import (
     uniform_field,
     validate_initial_interface,
 )
-from preisach_remnant.presets import pzt_shelf_interface
+from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader
 
 from conftest import random_grid_field
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
+
+
+def pzt_shelf_interface():
+    """The shelf preset on its own box: last maximum 1400, flat at -800."""
+    return interface_from_spec({"preset": "pzt_shelf"}, Box(0.0, 1400.0, -850.0, 0.0))
 
 
 def uniform_scene():

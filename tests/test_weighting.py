@@ -218,10 +218,8 @@ class TestButterfly:
         assert mu.eval(0.8, 0.25) < 0.0
 
     def test_scaling_moves_the_support(self):
-        from preisach_remnant import ButterflyParams
-
         mu, q = make_butterfly()
-        mu2, q2 = make_butterfly(ButterflyParams(scale=2.0))
+        mu2, q2 = make_butterfly(scale=2.0)
         assert q2.alpha2 == pytest.approx(2.0 * q.alpha2)
         assert mu2.support_box.alpha_hi == pytest.approx(2.0 * mu.support_box.alpha_hi)
 
