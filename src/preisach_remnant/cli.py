@@ -28,7 +28,7 @@ from .errors import (
 )
 from .interface import MemoryInterface
 from .oracle import DEFAULT_SAMPLES_PER_PULSE, oracle_pulse_remnants
-from .presets import butterfly_preset, interface_from_spec, number, numbers
+from .presets import butterfly_preset, interface_from_spec, known_keys, number, numbers
 from .weighting import GridWeighting, QRegion, SectorBounds, sector_bounds, uniform_field
 
 EXIT_OK = 0
@@ -39,6 +39,18 @@ EXIT_ORACLE_MISMATCH = 5
 
 # OSError: the config or grid file cannot be opened
 _CONFIG_ERRORS = (ConfigurationError, AdmissibilityError, EmptyIntersectionError, OSError)
+
+#: the keys of the config's top level and of its sections with one layout;
+#: ``weighting`` and ``initial_interface`` have one set per preset
+_KEYS = {
+    "": (
+        "weighting", "q", "initial_interface", "controller", "tau",
+        "signal_samples_per_pulse", "oracle_samples_per_pulse", "amplitudes", "sweep",
+    ),
+    "controller": ("gamma_d", "lambda", "w0", "tolerance", "max_pulses", "mode"),
+    "sweep": ("param", "values"),
+    "q": ("alpha2", "beta2"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,14 @@ class Config:
 
 
 def _section(cfg, key, default=None):
-    """The mapping under ``key``, or ``default`` when the key is absent."""
+    """The mapping under ``key``, or ``default`` when the key is absent;
+    its keys are checked when the section has one layout."""
     if key not in cfg:
         return default
     value = cfg[key]
     if not isinstance(value, dict):
         raise ConfigurationError("%s must be a mapping, got %r" % (key, value))
-    return value
+    return known_keys(value, key, _KEYS[key]) if key in _KEYS else value
 
 
 def _controller_value(param, value):
@@ -95,13 +108,18 @@ def _field(cfg):
             raise ConfigurationError("weighting.grid_csv must be a path, got %r" % (path,))
         if q is None:
             raise ConfigurationError("grid weighting needs an explicit q region")
+        known_keys(spec, "weighting", ("grid_csv",))
         return GridWeighting.load_csv(path), q
     preset = spec.get("preset")
     if preset == "uniform":
+        value = number(spec.get("value", 1.0), "weighting.value")
+        known_keys(spec, "weighting", ("preset", "value"))
         q = q or QRegion(1.0, -1.0)
-        return uniform_field(q, number(spec.get("value", 1.0), "weighting.value")), q
+        return uniform_field(q, value), q
     if preset == "butterfly":
-        mu, own_q = butterfly_preset(scale=number(spec.get("scale", 1.0), "weighting.scale"))
+        scale = number(spec.get("scale", 1.0), "weighting.scale")
+        known_keys(spec, "weighting", ("preset", "scale"))
+        mu, own_q = butterfly_preset(scale=scale)
         return mu, q or own_q
     raise ConfigurationError("unknown weighting spec %r" % (spec,))
 
@@ -116,6 +134,7 @@ def load_config(path) -> Config:
             raise ConfigurationError("%s is not a JSON config: %s" % (path, exc)) from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a mapping")
+    known_keys(cfg, "", _KEYS[""])
     c = _section(cfg, "controller", {})
     mode = c.get("mode", "positive")
     if mode not in ("positive", "negative"):
@@ -169,11 +188,18 @@ def _write_signal(cfg, amplitudes, out):
     return y
 
 
+def _premised_bounds(cfg, args) -> SectorBounds:
+    """Sector bounds of a field whose density has the sign of the mode on
+    Q, the premise of the gain cap; any other field is a config error."""
+    cfg.q.check_nonnegative(cfg.mu, cfg.mode)
+    return sector_bounds(cfg.mu, cfg.q, args.resolution)
+
+
 def _controlled(cfg, args):
     """(trace, gain) of the controller run ``cfg`` sets up."""
     if cfg.gamma_d is None:
         raise ConfigurationError("controller.gamma_d must be a number, got None")
-    bounds = cfg.bounds or sector_bounds(cfg.mu, cfg.q, args.resolution)
+    bounds = cfg.bounds or _premised_bounds(cfg, args)
     lam = 0.95 * max_gain(bounds, cfg.mode) if cfg.lam == "auto" else cfg.lam
     ccfg = ControllerConfig(
         cfg.gamma_d, lam, cfg.w0, cfg.q, cfg.tolerance, cfg.max_pulses, cfg.mode
@@ -182,7 +208,7 @@ def _controlled(cfg, args):
 
 
 def cmd_bounds(cfg, args) -> int:
-    bounds = sector_bounds(cfg.mu, cfg.q, args.resolution)
+    bounds = _premised_bounds(cfg, args)
     g_max, g_min = remnant_extrema(cfg.mu, cfg.iface, cfg.q)
     report = bounds.to_dict()
     report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds, cfg.mode))
@@ -248,7 +274,7 @@ def cmd_sweep(cfg, args) -> int:
     out = args.out or "sweep_out"
     os.makedirs(out, exist_ok=True)
     # a swept key only sets the controller: the runs share field, interface and bounds
-    shared = replace(cfg, bounds=sector_bounds(cfg.mu, cfg.q, args.resolution))
+    shared = replace(cfg, bounds=_premised_bounds(cfg, args))
     results = []
     worst = EXIT_OK
     for value in cfg.sweep_values:

@@ -41,6 +41,16 @@ def numbers(value, name: str) -> tuple:
     return tuple(number(v, "%s[%d]" % (name, i)) for i, v in enumerate(value))
 
 
+def known_keys(mapping: dict, name: str, known) -> dict:
+    """``mapping`` when every key of it is in ``known``; otherwise a
+    ConfigurationError names the first other key by its dotted path under
+    the config section ``name`` ("" for the top level)."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigurationError("%s%s is not a known config key" % (name and name + ".", key))
+    return mapping
+
+
 butterfly_preset = make_butterfly
 
 
@@ -49,13 +59,16 @@ def interface_from_spec(spec: dict, box: Box) -> MemoryInterface:
     ``pzt_shelf`` has its last maximum at alpha_max, a flat at shelf_beta."""
     if "extrema" in spec:
         extrema = numbers(spec["extrema"], "initial_interface.extrema")
+        known_keys(spec, "initial_interface", ("extrema",))
         return MemoryInterface.from_extrema(box, extrema)
     preset = spec.get("preset", "virgin")
     if preset == "virgin":
+        known_keys(spec, "initial_interface", ("preset",))
         return MemoryInterface.virgin(box)
     if preset == "pzt_shelf":
         alpha_max = number(spec.get("alpha_max", 1400.0), "initial_interface.alpha_max")
         shelf_beta = number(spec.get("shelf_beta", -800.0), "initial_interface.shelf_beta")
+        known_keys(spec, "initial_interface", ("preset", "alpha_max", "shelf_beta"))
         return MemoryInterface.from_corners(
             [(0.0, 0.0), (0.0, shelf_beta), (alpha_max, shelf_beta)], box
         )

@@ -40,6 +40,25 @@ def _gauss_segment(center: float, sigma: float, lo: float, hi: float) -> float:
     return sigma * _SQRT_HALF_PI * (math.erf(z1) - math.erf(z0))
 
 
+def _cut_ranges(cuts, lo, hi):
+    """(max(min(0.0, t), lo), min(max(0.0, t), hi)) for every cut t: the part
+    of [lo, hi] between 0 and t, with Python's min and max, which keep their
+    first argument on a tie (a cut of -0.0 gives +0.0)."""
+    below = np.where(cuts < 0.0, cuts, 0.0)
+    above = np.where(cuts > 0.0, cuts, 0.0)
+    return np.where(lo > below, lo, below), np.where(hi < above, hi, above)
+
+
+def _gauss_segments(center, sigma, lo, hi):
+    """``_gauss_segment`` over [lo[k], hi[k]] for every k, as the same floats."""
+    out = np.zeros(len(lo))
+    on = hi > lo
+    scale = sigma * _SQRT2
+    e1, e0 = _erf((hi[on] - center) / scale), _erf((lo[on] - center) / scale)
+    out[on] = sigma * _SQRT_HALF_PI * (e1 - e0)
+    return out
+
+
 def _erf_constants(c, axis):
     """Constants of the erf segments of component ``c`` along ``axis``
     that start at its box's low edge: (lo, hi, center, sigma * sqrt 2,
@@ -62,6 +81,12 @@ def _exp(x):
     """Elementwise math.exp: np.exp differs from it in the last bit on some
     inputs, and the array paths must give the per-point values exactly."""
     return np.fromiter(map(math.exp, x), float, len(x))
+
+
+def _erf(x):
+    """Elementwise math.erf: numpy has no erf, and the segments must be the
+    per-point values exactly."""
+    return np.fromiter(map(math.erf, x), float, len(x))
 
 
 def _scalar_or_array(out):
@@ -290,6 +315,8 @@ class GaussianWeighting:
         Each component adds the outer product of its Gaussian profile across
         the lines and its erf segment up to each cut, in component order, so
         every entry is the same float as a per-point sum of the same terms.
+        A product that is zero on a block is skipped: entries start at +0.0
+        and a sum never becomes -0.0, so adding +-0.0 changes nothing.
         """
         lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
         across = "alpha" if axis == "beta" else "beta"
@@ -300,16 +327,18 @@ class GaussianWeighting:
             z = (lines - l_mid) / l_sig
             inside = (l_lo <= lines) & (lines <= l_hi)
             profile = np.where(inside, c.amplitude * _exp(-0.5 * z * z), 0.0)
-            segment = np.array([
-                _gauss_segment(x_mid, x_sig, max(min(0.0, t), x_lo), min(max(0.0, t), x_hi))
-                for t in cuts.tolist()
-            ])
-            factors.append((profile, segment))
+            if profile.any():
+                segment = _gauss_segments(x_mid, x_sig, *_cut_ranges(cuts, x_lo, x_hi))
+                if segment.any():
+                    factors.append((profile, segment))
+        product = np.empty((min(SCAN_BLOCK_ROWS, len(lines)), len(cuts)))
         for start in range(0, len(lines), SCAN_BLOCK_ROWS):
             rows = slice(start, start + SCAN_BLOCK_ROWS)
             block = np.zeros((len(lines[rows]), len(cuts)))
             for profile, segment in factors:
-                block += np.multiply.outer(profile[rows], segment)
+                p = profile[rows]
+                if p.any():
+                    block += np.multiply.outer(p, segment, out=product[:len(p)])
             yield block
 
     def abs_mass(self) -> float:
@@ -477,17 +506,37 @@ class QRegion:
         if not (self.alpha2 > 0.0 and self.beta2 < 0.0):
             raise ConfigurationError("need alpha2 > 0 and beta2 < 0")
 
-    def check_nonnegative(self, mu) -> None:
-        """Reject densities that dip below zero anywhere on a sample lattice;
-        the first offender in alpha-major order is reported."""
-        alphas = np.linspace(0.0, self.alpha2, 100)
-        betas = np.linspace(self.beta2, 0.0, 100)
-        negative = np.argwhere(mu.eval(alphas[:, None], betas[None, :]) < 0.0)
-        if len(negative):
-            i, j = negative[0]
-            raise ConfigurationError(
-                "weighting is negative on Q at (%g, %g)" % (alphas[i], betas[j])
-            )
+    def check_nonnegative(self, mu, mode: str) -> None:
+        """Reject a density that does not have the sign of ``mode`` on Q:
+        >= 0 for ``"positive"``, <= 0 for ``"negative"``.
+
+        Exact for grids: every cell whose interior meets Q's interior has
+        that sign.  Conservative for Gaussian sums: no component whose box
+        interior meets Q's interior has an amplitude of the other sign.
+        """
+        wrong = "negative" if mode == "positive" else "positive"
+        sign = 1.0 if mode == "positive" else -1.0
+        if isinstance(mu, GridWeighting):
+            a, b = mu.alpha_edges, mu.beta_edges
+            cols = np.flatnonzero((a[1:] > 0.0) & (a[:-1] < self.alpha2))
+            rows = np.flatnonzero((b[1:] > self.beta2) & (b[:-1] < 0.0))
+            bad = np.argwhere(sign * mu.values[np.ix_(rows, cols)].T < 0.0)
+            if len(bad):
+                i, j = cols[bad[0, 0]], rows[bad[0, 1]]
+                raise ConfigurationError(
+                    "weighting is %s on Q in the cell [%g, %g] x [%g, %g]"
+                    % (wrong, a[i], a[i + 1], b[j], b[j + 1])
+                )
+            return
+        for k, c in enumerate(mu.components):
+            b = c.box
+            meets_q = b.alpha_lo < self.alpha2 and b.alpha_hi > 0.0
+            meets_q = meets_q and b.beta_lo < 0.0 and b.beta_hi > self.beta2
+            if meets_q and sign * c.amplitude < 0.0:
+                raise ConfigurationError(
+                    "weighting component %d (amplitude %g) may be %s on Q"
+                    % (k, c.amplitude, wrong)
+                )
 
 
 @dataclass(frozen=True)
@@ -548,13 +597,19 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     a_hi = box.alpha_hi
     b_lo = min(0.0, box.beta_lo)
 
-    f_lo, f_hi = _cumulative_extrema(mu, "beta", a_lo, a_hi, b_lo, resolution)
-    g_lo, g_hi = _cumulative_extrema(mu, "alpha", b_lo, min(0.0, box.beta_hi), a_hi, resolution)
-
     qa_hi = min(q.alpha2, a_hi)
     qb_lo = max(q.beta2, b_lo)
-    fq_lo, fq_hi = _cumulative_extrema(mu, "beta", a_lo, qa_hi, qb_lo, resolution)
-    gq_lo, gq_hi = _cumulative_extrema(mu, "alpha", qb_lo, 0.0, qa_hi, resolution)
+    scans = [
+        ("beta", a_lo, a_hi, b_lo),
+        ("alpha", b_lo, min(0.0, box.beta_hi), a_hi),
+        ("beta", a_lo, qa_hi, qb_lo),
+        ("alpha", qb_lo, 0.0, qa_hi),
+    ]
+    # where Q covers the quadrant part of the support, the Q scans are the
+    # general ones and run once: q's limits are nonzero, so equal limits
+    # are the same floats, signed zeros included
+    extrema = {scan: _cumulative_extrema(mu, *scan, resolution) for scan in dict.fromkeys(scans)}
+    (f_lo, f_hi), (g_lo, g_hi), (fq_lo, fq_hi), (gq_lo, gq_hi) = map(extrema.get, scans)
 
     return SectorBounds(
         gamma1_plus=2.0 * f_lo,

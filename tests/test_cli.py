@@ -15,7 +15,7 @@ from preisach_remnant.cli import (
     EXIT_OK,
     main,
 )
-from preisach_remnant import Box, GridWeighting
+from preisach_remnant import Box, GridWeighting, QRegion
 
 
 def write_config(tmp_path, name, cfg):
@@ -318,13 +318,14 @@ class TestSweep:
         base = dict(deadbeat_config(), weighting={"preset": "butterfly"})
         base["controller"] = {"gamma_d": 0.0, "lambda": "auto"}
         cfg = write_config(tmp_path, "c.json", dict(base, sweep={"param": "gamma_d", "values": values}))
-        scans, controls = [], []
-        real, control = cli.sector_bounds, cli.cmd_control
+        scans, checks, controls = [], [], []
+        real, check, control = cli.sector_bounds, QRegion.check_nonnegative, cli.cmd_control
         monkeypatch.setattr(cli, "sector_bounds", lambda *a: scans.append(a) or real(*a))
+        monkeypatch.setattr(QRegion, "check_nonnegative", lambda *a: checks.append(a) or check(*a))
         monkeypatch.setattr(cli, "cmd_control", lambda *a: controls.append(a) or control(*a))
         out = tmp_path / "sweep"
         assert run("sweep", cfg, out, ["--resolution", "64"]) == EXIT_OK
-        assert len(scans) == 1
+        assert len(scans) == len(checks) == 1
         assert len(controls) == len(values)
         for v in values:
             single = dict(base, controller=dict(base["controller"], gamma_d=v))
@@ -335,6 +336,43 @@ class TestSweep:
             assert sorted(os.listdir(swept)) == sorted(os.listdir(alone))
             for name in os.listdir(alone):
                 assert (swept / name).read_bytes() == (alone / name).read_bytes()
+
+
+class TestSignOnQ:
+    """The gain cap needs a density with the sign of the mode on Q: every
+    command that reads the sector bounds checks it, simulate does not."""
+
+    @staticmethod
+    def sign_change_config(tmp_path):
+        # one cell of 1.0 below one of -0.5, both inside Q: the remnant is
+        # not monotone in the pulse amplitude
+        grid = tmp_path / "grid.csv"
+        grid.write_text("0.0,1.0,-1.0,0.0,1,2\n1.0\n-0.5\n")
+        return write_config(tmp_path, "c.json", {
+            "weighting": {"grid_csv": str(grid)},
+            "q": {"alpha2": 1.0, "beta2": -1.0},
+            "controller": {"gamma_d": 0.0, "lambda": 0.5},
+            "amplitudes": [0.5, -0.25],
+            "sweep": {"param": "gamma_d", "values": [0.0]},
+        })
+
+    @pytest.mark.parametrize("command", ["bounds", "control", "oracle-check", "sweep"])
+    def test_sign_change_exits_2(self, tmp_path, capsys, command):
+        cfg = self.sign_change_config(tmp_path)
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: weighting is negative on Q in the cell [0, 1] x [-0.5, 0]\n"
+        assert not os.listdir(out)
+
+    def test_simulate_runs_without_the_premise(self, tmp_path, capsys):
+        assert run("simulate", self.sign_change_config(tmp_path), tmp_path / "out") == EXIT_OK
+
+    @pytest.mark.parametrize("mode, code", [("negative", EXIT_OK), ("positive", EXIT_CONFIG)])
+    def test_mode_sets_the_sign(self, tmp_path, capsys, mode, code):
+        cfg = dict(deadbeat_config(), weighting={"preset": "uniform", "value": -1.0})
+        cfg["controller"] = {"gamma_d": 0.5, "mode": mode}
+        assert run("bounds", write_config(tmp_path, "c.json", cfg), tmp_path / "out") == code
 
 
 def with_changes(changes):
@@ -385,6 +423,25 @@ BAD_INPUTS = {
     "negative_infinite_lambda": ({"controller.lambda": -float("inf")}, "control", [], "controller.lambda"),
     "string_lambda": ({"controller.lambda": "0.5"}, "control", [], "controller.lambda"),
     "unknown_mode": ({"controller.mode": "up"}, "bounds", [], "controller.mode"),
+    "typo_lambda": ({"controller.lamda": 0.01}, "control", [], "controller.lamda"),
+    "unknown_top_level_key": ({"tua": 1.0}, "bounds", [], "tua"),
+    "unknown_q_key": ({"q.gamma": 1.0}, "bounds", [], "q.gamma"),
+    "unknown_sweep_key": (
+        dict(SWEEP, **{"sweep.values": [0.5], "sweep.value": 0.5}), "sweep", [], "sweep.value"
+    ),
+    "scale_of_uniform": ({"weighting.scale": 2.0}, "bounds", [], "weighting.scale"),
+    "value_of_butterfly": (
+        dict(BUTTERFLY, **{"weighting.value": 2.0}), "bounds", [], "weighting.value"
+    ),
+    "alpha_max_of_virgin": (
+        {"initial_interface.alpha_max": 1.0}, "bounds", [], "initial_interface.alpha_max"
+    ),
+    "preset_beside_extrema": (
+        {"initial_interface.extrema": [0.5], "initial_interface.preset": "virgin"},
+        "bounds",
+        [],
+        "initial_interface.preset",
+    ),
     "oracle_n_1": ({}, "oracle-check", ["--oracle-n", "1"], "--oracle-n"),
     "oracle_n_0": ({}, "oracle-check", ["--oracle-n", "0"], "--oracle-n"),
     "resolution_0": ({}, "bounds", ["--resolution", "0"], "--resolution"),

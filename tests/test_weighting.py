@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from preisach_remnant import weighting
 from preisach_remnant import (
     Box,
     ConfigurationError,
@@ -23,7 +26,12 @@ from preisach_remnant import (
     uniform_field,
 )
 
-from conftest import cell_sum, random_gamma_interface, random_grid_field
+from conftest import (
+    cell_sum,
+    random_gamma_interface,
+    random_grid_field,
+    random_quadrant_scenario,
+)
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -363,33 +371,159 @@ class TestScanMatchesPointReference:
         assert set(sector_bounds(mu, Q_UNIT).to_dict().values()) == {0.0}
 
 
+@st.composite
+def segment_cases(draw):
+    """(center, sigma, box lo, box hi, cuts): cuts anywhere, and at +-0.0,
+    at the box edges, just past them and far outside; boxes of zero width
+    and on either side of zero."""
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    lo = draw(coord)
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, 2.0)))
+    edges = [0.0, -0.0, lo, hi, -lo, -hi, -3.0, 3.0]
+    edges += [math.nextafter(lo, -3.0), math.nextafter(hi, 3.0)]
+    cuts = draw(st.lists(st.one_of(coord, st.sampled_from(edges)), min_size=1, max_size=40))
+    return draw(coord), draw(st.floats(0.01, 2.0)), lo, hi, cuts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=segment_cases())
+@example(case=(0.0, 0.5, -1.0, 1.0, [-0.0, 0.0, -1.0, 1.0, 0.5, -0.5]))
+def test_array_segments_are_the_scalar_segments(case):
+    """The scan's clamped cut ranges and erf segments are, float for float,
+    Python's min/max and ``_gauss_segment`` of each cut."""
+    center, sigma, lo, hi, cuts = case
+    want = [(max(min(0.0, t), lo), min(max(0.0, t), hi)) for t in cuts]
+    got_lo, got_hi = weighting._cut_ranges(np.array(cuts), lo, hi)
+    got = list(zip(got_lo.tolist(), got_hi.tolist()))
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+    segments = weighting._gauss_segments(center, sigma, got_lo, got_hi).tolist()
+    assert [x.hex() for x in segments] == [_gauss_segment(center, sigma, *r).hex() for r in want]
+
+
+def test_zero_blocks_are_skipped_and_the_rest_added():
+    """Across 80 lines, lobe 0 is nonzero only on the first block and lobe 1
+    only on the last, so each is added to one block of three; every block
+    is still bit-equal to a per-point sum."""
+    lobes = [
+        GaussianComponent(1.5, 0.1, -0.5, 0.3, 0.4, Box(0.0, 0.2, -1.0, 0.0)),
+        GaussianComponent(-0.7, 0.9, -0.2, 0.2, 0.3, Box(0.85, 1.0, -1.0, 0.0)),
+    ]
+    mu = GaussianWeighting(lobes)
+    lines, cuts = np.linspace(0.0, 1.0, 80), np.linspace(-1.0, 0.0, 9)
+    blocks = list(mu.scan_blocks("beta", lines, cuts))
+    assert [len(b) for b in blocks] == [32, 32, 16]
+    assert blocks[0].any() and not blocks[1].any() and blocks[2].any()
+    want = [
+        [_point_line_integral(mu, "beta", line, min(0.0, c), max(0.0, c)) for c in cuts.tolist()]
+        for line in lines.tolist()
+    ]
+    assert np.vstack(blocks).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "scene, scans",
+    [
+        (lambda rng: (uniform_field(Q_UNIT), Q_UNIT), 2),
+        (random_quadrant_scenario, 2),
+        (lambda rng: make_butterfly(), 2),
+        (lambda rng: (make_butterfly()[0], QRegion(0.5, -0.6)), 4),
+    ],
+    ids=["uniform", "quadrant_grid", "butterfly", "butterfly_small_q"],
+)
+def test_each_distinct_scan_runs_once(monkeypatch, scene, scans):
+    """Q scans whose ranges equal the general ones reuse their results."""
+    mu, q = scene(np.random.default_rng(44))
+    calls = []
+    real = weighting._cumulative_extrema
+    monkeypatch.setattr(
+        weighting, "_cumulative_extrema", lambda *a: calls.append(a[1:5]) or real(*a)
+    )
+    got = sector_bounds(mu, q, 40).to_dict()
+    assert len(calls) == len(set(calls)) == scans
+    want = point_sector_bounds(mu, q, 40)
+    if isinstance(mu, GridWeighting):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert got == want
+
+
 class TestCheckNonnegative:
     @staticmethod
-    def point_message(mu, q, samples=100):
-        for a in np.linspace(0.0, q.alpha2, samples):
-            for b in np.linspace(q.beta2, 0.0, samples):
-                if mu.eval(float(a), float(b)) < 0.0:
-                    return "weighting is negative on Q at (%g, %g)" % (a, b)
+    def first_offending_cell(mu, q, sign):
+        """The first cell, alpha-major, whose overlap with Q has an interior
+        and whose value, read by ``eval`` at the overlap's centre, has the
+        wrong sign."""
+        a, b = mu.alpha_edges, mu.beta_edges
+        for i in range(mu.n_alpha):
+            a_lo, a_hi = max(a[i], 0.0), min(a[i + 1], q.alpha2)
+            for j in range(mu.n_beta):
+                b_lo, b_hi = max(b[j], q.beta2), min(b[j + 1], 0.0)
+                if a_lo < a_hi and b_lo < b_hi:
+                    if sign * mu.eval(0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)) < 0.0:
+                        return a[i], a[i + 1], b[j], b[j + 1]
         return None
 
-    def test_reports_the_first_offender_of_the_point_loop(self):
-        values = np.ones((5, 4))
-        values[1, 2] = values[3, 1] = -0.5  # two offenders, alpha-major order decides
-        mu = GridWeighting(Box(-0.2, 1.0, -1.0, 0.2), values)
-        q = QRegion(0.9, -0.9)
-        expected = self.point_message(mu, q)
-        assert expected is not None
-        with pytest.raises(ConfigurationError) as err:
-            q.check_nonnegative(mu)
-        assert str(err.value) == expected
+    def test_grid_check_is_exact_on_cells_meeting_q(self):
+        rng = np.random.default_rng(43)
+        rejected = 0
+        for _ in range(200):
+            mu = random_grid_field(rng)
+            q = QRegion(float(rng.uniform(0.1, 1.4)), float(rng.uniform(-1.4, -0.1)))
+            for mode, sign in (("positive", 1.0), ("negative", -1.0)):
+                cell = self.first_offending_cell(mu, q, sign)
+                if cell is None:
+                    q.check_nonnegative(mu, mode)
+                    continue
+                rejected += 1
+                with pytest.raises(ConfigurationError) as err:
+                    q.check_nonnegative(mu, mode)
+                wrong = "negative" if mode == "positive" else "positive"
+                want = "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % ((wrong,) + cell)
+                assert str(err.value) == want
+        assert 0 < rejected < 400
+
+    def test_cells_that_only_touch_q_are_not_checked(self):
+        # one positive cell, [0, 1] x [-1, 0], in a ring of negative ones
+        values = [[-1.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, -1.0]]
+        mu = GridWeighting(Box(-1.0, 2.0, -2.0, 1.0), values)
+        QRegion(1.0, -1.0).check_nonnegative(mu, "positive")
+        for q in (QRegion(1.0 + 1e-9, -1.0), QRegion(1.0, -1.0 - 1e-9)):
+            with pytest.raises(ConfigurationError):
+                q.check_nonnegative(mu, "positive")
+
+    def test_sign_change_on_q_is_rejected_in_both_modes(self):
+        # a remnant that is not monotone in the pulse amplitude
+        mu = GridWeighting(UNIT_BOX, [[1.0], [-0.5]])
+        for mode in ("positive", "negative"):
+            with pytest.raises(ConfigurationError):
+                Q_UNIT.check_nonnegative(mu, mode)
+        Q_UNIT.check_nonnegative(GridWeighting(UNIT_BOX, [[-1.0], [-0.5]]), "negative")
+        Q_UNIT.check_nonnegative(GridWeighting(UNIT_BOX, [[1.0], [0.0]]), "positive")
 
     def test_gaussian_dip_inside_q(self):
         mu = GaussianWeighting([
             GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, UNIT_BOX),
             GaussianComponent(-2.0, 0.3, -0.2, 0.05, 0.05, Box(0.2, 0.4, -0.3, -0.1)),
         ])
-        expected = self.point_message(mu, Q_UNIT)
-        assert expected is not None
         with pytest.raises(ConfigurationError) as err:
-            Q_UNIT.check_nonnegative(mu)
-        assert str(err.value) == expected
+            Q_UNIT.check_nonnegative(mu, "positive")
+        assert str(err.value) == "weighting component 1 (amplitude -2) may be negative on Q"
+        with pytest.raises(ConfigurationError) as err:
+            Q_UNIT.check_nonnegative(mu, "negative")
+        assert str(err.value) == "weighting component 0 (amplitude 1) may be positive on Q"
+
+    def test_gaussian_box_touching_q_is_not_checked(self):
+        mu = GaussianWeighting([
+            GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, UNIT_BOX),
+            GaussianComponent(-2.0, -0.3, -0.5, 0.1, 0.1, Box(-0.6, 0.0, -1.0, 0.0)),
+        ])
+        Q_UNIT.check_nonnegative(mu, "positive")
+        with pytest.raises(ConfigurationError):
+            QRegion(1.0, -1.0).check_nonnegative(mu, "negative")
+
+    def test_butterfly_passes_for_every_q(self):
+        mu, q = make_butterfly()
+        for q in (q, QRegion(0.3, -0.2), QRegion(5.0, -5.0)):
+            q.check_nonnegative(mu, "positive")
+            with pytest.raises(ConfigurationError):
+                q.check_nonnegative(mu, "negative")
