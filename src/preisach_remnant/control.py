@@ -256,6 +256,9 @@ def run_controller(
     if not (q.beta2 <= cfg.w0 <= q.alpha2):
         raise ConfigurationError("w0 must lie in [beta2, alpha2]")
     if bounds is None:
+        # the bounds are worth nothing unless the density has one sign on
+        # Q; a caller that passes bounds vouches for them
+        q.check_nonnegative(mu, cfg.mu_sign_mode)
         bounds = sector_bounds(mu, q)
     gain_cap = max_gain(bounds, cfg.mu_sign_mode)
     if not (0.0 < cfg.lam < gain_cap):
@@ -301,24 +304,42 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
     """Sampled input and output time series for a pulse train.
 
     Along a monotone ramp every push links a new head to survivors of the
-    state at the ramp's start, which the reader has read, so the outputs of
-    the ramp are read in one batch and only its last state is read in full.
-    A sample that starts no such ramp is pushed and read on its own.
+    state at the ramp's start, so only the ramp's last state is read in
+    full; the other outputs of the ramp combine the expansions the reader
+    holds for that start with the ramp's slab terms.  A sample that starts
+    no such ramp is pushed and read on its own.
+
+    The first pass walks the whole train and reads nothing: it keeps the
+    slab points of every head, the survivor each head links to and the
+    state that ends each ramp.  E is then evaluated at all the slab points
+    in one array call, and the second pass reads the ramps in order, each
+    ramp's outputs right after the read of its start.  E at a point does
+    not depend on when it is evaluated, so every output is the float of a
+    push and a read per sample.
     """
     t, u = render_signal(amplitudes, tau, sample_step)
     values = u.tolist()
-    reader = OutputReader(mu)
     iface = iface0.push_extremum(values[0])
-    y = [reader.read(iface)]
+    ramps = [([], iface)]  # (survivors of the heads before its last sample, last state)
+    alphas, betas = [], []
     i = 1
     while i < len(values):
         heads = iface.ramp_heads(values, i)
         if heads:
-            y += reader.read_heads(heads[:-1])
-            iface = MemoryInterface(heads[-1], iface.support_box)
-            i += len(heads)
+            iface = MemoryInterface(heads.pop(), iface.support_box)
+            i += len(heads) + 1
+            a, b = OutputReader.slab_points(heads)
+            alphas += a
+            betas += b
         else:
             iface = iface.push_extremum(values[i])
             i += 1
+        ramps.append(([survivor for _, (_, survivor, _), _ in heads], iface))
+    e = mu.everett_array(alphas, betas)
+    reader = OutputReader(mu)
+    y, k = [], 0
+    for survivors, iface in ramps:
+        y += reader.read_slabs(survivors, e[k:k + 2 * len(survivors)].tolist())
+        k += 2 * len(survivors)
         y.append(reader.read(iface))
     return t, u, np.array(y)

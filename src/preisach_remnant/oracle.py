@@ -7,6 +7,8 @@ correctness oracle, not a fast simulator.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from .interface import MemoryInterface
@@ -25,6 +27,7 @@ class RelayGrid:
         db = (box.beta_hi - box.beta_lo) / n
         self.alphas = box.alpha_lo + (np.arange(n) + 0.5) * da
         self.betas = box.beta_lo + (np.arange(n) + 0.5) * db
+        self._axes = self.alphas.tolist(), self.betas.tolist()
         A = self.alphas[:, None]
         B = self.betas[None, :]
         weights = mu.eval(A, B)
@@ -46,9 +49,11 @@ class RelayGrid:
 
     def step(self, u: float):
         # both axes ascend, so the relays with alpha < u are a leading block
-        # of rows and those with beta > u a trailing block of columns
-        self.states[: self.alphas.searchsorted(u, "left")] = 1
-        self.states[:, self.betas.searchsorted(u, "right"):] = -1
+        # of rows and those with beta > u a trailing block of columns; the
+        # bisects compare u as the rule does, so a NaN switches no relay
+        alphas, betas = self._axes
+        self.states[: bisect_left(alphas, u)] = 1
+        self.states[:, bisect_right(betas, u):] = -1
 
     def output(self) -> float:
         return float(np.multiply(self.states, self.weights, out=self._products).sum())

@@ -4,11 +4,13 @@ Two representations are supported: a cell-centered piecewise-constant grid
 and a sum of signed Gaussian components, each truncated to its own
 rectangle.  Each supplies one integration primitive, the Everett function
 E(alpha, beta): the mass of the density over [alpha_lo, alpha] x
-[beta_lo, beta] of its support box.  Every region the engine integrates
-(the area under the staircase memory curve, a remnant band, a rectangle)
-is a signed sum of E at a few corners, and ``OutputReader`` reads the
-output along a sequence of pushes by re-evaluating E only at the corners a
-push changed.  Sector bounds are the extrema of
+[beta_lo, beta] of its support box, in plain floats for the few points
+of a read (``everett``) and as an array of the same floats for the many
+points of a pulse train (``everett_array``).  Every region the engine
+integrates (the area under the staircase memory curve, a remnant band, a
+rectangle) is a signed sum of E at a few corners, and ``OutputReader``
+reads the output along a sequence of pushes by re-evaluating E only at
+the corners a push changed.  Sector bounds are the extrema of
 one-dimensional cumulative integrals of the density, scanned over the
 quadrant alpha >= 0 >= beta.
 """
@@ -77,6 +79,18 @@ def _segments_from_lo(constants, xs):
     return [k * (erf((min(x, hi) - mid) / scale) - erf_lo) if x > lo else 0.0 for x in xs]
 
 
+def _segments_from_lo_array(constants, xs):
+    """``_segments_from_lo`` as array expressions over an array ``xs``,
+    with ``np.where(hi < x, hi, x)`` for Python's ``min(x, hi)``: the same
+    floats."""
+    lo, hi, mid, scale, erf_lo, k = constants
+    out = np.zeros(len(xs))
+    on = xs > lo
+    x = xs[on]
+    out[on] = k * (_erf((np.where(hi < x, hi, x) - mid) / scale) - erf_lo)
+    return out
+
+
 def _exp(x):
     """Elementwise math.exp: np.exp differs from it in the last bit on some
     inputs, and the array paths must give the per-point values exactly."""
@@ -97,6 +111,15 @@ def _cells(edges, x):
     """(cell index, inside the edges) of every coordinate in ``x``."""
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
     return idx, (edges[0] <= x) & (x <= edges[-1])
+
+
+def _cell_fractions(edges, x):
+    """(cell index, fraction of the cell below the point) of every
+    coordinate in ``x`` clamped to the edges; the last cell holds the top
+    edge."""
+    x = np.clip(np.asarray(x, float), edges[0], edges[-1])
+    idx = np.minimum(np.searchsorted(edges, x, side="right") - 1, len(edges) - 2)
+    return idx, (x - edges[idx]) / (edges[idx + 1] - edges[idx])
 
 
 def _integrals_below_zero(edges, rows, cuts):
@@ -174,6 +197,18 @@ class GridWeighting:
             upper = (1.0 - fa) * item(j + 1, i) + fa * item(j + 1, i + 1)
             out.append(area * ((1.0 - fb) * lower + fb * upper))
         return out
+
+    def everett_array(self, alphas, betas):
+        """E at the same points as ``everett``, as an array of the same
+        floats: its clamp, cell search and interpolation as array
+        expressions.  For the many points of a whole pulse train, where
+        numpy's per-call cost is paid once."""
+        i, fa = _cell_fractions(self.alpha_edges, alphas)
+        j, fb = _cell_fractions(self.beta_edges, betas)
+        p = self._prefix
+        lower = (1.0 - fa) * p[j, i] + fa * p[j, i + 1]
+        upper = (1.0 - fa) * p[j + 1, i] + fa * p[j + 1, i + 1]
+        return self._cell_area * ((1.0 - fb) * lower + fb * upper)
 
     def scan_blocks(self, axis, lines, cuts):
         """Row blocks of M[i, j], the integral of mu along ``axis`` at the
@@ -306,6 +341,22 @@ class GaussianWeighting:
             fa = _segments_from_lo(along_alpha, ua)
             fb = _segments_from_lo(along_beta, ub)
             out = [e + amp * fa[i] * fb[j] for e, i, j in zip(out, ia, ib)]
+        return out
+
+    def everett_array(self, alphas, betas):
+        """E at the same points as ``everett``, as an array of the same
+        floats: the segments once per distinct coordinate and the
+        components added in order.  ``np.unique`` keeps one of +0.0 and
+        -0.0 where ``everett`` keeps the first; a segment at either is the
+        same float or a zero of either sign, and adding a signed zero to
+        the running sum, which starts at +0.0, changes nothing."""
+        ua, ia = np.unique(np.asarray(alphas, float), return_inverse=True)
+        ub, ib = np.unique(np.asarray(betas, float), return_inverse=True)
+        out = np.zeros(len(ia))
+        for amp, along_alpha, along_beta in self._erf_terms:
+            fa = _segments_from_lo_array(along_alpha, ua)
+            fb = _segments_from_lo_array(along_beta, ub)
+            out += amp * fa[ia] * fb[ib]
         return out
 
     def scan_blocks(self, axis, lines, cuts):
@@ -459,17 +510,15 @@ class OutputReader:
         """Output of ``iface``: mass below the curve minus mass above it."""
         return 2.0 * self.below(iface) - self.mu.total_mass
 
-    def read_heads(self, heads) -> list:
-        """Outputs of the curves whose chains start at ``heads``, each the
-        two nodes a push links to a survivor of the last curve read (see
-        ``MemoryInterface.ramp_heads``), with one call of E for them all.
+    @staticmethod
+    def slab_points(heads):
+        """(alphas, betas): the points of E of the slabs of ``heads``, two
+        per head, in the order of ``heads``.
 
-        The seam rule gives each head one slab of its own: below the
-        diagonal corner down to the seam after a rise, below the seam down
-        to the survivor after a fall.  ``math.fsum`` of the survivor's
-        expansion and the slab's two terms rounds their exact sum
-        correctly, so every output is the float ``read`` gives; the reader
-        keeps none of these curves.
+        Each head is the two nodes a push links to a survivor of a curve
+        (see ``MemoryInterface.ramp_heads``), and the seam rule gives it
+        one slab of its own: below the diagonal corner down to the seam
+        after a rise, below the seam down to the survivor after a fall.
         """
         alphas, betas = [], []
         for (v, _), ((a, b), survivor, _), _ in heads:
@@ -479,10 +528,20 @@ class OutputReader:
             else:  # a fall
                 alphas += (a, a)
                 betas += (v, survivor[0][1])
-        e = self.mu.everett(alphas, betas)
+        return alphas, betas
+
+    def read_slabs(self, survivors, e) -> list:
+        """Outputs of the curves whose heads link to ``survivors``, nodes
+        of the last curve read, with ``e`` the values of E at the heads'
+        ``slab_points``.
+
+        ``math.fsum`` of the survivor's expansion and the slab's two terms
+        rounds their exact sum correctly, so every output is the float
+        ``read`` gives; the reader keeps none of these curves.
+        """
         seen, total = self._seen, self.mu.total_mass
         out = []
-        for k, (_, (_, survivor, _), _) in enumerate(heads):
+        for k, survivor in enumerate(survivors):
             node, expansion = seen[survivor[2]]
             if node is not survivor:
                 raise ValueError("head is not linked to the last curve read")

@@ -315,6 +315,16 @@ class TestController:
             g, cur = remnant(mu, cur, 0.0)
             assert abs(g - g_final) <= 1e-12
 
+    def test_computed_bounds_need_the_sign_on_q(self):
+        """Without bounds from the caller the controller checks the sign
+        premise before it computes them; the grid is negative on the lower
+        half of Q."""
+        mu = GridWeighting(UNIT_BOX, [[1.0], [-0.5]])
+        iface = MemoryInterface.virgin(UNIT_BOX)
+        cfg = ControllerConfig(gamma_d=0.2, lam=0.5, w0=0.0, q=Q_UNIT)
+        with pytest.raises(ConfigurationError, match="negative on Q"):
+            run_controller(mu, iface, cfg)
+
     def test_trace_csv_round_trip(self, tmp_path):
         mu, iface = uniform_scene()
         cfg = ControllerConfig(gamma_d=0.5, lam=0.5, w0=0.0, q=Q_UNIT)
@@ -365,6 +375,15 @@ class TestIncrementalReads:
             assert y.tolist() == expected
 
 
+def per_sample_reads(mu, iface, u):
+    """The output after each sample of ``u``, pushed and read one by one."""
+    reader, out = OutputReader(mu), []
+    for v in u.tolist():
+        iface = iface.push_extremum(v)
+        out.append(reader.read(iface))
+    return out
+
+
 class TestDenseResponse:
     def test_boundary_outputs_match_per_pulse_remnants(self):
         mu, iface = uniform_scene()
@@ -387,23 +406,20 @@ class TestDenseResponse:
         mu, iface = uniform_scene()
         amplitudes = [0.75, -0.5, 1.25, 0.0, 0.5, 0.5, -0.25]
         _, u = render_signal(amplitudes, 1.0, 0.1)
-        reader, cur, expected = OutputReader(mu), iface, []
-        for v in u.tolist():
-            cur = cur.push_extremum(v)
-            expected.append(reader.read(cur))
+        expected = per_sample_reads(mu, iface, u)
 
         batched, pushed = [], []
-        read_heads, push = OutputReader.read_heads, MemoryInterface.push_extremum
+        read_slabs, push = OutputReader.read_slabs, MemoryInterface.push_extremum
 
-        def spy_read_heads(reader, heads):
-            batched.extend(heads)
-            return read_heads(reader, heads)
+        def spy_read_slabs(reader, survivors, e):
+            batched.extend(survivors)
+            return read_slabs(reader, survivors, e)
 
         def spy_push(iface, v):
             pushed.append(v)
             return push(iface, v)
 
-        monkeypatch.setattr(OutputReader, "read_heads", spy_read_heads)
+        monkeypatch.setattr(OutputReader, "read_slabs", spy_read_slabs)
         monkeypatch.setattr(MemoryInterface, "push_extremum", spy_push)
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.1)
         assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
@@ -411,6 +427,29 @@ class TestDenseResponse:
         assert [v for v in pushed if v > 1.0] == [v for v in u.tolist() if v > 1.0]
         assert pushed.count(0.0) >= 10  # the zero pulse
         assert len(batched) > len(u) // 2
+
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_one_array_everett_call_per_train(self, field, monkeypatch):
+        """E at the heads of every ramp comes from one array call, and
+        every output is still the float of a push and a read per sample."""
+        mu = random_grid_field(np.random.default_rng(5)) if field == "grid" else make_butterfly()[0]
+        iface = MemoryInterface.virgin(mu.support_box)
+        amplitudes = [0.9, -0.7, 0.6, -0.5, 0.0, 0.4, -0.3]
+        _, u = render_signal(amplitudes, 1.0, 1.0 / 16)
+        expected = per_sample_reads(mu, iface, u)
+
+        calls = []
+        everett_array = type(mu).everett_array
+
+        def spy(mu, alphas, betas):
+            calls.append(len(alphas))
+            return everett_array(mu, alphas, betas)
+
+        monkeypatch.setattr(type(mu), "everett_array", spy)
+        _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
+        assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+        assert len(calls) == 1
+        assert calls[0] > len(u)  # two points per batched head
 
     def test_rate_independence_of_boundary_outputs(self):
         mu, iface = uniform_scene()

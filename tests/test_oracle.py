@@ -82,6 +82,7 @@ class TestRelayGridStep:
                 rng.uniform(box.beta_lo - 0.2, box.alpha_hi + 0.2, 40),
                 rng.choice(grid.alphas, 20),  # exactly on a lattice alpha
                 rng.choice(grid.betas, 20),  # exactly on a lattice beta
+                [math.nan, math.inf, -math.inf] * 3,  # the rule switches nothing at NaN
             ])
             rng.shuffle(u)
             expected = grid.states.copy()

@@ -18,6 +18,8 @@ from preisach_remnant import (
     MemoryInterface,
     dense_response,
     evaluate_output,
+    make_butterfly,
+    uniform_field,
 )
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
 from preisach_remnant.weighting import OutputReader, _grow, rect_mass
@@ -365,7 +367,7 @@ def test_expansion_fsum_equals_fsum_of_the_terms(groups):
         assert math.fsum(expansion).hex() == math.fsum(terms).hex()
 
 
-# -- grid E in plain floats -------------------------------------------------------
+# -- E in plain floats and as arrays -------------------------------------------------
 
 
 def numpy_everett(mu, alphas, betas):
@@ -394,39 +396,110 @@ ZERO_EDGE_HI = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-0.5,
 
 
 @st.composite
-def grids_and_points(draw):
-    """A grid whose box may have an edge at +0.0 or -0.0, and points on its
-    cell edges, at signed zeros, outside the box and anywhere."""
+def zero_edge_boxes(draw):
+    """A box that may have an edge at +0.0 or -0.0, inside the box or on it."""
     a_lo = draw(ZERO_EDGE_LO)
     b_hi = draw(ZERO_EDGE_HI)
     a_hi = draw(st.one_of(st.sampled_from([-a_lo, 1.0]), st.floats(0.1, 2.0).map(lambda w: a_lo + w)))
     b_lo = draw(st.one_of(st.sampled_from([-b_hi, -1.0]), st.floats(0.1, 2.0).map(lambda w: b_hi - w)))
     if not (a_hi > a_lo and b_hi > b_lo):
         a_hi, b_lo = a_lo + 1.0, b_hi - 1.0
-    n_alpha, n_beta = draw(st.sampled_from([1, 2, 4, 7])), draw(st.sampled_from([1, 2, 4, 7]))
-    value = st.floats(-2.0, 2.0, allow_nan=False)
-    rows = draw(st.lists(st.lists(value, min_size=n_alpha, max_size=n_alpha),
-                         min_size=n_beta, max_size=n_beta))
-    mu = GridWeighting(Box(a_lo, a_hi, b_lo, b_hi), rows)
+    return Box(a_lo, a_hi, b_lo, b_hi)
 
-    def coordinate(edges):
-        lo, hi = edges[0], edges[-1]
+
+def points(draw, alpha_marks, beta_marks, box):
+    """0 to 12 points at the marks, at signed zeros, outside ``box`` and
+    anywhere, then some of their coordinates again in new pairs."""
+
+    def coordinate(marks, lo, hi):
         return st.one_of(
-            st.sampled_from(edges),
+            st.sampled_from(marks),
             st.sampled_from([0.0, -0.0, lo - 1.0, hi + 1.0]),
             st.floats(lo - 1.0, hi + 1.0),
         )
 
-    n = draw(st.integers(1, 12))
-    alphas = draw(st.lists(coordinate(mu.alpha_edges.tolist()), min_size=n, max_size=n))
-    betas = draw(st.lists(coordinate(mu.beta_edges.tolist()), min_size=n, max_size=n))
-    return mu, alphas, betas
+    n = draw(st.integers(0, 12))
+    alphas = draw(st.lists(coordinate(alpha_marks, box.alpha_lo, box.alpha_hi), min_size=n, max_size=n))
+    betas = draw(st.lists(coordinate(beta_marks, box.beta_lo, box.beta_hi), min_size=n, max_size=n))
+    if n:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+            alphas.append(alphas[i])
+            betas.append(betas[j])
+    return alphas, betas
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid on a box that may have an edge at a signed zero, and points
+    on its cell edges, at signed zeros, outside the box and anywhere."""
+    box = draw(zero_edge_boxes())
+    n_alpha, n_beta = draw(st.sampled_from([1, 2, 4, 7])), draw(st.sampled_from([1, 2, 4, 7]))
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(value, min_size=n_alpha, max_size=n_alpha),
+                         min_size=n_beta, max_size=n_beta))
+    mu = GridWeighting(box, rows)
+    return (mu,) + points(draw, mu.alpha_edges.tolist(), mu.beta_edges.tolist(), box)
+
+
+@st.composite
+def gaussian_sums_and_points(draw):
+    """A Gaussian sum on a support box that may have an edge at a signed
+    zero, whose component boxes may have edges at the support's edges or
+    at signed zeros, and points on the component edges and centres, at
+    signed zeros, outside the support and anywhere."""
+    support = draw(zero_edge_boxes())
+    components, alpha_marks, beta_marks = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        along = []
+        for lo, hi in ((support.alpha_lo, support.alpha_hi), (support.beta_lo, support.beta_hi)):
+            edge = st.one_of(
+                st.sampled_from([lo, hi] + [z for z in (0.0, -0.0) if lo <= z <= hi]),
+                st.floats(lo, hi),
+            )
+            e0, e1 = sorted([draw(edge), draw(edge)])
+            if not e1 > e0:
+                e0, e1 = lo, hi
+            center = draw(st.one_of(st.sampled_from([e0, e1, 0.0, -0.0]), st.floats(lo - 0.5, hi + 0.5)))
+            along.append((e0, e1, center, draw(st.floats(0.05, 1.0))))
+        (a0, a1, ca, sa), (b0, b1, cb, sb) = along
+        components.append(GaussianComponent(draw(st.floats(-3.0, 3.0)), ca, cb, sa, sb, Box(a0, a1, b0, b1)))
+        alpha_marks += [a0, a1, ca]
+        beta_marks += [b0, b1, cb]
+    mu = GaussianWeighting(components, support_box=support)
+    return (mu,) + points(draw, alpha_marks, beta_marks, support)
+
+
+def assert_array_everett_is_everett(mu, alphas, betas):
+    got = mu.everett_array(alphas, betas)
+    assert got.dtype == np.float64 and got.shape == (len(alphas),)
+    assert [e.hex() for e in got.tolist()] == [e.hex() for e in mu.everett(alphas, betas)]
 
 
 @PROPERTY
 @given(case=grids_and_points())
 def test_grid_everett_is_bit_equal_to_the_array_formula(case):
+    """Both forms of grid E: ``everett`` and ``everett_array``."""
     mu, alphas, betas = case
     got = mu.everett(alphas, betas)
     assert all(type(e) is float for e in got)
     assert [e.hex() for e in got] == [e.hex() for e in numpy_everett(mu, alphas, betas)]
+    assert_array_everett_is_everett(mu, alphas, betas)
+
+
+@PROPERTY
+@given(case=gaussian_sums_and_points())
+def test_gaussian_array_everett_is_bit_equal_to_everett(case):
+    assert_array_everett_is_everett(*case)
+
+
+@pytest.mark.parametrize("field", ["grid", "butterfly"])
+@pytest.mark.parametrize("alphas, betas", [
+    ([], []),
+    ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]),
+    ([-0.0, 0.0, 0.5], [0.0, -0.0, -0.0]),
+])
+def test_array_everett_at_signed_zeros_and_no_points(field, alphas, betas):
+    """Both fields have box edges at 0.0: the grid's box and the butterfly's
+    positive lobe."""
+    mu = uniform_field() if field == "grid" else make_butterfly()[0]
+    assert_array_everett_is_everett(mu, alphas, betas)
