@@ -7,7 +7,7 @@ from .errors import (
     DegenerateBoundsError,
     EmptyIntersectionError,
 )
-from .interface import Box, MemoryInterface, PlanePoint
+from .interface import Box, MemoryInterface
 from .weighting import (
     GaussianComponent,
     GaussianWeighting,
@@ -30,7 +30,6 @@ from .control import (
     last_input_extrema,
     max_gain,
     pulse_remnants,
-    pulse_value,
     remnant,
     remnant_extrema,
     render_signal,
@@ -38,6 +37,6 @@ from .control import (
     run_controller,
     validate_initial_interface,
 )
-from .oracle import RelayGrid, oracle_pulse_remnants, oracle_simulate
+from .oracle import RelayGrid, oracle_pulse_remnants
 
 __version__ = "0.1.0"

@@ -30,17 +30,6 @@ from .weighting import (
 )
 
 
-def pulse_value(k: int, t: float, tau: float) -> float:
-    """Unit triangular pulse: up on [k*tau, (k+1/2)*tau], down to (k+1)*tau."""
-    t0 = k * tau
-    if t < t0 or t > t0 + tau:
-        return 0.0
-    half = t0 + 0.5 * tau
-    if t <= half:
-        return 2.0 * (t - t0) / tau
-    return 2.0 * (t0 + tau - t) / tau
-
-
 def render_signal(amplitudes, tau: float, sample_step: float):
     """Dense samples of the modulated pulse train.
 
@@ -52,7 +41,7 @@ def render_signal(amplitudes, tau: float, sample_step: float):
     t = np.arange(n_samples + 1) * sample_step
     if not n:
         return t, np.zeros_like(t)
-    # pulse_value's float operations, elementwise
+    # pulse k of the train is the unit triangle on [k*tau, (k+1)*tau]
     k = np.minimum((t / tau).astype(int), n - 1)
     t0 = k * tau
     half = t0 + 0.5 * tau

@@ -52,21 +52,6 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """A relay index (switch-up threshold alpha, switch-down threshold beta)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha < self.beta:
-            raise ValueError(
-                "relay thresholds must satisfy alpha >= beta, got (%g, %g)"
-                % (self.alpha, self.beta)
-            )
-
-
 def _canonical_corners(corners, box: Box):
     """Clamp, merge and validate a raw corner list.
 
@@ -247,17 +232,6 @@ class MemoryInterface:
         out.append((prev, math.inf, _NEG_INF))
         return out
 
-    def upper_beta(self, alpha: float) -> float:
-        """Largest beta for which the relay (alpha, beta) is in the +1 state."""
-        for lo, hi, level in self.steps():
-            if lo < alpha <= hi:
-                return level
-        return _NEG_INF
-
-    def relay_state(self, p: PlanePoint) -> int:
-        """Sign of the relay at p; points on the curve count as below (+1)."""
-        return 1 if p.beta <= self.upper_beta(p.alpha) else -1
-
     # -- memory updates ---------------------------------------------------
 
     def push_extremum(self, v: float) -> "MemoryInterface":
@@ -314,13 +288,3 @@ class MemoryInterface:
             heads.append(head)
             v0 = v
         return heads
-
-    # -- comparison ----------------------------------------------------------
-
-    def close_to(self, other: "MemoryInterface", tol: float = 1e-9) -> bool:
-        if len(self.corners) != len(other.corners):
-            return False
-        return all(
-            abs(a1 - a2) <= tol and abs(b1 - b2) <= tol
-            for (a1, b1), (a2, b2) in zip(self.corners, other.corners)
-        )

@@ -36,6 +36,7 @@ class RelayGrid:
         self.weights = weights
         self.states = np.full((n, n), -1, dtype=np.int8)
         self._products = np.empty((n, n))
+        self._blocks = 0, n
 
     def initialize(self, iface: MemoryInterface):
         # the steps partition the alpha axis into (lo, hi] intervals with
@@ -46,28 +47,34 @@ class RelayGrid:
         levels = np.array([level for _, _, level in steps])
         level = levels[his.searchsorted(self.alphas, "left")]
         self.states[:] = np.where(self.betas[None, :] <= level[:, None], np.int8(1), np.int8(-1))
+        self._blocks = 0, self.n
 
     def step(self, u: float):
-        # both axes ascend, so the relays with alpha < u are a leading block
-        # of rows and those with beta > u a trailing block of columns; the
-        # bisects compare u as the rule does, so a NaN switches no relay
+        """Switch the relays of the rule at input u: rows with alpha < u to
+        +1, then columns with beta > u to -1.
+
+        Both axes ascend, so these are a leading block of k rows and a
+        trailing block of columns from j, and the bisects compare u as the
+        rule does (a NaN gives k = 0, j = n and switches no relay).  The
+        step before left its blocks (k0, j0) in place: every column from j0
+        at -1 and rows < k0 at +1 left of j0.  So only the parts of the
+        blocks outside those are written, each with the rule's own value;
+        (0, n) claims nothing and makes the next step write both blocks.
+        """
         alphas, betas = self._axes
-        self.states[: bisect_left(alphas, u)] = 1
-        self.states[:, bisect_right(betas, u):] = -1
+        k, j = bisect_left(alphas, u), bisect_right(betas, u)
+        k0, j0 = self._blocks
+        states = self.states
+        if j < j0:
+            states[:, j:j0] = -1
+        elif j > j0:
+            states[:k, j0:j] = 1
+        if k > k0:
+            states[k0:k, :min(j, j0)] = 1
+        self._blocks = k, j
 
     def output(self) -> float:
         return float(np.multiply(self.states, self.weights, out=self._products).sum())
-
-
-def oracle_simulate(mu, init: MemoryInterface, u_samples, n: int):
-    """Replay an input sample train; returns the output at every sample."""
-    grid = RelayGrid(mu, n)
-    grid.initialize(init)
-    y = np.zeros(len(u_samples))
-    for i, u in enumerate(u_samples):
-        grid.step(float(u))
-        y[i] = grid.output()
-    return y
 
 
 def oracle_pulse_remnants(mu, init: MemoryInterface, amplitudes, n: int,
@@ -81,9 +88,12 @@ def oracle_pulse_remnants(mu, init: MemoryInterface, amplitudes, n: int,
     grid.initialize(init)
     half = max(1, samples_per_pulse // 2)
     ramp = np.arange(1, half + 1) / half
+    fractions = ramp.tolist() + ramp[-2::-1].tolist()  # up to 1, back down
     out = []
     for w in amplitudes:
-        for u in np.concatenate([w * ramp, w * ramp[::-1][1:], [0.0]]):
-            grid.step(float(u))
+        w = float(w)
+        for r in fractions:
+            grid.step(w * r)
+        grid.step(0.0)
         out.append(grid.output())
     return np.array(out)

@@ -22,7 +22,8 @@ _RULES = {
 def number(value, name: str, rule: str = None):
     """``value`` as a float (an int under an integer rule) when it is a finite
     JSON number that is ``rule``: not a string, a bool, ``null``, NaN or
-    Infinity.  Otherwise a ConfigurationError names the config key ``name``."""
+    Infinity, and under an integer rule below 2**63.  Otherwise a
+    ConfigurationError names the config key ``name``."""
     try:
         finite = type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
@@ -31,7 +32,11 @@ def number(value, name: str, rule: str = None):
         raise ConfigurationError("%s must be a number, got %r" % (name, value))
     if rule is not None and not _RULES[rule](float(value)):
         raise ConfigurationError("%s must be %s, got %r" % (name, rule, value))
-    return int(value) if rule is not None and "integer" in rule else float(value)
+    if rule is None or "integer" not in rule:
+        return float(value)
+    if not value < 2**63:  # a count or an index must fit an int64
+        raise ConfigurationError("%s must be below 2**63, got %r" % (name, value))
+    return int(value)
 
 
 def numbers(value, name: str) -> tuple:

@@ -157,12 +157,14 @@ class GridWeighting:
         # of alpha column i; times the cell area it is E at the lattice nodes
         self._prefix = np.zeros((self.n_beta + 1, self.n_alpha + 1))
         inner = self._prefix[1:, 1:]
-        np.cumsum(values, axis=0, out=inner)
-        np.cumsum(inner, axis=1, out=inner)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            np.cumsum(values, axis=0, out=inner)
+            np.cumsum(inner, axis=1, out=inner)
         self._cell_area = (box.alpha_hi - box.alpha_lo) / self.n_alpha * (
             (box.beta_hi - box.beta_lo) / self.n_beta
         )
         self.total_mass = self.everett([box.alpha_hi], [box.beta_hi])[0]
+        _require_finite_mass(self, "grid weighting")
 
     def eval(self, alpha, beta):
         """Cell value at (alpha, beta), 0 outside the support; arrays
@@ -324,6 +326,7 @@ class GaussianWeighting:
             for c in self.components
         ]
         self.total_mass = self.everett([support_box.alpha_hi], [support_box.beta_hi])[0]
+        _require_finite_mass(self, "Gaussian weighting")
 
     def eval(self, alpha, beta):
         return sum(c.eval(alpha, beta) for c in self.components)
@@ -401,6 +404,17 @@ class GaussianWeighting:
             gb = _gauss_segment(c.center_beta, c.sigma_beta, c.box.beta_lo, c.box.beta_hi)
             total += abs(c.amplitude) * ga * gb
         return total
+
+
+def _require_finite_mass(mu, kind: str):
+    """Refuse a field whose total or absolute mass overflows: every output
+    is read against the one and every tolerance scales with the other."""
+    with np.errstate(over="ignore"):  # an overflow is what is refused
+        abs_mass = mu.abs_mass()
+    if not (math.isfinite(mu.total_mass) and math.isfinite(abs_mass)):
+        raise ConfigurationError(
+            "%s mass is not finite: total %r, absolute %r" % (kind, mu.total_mass, abs_mass)
+        )
 
 
 def rect_mass(mu, a_lo, a_hi, b_lo, b_hi) -> float:

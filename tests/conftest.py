@@ -1,4 +1,7 @@
-"""Shared randomized-scenario builders for the test suite."""
+"""Shared randomized-scenario builders and interface queries for the test
+suite."""
+
+import math
 
 import numpy as np
 
@@ -37,6 +40,25 @@ def cell_sum(mu, a_lo, a_hi, b_lo, b_hi):
             if da > 0 and db > 0:
                 total += mu.values[j, i] * da * db
     return total
+
+
+def upper_beta(iface: MemoryInterface, alpha: float) -> float:
+    """Largest beta for which the relay (alpha, beta) of ``iface`` is in the
+    +1 state."""
+    for lo, hi, level in iface.steps():
+        if lo < alpha <= hi:
+            return level
+    return -math.inf
+
+
+def close_to(iface: MemoryInterface, other: MemoryInterface, tol: float = 1e-9) -> bool:
+    """Whether two interfaces have as many corners, each within ``tol``."""
+    if len(iface.corners) != len(other.corners):
+        return False
+    return all(
+        abs(a1 - a2) <= tol and abs(b1 - b2) <= tol
+        for (a1, b1), (a2, b2) in zip(iface.corners, other.corners)
+    )
 
 
 def random_gamma_interface(rng, box: Box) -> MemoryInterface:

@@ -15,7 +15,8 @@ from preisach_remnant.cli import (
     EXIT_OK,
     main,
 )
-from preisach_remnant import Box, GridWeighting, QRegion
+from preisach_remnant import Box, ConfigurationError, GridWeighting, QRegion
+from preisach_remnant.presets import number
 
 
 def write_config(tmp_path, name, cfg):
@@ -442,6 +443,13 @@ BAD_INPUTS = {
         [],
         "initial_interface.preset",
     ),
+    "huge_oracle_samples": (
+        {"oracle_samples_per_pulse": 1e308}, "oracle-check", [], "oracle_samples_per_pulse"
+    ),
+    "oracle_samples_2_63": (
+        {"oracle_samples_per_pulse": 2**63}, "oracle-check", [], "oracle_samples_per_pulse"
+    ),
+    "huge_max_pulses": ({"controller.max_pulses": 1e308}, "control", [], "controller.max_pulses"),
     "oracle_n_1": ({}, "oracle-check", ["--oracle-n", "1"], "--oracle-n"),
     "oracle_n_0": ({}, "oracle-check", ["--oracle-n", "0"], "--oracle-n"),
     "resolution_0": ({}, "bounds", ["--resolution", "0"], "--resolution"),
@@ -468,6 +476,45 @@ def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, changes, command, fl
         err = capsys.readouterr().err
         assert err.startswith("config error: %s " % key)
     assert not out.exists()
+
+
+def test_integer_keys_must_fit_an_int64():
+    rule = "an integer >= 1"
+    assert number(2**63 - 1, "k", rule) == 2**63 - 1
+    assert number(9.223372036854775e18, "k", rule) == 9223372036854774784
+    for value in (2**63, 9.223372036854776e18, 1e308):
+        with pytest.raises(ConfigurationError, match=r"^k must be below 2\*\*63, got "):
+            number(value, "k", rule)
+
+
+HUGE_BUTTERFLY = {"weighting": {"preset": "butterfly", "scale": 1e308}, "amplitudes": [0.5]}
+HUGE_GRID = "0.0,1.0,-1.0,0.0,2,2\n1e308,1e308\n1e308,1e308\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("field", ["butterfly", "grid"])
+def test_field_whose_mass_overflows_exits_2(tmp_path, capsys, command, field):
+    if field == "grid":
+        grid = tmp_path / "huge.csv"
+        grid.write_text(HUGE_GRID)
+        cfg = {"weighting": {"grid_csv": str(grid)}, "q": {"alpha2": 1.0, "beta2": -1.0},
+               "amplitudes": [0.5]}
+    else:
+        cfg = HUGE_BUTTERFLY
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, "c.json", cfg), out) == EXIT_CONFIG
+    kind = "grid" if field == "grid" else "Gaussian"
+    assert capsys.readouterr().err.startswith("config error: %s weighting mass is not finite" % kind)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_huge_field_with_a_finite_mass_runs(tmp_path, capsys, command):
+    cfg = {"weighting": {"preset": "butterfly", "scale": 1e150}, "amplitudes": [0.5]}
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, "c.json", cfg), out) == EXIT_OK
+    for artifact in out.iterdir():
+        assert "nan" not in artifact.read_text().lower()
 
 
 def test_readme_sample_config_runs_bounds(tmp_path, capsys):

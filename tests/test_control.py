@@ -21,7 +21,6 @@ from preisach_remnant import (
     make_butterfly,
     max_gain,
     pulse_remnants,
-    pulse_value,
     remnant,
     remnant_extrema,
     render_signal,
@@ -33,7 +32,7 @@ from preisach_remnant import (
 from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader
 
-from conftest import random_grid_field
+from conftest import close_to, random_grid_field
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -47,6 +46,17 @@ def pzt_shelf_interface():
 def uniform_scene():
     mu = uniform_field(Q_UNIT)
     return mu, MemoryInterface.virgin(UNIT_BOX)
+
+
+def pulse_value(k: int, t: float, tau: float) -> float:
+    """Unit triangular pulse: up on [k*tau, (k+1/2)*tau], down to (k+1)*tau."""
+    t0 = k * tau
+    if t < t0 or t > t0 + tau:
+        return 0.0
+    half = t0 + 0.5 * tau
+    if t <= half:
+        return 2.0 * (t - t0) / tau
+    return 2.0 * (t0 + tau - t) / tau
 
 
 class TestPulseShape:
@@ -105,8 +115,8 @@ class TestApplyPulse:
     def test_positive_pulse_builds_shelf(self):
         _, iface = uniform_scene()
         after = apply_pulse(iface, 0.75)
-        assert after.close_to(
-            MemoryInterface.from_corners([(0.0, 0.0), (0.75, 0.0), (0.75, -1.0)], UNIT_BOX)
+        assert close_to(
+            after, MemoryInterface.from_corners([(0.0, 0.0), (0.75, 0.0), (0.75, -1.0)], UNIT_BOX)
         )
 
     def test_zero_pulse_is_identity(self):
@@ -117,7 +127,7 @@ class TestApplyPulse:
         _, iface = uniform_scene()
         after = apply_pulse(iface, 0.75)
         again = apply_pulse(after, 0.25)
-        assert again.close_to(after)
+        assert close_to(again, after)
 
     def test_requires_zero_input_state(self):
         _, iface = uniform_scene()
@@ -200,7 +210,7 @@ class TestRemnantExtrema:
     def test_source_interface_is_not_consumed(self):
         mu, iface = uniform_scene()
         remnant_extrema(mu, iface, Q_UNIT)
-        assert iface.close_to(MemoryInterface.virgin(UNIT_BOX))
+        assert close_to(iface, MemoryInterface.virgin(UNIT_BOX))
 
 
 class TestAdmissibility:

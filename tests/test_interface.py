@@ -1,5 +1,7 @@
 """Staircase memory curve: canonical form, relay queries, memory updates."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,32 @@ from preisach_remnant import (
     Box,
     ConfigurationError,
     MemoryInterface,
-    PlanePoint,
 )
 from preisach_remnant.oracle import RelayGrid
 
-from conftest import random_gamma_interface
+from conftest import close_to, random_gamma_interface, upper_beta
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class PlanePoint:
+    """A relay index (switch-up threshold alpha, switch-down threshold beta)."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if self.alpha < self.beta:
+            raise ValueError(
+                "relay thresholds must satisfy alpha >= beta, got (%g, %g)"
+                % (self.alpha, self.beta)
+            )
+
+
+def relay_state(iface: MemoryInterface, p: PlanePoint) -> int:
+    """Sign of the relay at p; points on the curve count as below (+1)."""
+    return 1 if p.beta <= upper_beta(iface, p.alpha) else -1
 
 
 def shelf_iface(peak=0.75):
@@ -41,7 +62,7 @@ class TestConstruction:
 
     def test_from_extrema_replays_history(self):
         iface = MemoryInterface.from_extrema(UNIT_BOX, [0.75])
-        assert iface.close_to(shelf_iface())
+        assert close_to(iface, shelf_iface())
 
     def test_deep_corners_are_clamped_to_the_box(self):
         iface = MemoryInterface.from_corners(
@@ -92,16 +113,16 @@ class TestConstruction:
 class TestRelayState:
     def test_virgin_state_is_all_minus(self):
         iface = MemoryInterface.virgin(UNIT_BOX)
-        assert iface.relay_state(PlanePoint(1.0, -1.0)) == -1
+        assert relay_state(iface, PlanePoint(1.0, -1.0)) == -1
 
     def test_point_under_the_shelf_is_plus(self):
-        assert shelf_iface().relay_state(PlanePoint(0.3, -0.5)) == +1
+        assert relay_state(shelf_iface(), PlanePoint(0.3, -0.5)) == +1
 
     def test_point_past_the_shelf_is_minus(self):
-        assert shelf_iface().relay_state(PlanePoint(0.9, -0.5)) == -1
+        assert relay_state(shelf_iface(), PlanePoint(0.9, -0.5)) == -1
 
     def test_point_on_the_curve_counts_as_below(self):
-        assert shelf_iface().relay_state(PlanePoint(0.3, 0.0)) == +1
+        assert relay_state(shelf_iface(), PlanePoint(0.3, 0.0)) == +1
 
     def test_plane_point_rejects_lower_triangle(self):
         with pytest.raises(ValueError):
@@ -114,17 +135,17 @@ class TestPushExtremum:
         expected = MemoryInterface.from_corners(
             [(0.0, 0.0), (0.75, 0.0), (0.75, -1.0)], UNIT_BOX
         )
-        assert iface.close_to(expected)
+        assert close_to(iface, expected)
 
     def test_idempotent_on_repeated_value(self):
         once = MemoryInterface.virgin(UNIT_BOX).push_extremum(0.5)
         twice = once.push_extremum(0.5)
-        assert twice.close_to(once)
+        assert close_to(twice, once)
 
     def test_wiping_out_of_dominated_maximum(self):
         via = MemoryInterface.virgin(UNIT_BOX).push_extremum(0.3).push_extremum(0.75)
         direct = MemoryInterface.virgin(UNIT_BOX).push_extremum(0.75)
-        assert via.close_to(direct)
+        assert close_to(via, direct)
 
     @pytest.mark.parametrize(
         "corners, expected",
@@ -169,9 +190,7 @@ class TestPushExtremum:
             base = random_gamma_interface(rng, UNIT_BOX)
             hi = float(rng.uniform(0.2, 1.0))
             lo = float(rng.uniform(0.0, hi))
-            assert base.push_extremum(lo).push_extremum(hi).close_to(
-                base.push_extremum(hi)
-            )
+            assert close_to(base.push_extremum(lo).push_extremum(hi), base.push_extremum(hi))
 
 
 class TestOracleConsistency:
@@ -201,10 +220,10 @@ class TestOracleConsistency:
                     if a < b:
                         continue
                     total += 1
-                    exact = iface.relay_state(PlanePoint(a, b))
+                    exact = relay_state(iface, PlanePoint(a, b))
                     if exact == int(grid.states[i, j]):
                         agree += 1
                     else:
                         # mismatch must sit within one cell of the curve
-                        assert abs(b - iface.upper_beta(a)) <= cell
+                        assert abs(b - upper_beta(iface, a)) <= cell
             assert agree / total >= 0.99

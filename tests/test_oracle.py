@@ -14,13 +14,12 @@ from preisach_remnant import (
     evaluate_output,
     make_butterfly,
     oracle_pulse_remnants,
-    oracle_simulate,
     remnant,
     uniform_field,
 )
 from preisach_remnant.control import render_signal
 
-from conftest import random_grid_field
+from conftest import random_grid_field, upper_beta
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 
@@ -28,6 +27,17 @@ UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 def uniform_scene():
     mu = uniform_field(QRegion(1.0, -1.0))
     return mu, MemoryInterface.virgin(UNIT_BOX)
+
+
+def oracle_simulate(mu, init: MemoryInterface, u_samples, n: int):
+    """Replay an input sample train; returns the output at every sample."""
+    grid = RelayGrid(mu, n)
+    grid.initialize(init)
+    y = np.zeros(len(u_samples))
+    for i, u in enumerate(u_samples):
+        grid.step(float(u))
+        y[i] = grid.output()
+    return y
 
 
 class TestOracleSimulate:
@@ -70,12 +80,80 @@ def where_step(states, alphas, betas, u):
     return np.where(u < betas[None, :], -1, states)
 
 
+class WriteLog(np.ndarray):
+    """A lattice that logs the (index, value) of every write into it."""
+
+    def __setitem__(self, key, value):
+        self.log.append((key, value))
+        super().__setitem__(key, value)
+
+
+def logged(grid):
+    """Swap the states of ``grid`` for a WriteLog view of them."""
+    grid.states = grid.states.view(WriteLog)
+    grid.states.log = []
+    return grid
+
+
+def assert_steps_follow_the_rule(grid, u_values):
+    """Step ``grid`` through ``u_values``: after every step the lattice is
+    the where rule applied to the states before the run, step by step, and
+    every write the step made is part of one of the rule's two writes,
+    with its value."""
+    alphas, betas = grid.alphas, grid.betas
+    expected = np.array(grid.states)
+    writes = 0
+    for u in u_values:
+        u = float(u)
+        grid.states.log = []
+        grid.step(u)
+        expected = where_step(expected, alphas, betas, u)
+        assert np.array_equal(grid.states, expected)
+        minus = np.broadcast_to(u < betas[None, :], expected.shape)
+        plus = (u > alphas[:, None]) & ~minus
+        for key, value in grid.states.log:
+            written = np.zeros(expected.shape, dtype=bool)
+            written[key] = True
+            assert value in (1, -1)
+            assert not (written & ~(plus if value == 1 else minus)).any()
+        writes += len(grid.states.log)
+    assert writes > 0  # the log sees the writes of step
+
+
+def random_history(rng, box, nested):
+    """A random interface: pushes over the whole support range, or nested
+    pushes of shrinking amplitude and alternating sign; it need not end at
+    zero input."""
+    iface = MemoryInterface.virgin(box)
+    if nested:
+        sizes = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 9))))[::-1]
+        values = [s * (box.alpha_hi if k % 2 == 0 else box.beta_lo) for k, s in enumerate(sizes)]
+    else:
+        values = rng.uniform(box.beta_lo - 0.2, box.alpha_hi + 0.2, int(rng.integers(0, 8)))
+    for v in values:
+        iface = iface.push_extremum(float(v))
+    return iface
+
+
+def ramp_samples(rng, grid, lo, hi):
+    """Monotone ramps between random levels of [lo, hi], each sample
+    repeated one to three times, some levels exactly on lattice lines."""
+    levels = list(rng.uniform(lo, hi, 6)) + [rng.choice(grid.alphas), rng.choice(grid.betas)]
+    rng.shuffle(levels)
+    out, start = [], 0.0
+    for level in levels:
+        ramp = np.linspace(start, level, int(rng.integers(2, 12)))
+        out.extend(np.repeat(ramp, rng.integers(1, 4, len(ramp))).tolist())
+        start = level
+    return out
+
+
 class TestRelayGridStep:
     def test_in_place_step_matches_the_where_rule(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
             mu = random_grid_field(rng)
-            grid = RelayGrid(mu, int(rng.integers(5, 40)))
+            grid = logged(RelayGrid(mu, int(rng.integers(5, 40))))
             grid.initialize(MemoryInterface.virgin(mu.support_box))
             box = mu.support_box
             u = np.concatenate([
@@ -85,18 +163,28 @@ class TestRelayGridStep:
                 [math.nan, math.inf, -math.inf] * 3,  # the rule switches nothing at NaN
             ])
             rng.shuffle(u)
-            expected = grid.states.copy()
-            for ui in u:
-                grid.step(float(ui))
-                expected = where_step(expected, grid.alphas, grid.betas, float(ui))
-                assert np.array_equal(grid.states, expected)
+            assert_steps_follow_the_rule(grid, u)
+            # a second initialize mid-sequence, from a random history, then
+            # monotone ramps with repeated samples
+            for nested in (False, True):
+                grid.initialize(random_history(rng, box, nested))
+                assert_steps_follow_the_rule(grid, ramp_samples(rng, grid, box.beta_lo, box.alpha_hi))
+                assert_steps_follow_the_rule(grid, u[:30])
+        mu, _ = make_butterfly()
+        box = mu.support_box
+        for n in (7, 31, 64):
+            grid = logged(RelayGrid(mu, n))
+            for nested in (False, True):
+                grid.initialize(random_history(rng, box, nested))
+                assert_steps_follow_the_rule(grid, ramp_samples(rng, grid, box.beta_lo, box.alpha_hi))
+                assert_steps_follow_the_rule(grid, rng.uniform(-1.2, 1.2, 30))
 
 
 def row_by_row_states(grid, iface):
     """The relay states of ``iface`` on the lattice, one row per alpha."""
     states = np.full((grid.n, grid.n), -1, dtype=np.int8)
     for i, a in enumerate(grid.alphas):
-        states[i, :] = np.where(grid.betas <= iface.upper_beta(float(a)), 1, -1)
+        states[i, :] = np.where(grid.betas <= upper_beta(iface, float(a)), 1, -1)
     return states
 
 
@@ -162,6 +250,41 @@ class TestOraclePulseRemnants:
             worst[n] = max(devs)
         assert worst[150] < worst[75]
         assert worst[300] < worst[150]
+
+    @pytest.mark.parametrize("samples_per_pulse", [1, 2, 3, 10, 101])
+    def test_bit_equal_to_a_replay_that_writes_both_blocks(self, samples_per_pulse):
+        rng = np.random.default_rng(71 + samples_per_pulse)
+        scenes = [(make_butterfly()[0], None)]
+        scenes += [(random_grid_field(rng), nested) for nested in (False, True, True)]
+        for mu, nested in scenes:
+            box = mu.support_box
+            if nested is None:
+                init = MemoryInterface.virgin(box)
+            else:
+                init = random_history(rng, box, nested).push_extremum(0.0)
+            amplitudes = rng.uniform(box.beta_lo - 0.1, box.alpha_hi + 0.1, 6).tolist()
+            n = int(rng.integers(20, 90))
+            got = oracle_pulse_remnants(mu, init, amplitudes, n, samples_per_pulse)
+            want = two_write_pulse_remnants(mu, init, amplitudes, n, samples_per_pulse)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def two_write_pulse_remnants(mu, init, amplitudes, n, samples_per_pulse):
+    """Per-pulse remnants of a replay whose every step writes the rule's
+    whole row block (alpha < u) and then its whole column block (beta > u),
+    on samples built as arrays."""
+    grid = RelayGrid(mu, n)
+    grid.initialize(init)
+    alphas, betas = grid.alphas.tolist(), grid.betas.tolist()
+    half = max(1, samples_per_pulse // 2)
+    ramp = np.arange(1, half + 1) / half
+    out = []
+    for w in amplitudes:
+        for u in np.concatenate([w * ramp, w * ramp[::-1][1:], [0.0]]):
+            grid.states[: bisect.bisect_left(alphas, float(u))] = 1
+            grid.states[:, bisect.bisect_right(betas, float(u)):] = -1
+        out.append(grid.output())
+    return np.array(out)
 
 
 def point_density(mu, a, b):

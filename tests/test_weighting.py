@@ -63,6 +63,30 @@ class TestEval:
         with pytest.raises(ConfigurationError):
             GridWeighting(UNIT_BOX, [[1.0, math.inf]])
 
+    @pytest.mark.parametrize(
+        "box, values",
+        [
+            (UNIT_BOX, [[1e308, 1e308], [1e308, 1e308]]),  # total and absolute overflow
+            (Box(0.0, 2.0, -2.0, 0.0), [[1e308, -1e308], [-1e308, 1e308]]),  # total 0
+        ],
+        ids=["total", "absolute"],
+    )
+    def test_grid_rejects_a_mass_that_overflows(self, box, values):
+        # every cell is finite, but a sum of them is not
+        with pytest.raises(ConfigurationError, match="grid weighting mass is not finite"):
+            GridWeighting(box, values)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e308])
+    def test_gaussian_rejects_a_mass_that_overflows(self, scale):
+        with pytest.raises(ConfigurationError, match="Gaussian weighting mass is not finite"):
+            make_butterfly(scale)
+
+    def test_huge_finite_masses_are_kept(self):
+        mu, _ = make_butterfly(1e150)
+        assert math.isfinite(mu.total_mass) and math.isfinite(mu.abs_mass())
+        grid = GridWeighting(UNIT_BOX, [[1e307, 1e307], [1e307, 1e307]])
+        assert grid.total_mass == pytest.approx(1e307) and grid.abs_mass() == pytest.approx(1e307)
+
 
 class TestStaircaseIntegration:
     def test_virgin_mass_is_all_above(self):
