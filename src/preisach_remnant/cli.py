@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -20,12 +21,7 @@ from .control import (
     remnant_extrema,
     run_controller,
 )
-from .errors import (
-    AdmissibilityError,
-    ConfigurationError,
-    DegenerateBoundsError,
-    EmptyIntersectionError,
-)
+from .errors import ConfigurationError, DegenerateBoundsError
 from .interface import MemoryInterface
 from .oracle import DEFAULT_SAMPLES_PER_PULSE, oracle_pulse_remnants
 from .presets import butterfly_preset, interface_from_spec, known_keys, number, numbers
@@ -38,7 +34,7 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_ORACLE_MISMATCH = 5
 
 # OSError: the config or grid file cannot be opened
-_CONFIG_ERRORS = (ConfigurationError, AdmissibilityError, EmptyIntersectionError, OSError)
+_CONFIG_ERRORS = (ConfigurationError, OSError)
 
 #: the keys of the config's top level and of its sections with one layout;
 #: ``weighting`` and ``initial_interface`` have one set per preset
@@ -152,7 +148,7 @@ def load_config(path) -> Config:
     if tolerance is not None:
         tolerance = number(tolerance, "controller.tolerance", "nonnegative")
     mu, q = _field(cfg)
-    return Config(
+    config = Config(
         mu=mu,
         q=q,
         iface=interface_from_spec(_section(cfg, "initial_interface", {}), mu.support_box),
@@ -169,6 +165,17 @@ def load_config(path) -> Config:
         sweep_param=param,
         sweep_values=tuple(values or ()),
     )
+    # render_signal's count of the longest signal a command may render; NaN
+    # when the sample step underflows to 0 or overflows
+    pulses = max(len(config.amplitudes), config.max_pulses + 1)
+    step = config.sample_step
+    samples = pulses * tau / step if 0.0 < step < math.inf else math.nan
+    if not samples < 2**63:
+        raise ConfigurationError(
+            "tau and signal_samples_per_pulse give %r samples for %d pulses at a step of %r;"
+            " need a positive finite step and fewer than 2**63 samples" % (samples, pulses, step)
+        )
+    return config
 
 
 def _dump_json(obj, out_dir, name):
@@ -285,7 +292,7 @@ def cmd_sweep(cfg, args) -> int:
         try:
             run = replace(shared, **{field: _controller_value(param, value)})
             record["exit_code"] = cmd_control(run, run_args)
-        except (ConfigurationError, AdmissibilityError) as exc:
+        except ConfigurationError as exc:
             # a bad value (a target outside the reachable range, a gain
             # outside the admissible interval) ends its own run only
             print("config error: %s=%r: %s" % (param, value, exc), file=sys.stderr)

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    ConfigurationError,
-    DegenerateBoundsError,
-)
-from .interface import VERTEX_MERGE_TOL, MemoryInterface
+from .errors import AdmissibilityError, ConfigurationError, DegenerateBoundsError
+from .interface import VERTEX_MERGE_TOL, MemoryInterface, head_slabs
 from .weighting import (
     OutputReader,
     QRegion,
@@ -92,9 +88,9 @@ def last_input_extrema(iface: MemoryInterface):
     canonical staircase has no third corner on either run.
     """
     _require_zero_crossing(iface)
-    head = iface.head
-    a0, b0 = head[0]
-    a1, b1 = (head[1] or head)[0]  # a box floor at zero leaves one node
+    corners = iface.corners
+    a0, b0 = corners[0]
+    a1, b1 = corners[min(1, len(corners) - 1)]  # a box floor at zero leaves one corner
     M = a1 if abs(b1 - b0) <= VERTEX_MERGE_TOL else a0
     m = b1 if abs(a1 - a0) <= VERTEX_MERGE_TOL else b0
     return M, m
@@ -176,15 +172,13 @@ def max_gain(bounds: SectorBounds, mode: str = "positive") -> float:
     """Supremum of admissible adaptation gains."""
     if mode == "positive":
         d = max(bounds.gamma2_plus_q, bounds.gamma1_minus_q)
-        if d <= 0.0:
-            raise DegenerateBoundsError("sector bounds vanish on Q")
-        return 2.0 / d
-    if mode == "negative":
+    elif mode == "negative":
         d = abs(min(bounds.gamma2_minus_q, bounds.gamma1_plus_q))
-        if d <= 0.0:
-            raise DegenerateBoundsError("sector bounds vanish on Q")
-        return 2.0 / d
-    raise ConfigurationError("mode must be 'positive' or 'negative'")
+    else:
+        raise ConfigurationError("mode must be 'positive' or 'negative'")
+    if d <= 0.0:
+        raise DegenerateBoundsError("sector bounds vanish on Q")
+    return 2.0 / d
 
 
 @dataclass(frozen=True)
@@ -317,13 +311,13 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
         if heads:
             iface = MemoryInterface(heads.pop(), iface.support_box)
             i += len(heads) + 1
-            a, b = OutputReader.slab_points(heads)
-            alphas += a
-            betas += b
         else:
             iface = iface.push_extremum(values[i])
             i += 1
-        ramps.append(([survivor for _, (_, survivor, _), _ in heads], iface))
+        a, b, survivors = head_slabs(heads)
+        alphas += a
+        betas += b
+        ramps.append((survivors, iface))
     e = mu.everett_array(alphas, betas)
     reader = OutputReader(mu)
     y, k = [], 0

@@ -5,7 +5,7 @@ class ConfigurationError(ValueError):
     """Inconsistent inputs: box mismatches, bad parameters, invalid config."""
 
 
-class EmptyIntersectionError(ValueError):
+class EmptyIntersectionError(ConfigurationError):
     """The weighting support does not meet the remnant quadrant."""
 
 
@@ -13,5 +13,5 @@ class DegenerateBoundsError(ValueError):
     """Sector bounds vanish on Q; the remnant is not controllable there."""
 
 
-class AdmissibilityError(ValueError):
+class AdmissibilityError(ConfigurationError):
     """Initial interface violates the controller's admissibility conditions."""

@@ -151,6 +151,23 @@ def _linked_head(box: Box, v0: float, v: float, survivor):
     return ((v, v), (seam, survivor, depth + 1), depth + 2)
 
 
+def head_slabs(heads):
+    """(alphas, betas, survivors) of heads that ``_linked_head`` built, in
+    their order: the two points of E of the one slab the seam rule gives
+    each head (below the diagonal corner down to the seam after a rise,
+    below the seam down to the survivor after a fall) and its survivor."""
+    alphas, betas, survivors = [], [], []
+    for (v, _), ((a, b), survivor, _), _ in heads:
+        if b != v:  # a rise
+            alphas += (v, v)
+            betas += (v, b)
+        else:  # a fall
+            alphas += (a, a)
+            betas += (v, survivor[0][1])
+        survivors.append(survivor)
+    return alphas, betas, survivors
+
+
 class MemoryInterface:
     """Canonical staircase memory curve plus the support box it is clamped to.
 

@@ -33,15 +33,6 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SCAN_BLOCK_ROWS = 32
 
 
-def _gauss_segment(center: float, sigma: float, lo: float, hi: float) -> float:
-    """Integral of exp(-(x-center)^2 / (2 sigma^2)) over [lo, hi]."""
-    if hi <= lo:
-        return 0.0
-    z0 = (lo - center) / (sigma * _SQRT2)
-    z1 = (hi - center) / (sigma * _SQRT2)
-    return sigma * _SQRT_HALF_PI * (math.erf(z1) - math.erf(z0))
-
-
 def _cut_ranges(cuts, lo, hi):
     """(max(min(0.0, t), lo), min(max(0.0, t), hi)) for every cut t: the part
     of [lo, hi] between 0 and t, with Python's min and max, which keep their
@@ -51,30 +42,21 @@ def _cut_ranges(cuts, lo, hi):
     return np.where(lo > below, lo, below), np.where(hi < above, hi, above)
 
 
-def _gauss_segments(center, sigma, lo, hi):
-    """``_gauss_segment`` over [lo[k], hi[k]] for every k, as the same floats."""
-    out = np.zeros(len(lo))
-    on = hi > lo
+def _erf_constants(lo, hi, center, sigma):
+    """Constants of one lobe's profile exp(-(x - center)^2 / (2 sigma^2))
+    on its box's range [lo, hi] along one axis: (lo, hi, center, sigma,
+    sigma * sqrt 2, erf at lo, sigma * sqrt(pi / 2)).  Every integral of the
+    profile is sigma * sqrt(pi / 2) times a difference of erf at
+    (x - center) / (sigma * sqrt 2)."""
     scale = sigma * _SQRT2
-    e1, e0 = _erf((hi[on] - center) / scale), _erf((lo[on] - center) / scale)
-    out[on] = sigma * _SQRT_HALF_PI * (e1 - e0)
-    return out
-
-
-def _erf_constants(c, axis):
-    """Constants of the erf segments of component ``c`` along ``axis``
-    that start at its box's low edge: (lo, hi, center, sigma * sqrt 2,
-    erf at lo, sigma * sqrt(pi / 2))."""
-    lo, hi, mid, sigma = c._along(axis)
-    scale = sigma * _SQRT2
-    return lo, hi, mid, scale, math.erf((lo - mid) / scale), sigma * _SQRT_HALF_PI
+    return lo, hi, center, sigma, scale, math.erf((lo - center) / scale), sigma * _SQRT_HALF_PI
 
 
 def _segments_from_lo(constants, xs):
     """Integral of one component's profile along an axis from its box's low
     edge up to each x in ``xs``, in plain floats: numpy's per-call cost would
     outweigh the few corners of a typical read."""
-    lo, hi, mid, scale, erf_lo, k = constants
+    lo, hi, mid, _, scale, erf_lo, k = constants
     erf = math.erf
     return [k * (erf((min(x, hi) - mid) / scale) - erf_lo) if x > lo else 0.0 for x in xs]
 
@@ -83,11 +65,22 @@ def _segments_from_lo_array(constants, xs):
     """``_segments_from_lo`` as array expressions over an array ``xs``,
     with ``np.where(hi < x, hi, x)`` for Python's ``min(x, hi)``: the same
     floats."""
-    lo, hi, mid, scale, erf_lo, k = constants
+    lo, hi, mid, _, scale, erf_lo, k = constants
     out = np.zeros(len(xs))
     on = xs > lo
     x = xs[on]
     out[on] = k * (_erf((np.where(hi < x, hi, x) - mid) / scale) - erf_lo)
+    return out
+
+
+def _segments_between(constants, lo, hi):
+    """Integral of one component's profile over [lo[k], hi[k]] for every k
+    where hi[k] > lo[k], and 0 elsewhere, as the floats of the same
+    expression per element."""
+    _, _, mid, _, scale, _, k = constants
+    out = np.zeros(len(lo))
+    on = hi > lo
+    out[on] = k * (_erf((hi[on] - mid) / scale) - _erf((lo[on] - mid) / scale))
     return out
 
 
@@ -284,13 +277,6 @@ class GaussianComponent:
     sigma_beta: float
     box: Box
 
-    def _along(self, axis):
-        """(box lo, box hi, center, sigma) along ``axis``."""
-        b = self.box
-        if axis == "alpha":
-            return b.alpha_lo, b.alpha_hi, self.center_alpha, self.sigma_alpha
-        return b.beta_lo, b.beta_hi, self.center_beta, self.sigma_beta
-
     def eval(self, alpha, beta):
         alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
         b = self.box
@@ -321,8 +307,14 @@ class GaussianWeighting:
             if not support_box.contains(c.box):
                 raise ConfigurationError("component box escapes the support box")
         self.support_box = support_box
+        # per component: amplitude and the constants along alpha and beta,
+        # which E, the sector scan and abs_mass all read
         self._erf_terms = [
-            (c.amplitude, _erf_constants(c, "alpha"), _erf_constants(c, "beta"))
+            (
+                c.amplitude,
+                _erf_constants(c.box.alpha_lo, c.box.alpha_hi, c.center_alpha, c.sigma_alpha),
+                _erf_constants(c.box.beta_lo, c.box.beta_hi, c.center_beta, c.sigma_beta),
+            )
             for c in self.components
         ]
         self.total_mass = self.everett([support_box.alpha_hi], [support_box.beta_hi])[0]
@@ -373,16 +365,16 @@ class GaussianWeighting:
         and a sum never becomes -0.0, so adding +-0.0 changes nothing.
         """
         lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
-        across = "alpha" if axis == "beta" else "beta"
         factors = []
-        for c in self.components:
-            l_lo, l_hi, l_mid, l_sig = c._along(across)
-            x_lo, x_hi, x_mid, x_sig = c._along(axis)
+        for amp, *constants in self._erf_terms:
+            # the lines run across ``axis`` and the cuts along it
+            across, along = constants if axis == "beta" else constants[::-1]
+            l_lo, l_hi, l_mid, l_sig = across[:4]
             z = (lines - l_mid) / l_sig
             inside = (l_lo <= lines) & (lines <= l_hi)
-            profile = np.where(inside, c.amplitude * _exp(-0.5 * z * z), 0.0)
+            profile = np.where(inside, amp * _exp(-0.5 * z * z), 0.0)
             if profile.any():
-                segment = _gauss_segments(x_mid, x_sig, *_cut_ranges(cuts, x_lo, x_hi))
+                segment = _segments_between(along, *_cut_ranges(cuts, along[0], along[1]))
                 if segment.any():
                     factors.append((profile, segment))
         product = np.empty((min(SCAN_BLOCK_ROWS, len(lines)), len(cuts)))
@@ -399,10 +391,10 @@ class GaussianWeighting:
         # components with disjoint boxes make this exact; overlapping boxes
         # give an upper bound, which is the safe direction for tolerances
         total = 0.0
-        for c in self.components:
-            ga = _gauss_segment(c.center_alpha, c.sigma_alpha, c.box.alpha_lo, c.box.alpha_hi)
-            gb = _gauss_segment(c.center_beta, c.sigma_beta, c.box.beta_lo, c.box.beta_hi)
-            total += abs(c.amplitude) * ga * gb
+        for amp, along_alpha, along_beta in self._erf_terms:
+            (fa,) = _segments_from_lo(along_alpha, [along_alpha[1]])
+            (fb,) = _segments_from_lo(along_beta, [along_beta[1]])
+            total += abs(amp) * fa * fb
         return total
 
 
@@ -524,30 +516,10 @@ class OutputReader:
         """Output of ``iface``: mass below the curve minus mass above it."""
         return 2.0 * self.below(iface) - self.mu.total_mass
 
-    @staticmethod
-    def slab_points(heads):
-        """(alphas, betas): the points of E of the slabs of ``heads``, two
-        per head, in the order of ``heads``.
-
-        Each head is the two nodes a push links to a survivor of a curve
-        (see ``MemoryInterface.ramp_heads``), and the seam rule gives it
-        one slab of its own: below the diagonal corner down to the seam
-        after a rise, below the seam down to the survivor after a fall.
-        """
-        alphas, betas = [], []
-        for (v, _), ((a, b), survivor, _), _ in heads:
-            if b != v:  # a rise
-                alphas += (v, v)
-                betas += (v, b)
-            else:  # a fall
-                alphas += (a, a)
-                betas += (v, survivor[0][1])
-        return alphas, betas
-
     def read_slabs(self, survivors, e) -> list:
         """Outputs of the curves whose heads link to ``survivors``, nodes
         of the last curve read, with ``e`` the values of E at the heads'
-        ``slab_points``.
+        slab points (``interface.head_slabs``).
 
         ``math.fsum`` of the survivor's expansion and the slab's two terms
         rounds their exact sum correctly, so every output is the float

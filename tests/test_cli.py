@@ -391,6 +391,8 @@ def with_changes(changes):
 BUTTERFLY = {"weighting.preset": "butterfly"}
 PZT_SHELF = {"initial_interface.preset": "pzt_shelf"}
 SWEEP = {"sweep.param": "gamma_d"}
+#: the start of the error of a signal whose sample count breaks its rule
+SIGNAL_KEYS = "tau and signal_samples_per_pulse"
 
 #: id -> (config changes, command, flags, the key the error must name)
 BAD_INPUTS = {
@@ -450,6 +452,27 @@ BAD_INPUTS = {
         {"oracle_samples_per_pulse": 2**63}, "oracle-check", [], "oracle_samples_per_pulse"
     ),
     "huge_max_pulses": ({"controller.max_pulses": 1e308}, "control", [], "controller.max_pulses"),
+    "huge_tau_control": ({"tau": 1e308}, "control", [], SIGNAL_KEYS),
+    "huge_tau_simulate": ({"tau": 1e308}, "simulate", [], SIGNAL_KEYS),
+    "huge_tau_sweep": (
+        dict(SWEEP, **{"tau": 1e308, "sweep.values": [0.5]}), "sweep", [], SIGNAL_KEYS
+    ),
+    "huge_signal_samples_control": (
+        {"signal_samples_per_pulse": 1e308}, "control", [], SIGNAL_KEYS
+    ),
+    "huge_signal_samples_simulate": (
+        {"signal_samples_per_pulse": 1e308}, "simulate", [], SIGNAL_KEYS
+    ),
+    "huge_signal_samples_sweep": (
+        dict(SWEEP, **{"signal_samples_per_pulse": 1e308, "sweep.values": [0.5]}),
+        "sweep",
+        [],
+        SIGNAL_KEYS,
+    ),
+    "sample_step_underflows": ({"tau": 5e-324}, "simulate", [], SIGNAL_KEYS),
+    "sample_step_overflows": (
+        {"tau": 1e300, "signal_samples_per_pulse": 1e-10}, "simulate", [], SIGNAL_KEYS
+    ),
     "oracle_n_1": ({}, "oracle-check", ["--oracle-n", "1"], "--oracle-n"),
     "oracle_n_0": ({}, "oracle-check", ["--oracle-n", "0"], "--oracle-n"),
     "resolution_0": ({}, "bounds", ["--resolution", "0"], "--resolution"),
@@ -487,6 +510,16 @@ def test_integer_keys_must_fit_an_int64():
             number(value, "k", rule)
 
 
+@pytest.mark.parametrize(
+    "samples, code", [(2.0**62, EXIT_OK), (2.0**63, EXIT_CONFIG)], ids=["2_62_loads", "2_63_exits_2"]
+)
+def test_signal_sample_count_must_be_below_2_63(tmp_path, capsys, samples, code):
+    """One pulse at ``samples`` samples per pulse: a count of 2**62 loads
+    (``bounds`` renders no signal), 2**63 does not."""
+    cfg = with_changes({"signal_samples_per_pulse": samples, "controller.max_pulses": 0})
+    assert run("bounds", write_config(tmp_path, "c.json", cfg), tmp_path / "out") == code
+
+
 HUGE_BUTTERFLY = {"weighting": {"preset": "butterfly", "scale": 1e308}, "amplitudes": [0.5]}
 HUGE_GRID = "0.0,1.0,-1.0,0.0,2,2\n1e308,1e308\n1e308,1e308\n"
 
@@ -515,6 +548,24 @@ def test_huge_field_with_a_finite_mass_runs(tmp_path, capsys, command):
     assert run(command, write_config(tmp_path, "c.json", cfg), out) == EXIT_OK
     for artifact in out.iterdir():
         assert "nan" not in artifact.read_text().lower()
+
+
+INADMISSIBLE = {
+    "weighting": {"preset": "butterfly"},
+    "q": {"alpha2": 0.5, "beta2": -0.5},
+    "initial_interface": {"extrema": [0.9, -0.9]},
+    "controller": {"gamma_d": 0.1},
+    "sweep": {"param": "gamma_d", "values": [0.1]},
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "control", "sweep"])
+def test_inadmissible_interface_exits_2(tmp_path, capsys, command):
+    """An initial interface in the forbidden strips is a config error; a
+    sweep records it for the run it ends."""
+    cfg = write_config(tmp_path, "c.json", INADMISSIBLE)
+    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+    assert "initial interface enters the forbidden strips" in capsys.readouterr().err
 
 
 def test_readme_sample_config_runs_bounds(tmp_path, capsys):

@@ -420,8 +420,26 @@ def test_array_segments_are_the_scalar_segments(case):
     got_lo, got_hi = weighting._cut_ranges(np.array(cuts), lo, hi)
     got = list(zip(got_lo.tolist(), got_hi.tolist()))
     assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
-    segments = weighting._gauss_segments(center, sigma, got_lo, got_hi).tolist()
+    constants = weighting._erf_constants(lo, hi, center, sigma)
+    segments = weighting._segments_between(constants, got_lo, got_hi).tolist()
     assert [x.hex() for x in segments] == [_gauss_segment(center, sigma, *r).hex() for r in want]
+
+
+@pytest.mark.parametrize(
+    "seed", [None, 43, 44, 45], ids=["butterfly", "random_43", "random_44", "random_45"]
+)
+def test_gaussian_abs_mass_is_the_reference_sum(seed):
+    """``abs_mass`` of a Gaussian sum is, float for float, the sum over
+    components of |amplitude| times the two box segments of the reference
+    ``_gauss_segment``: the butterfly (no seed) and random overlapping sums."""
+    mu = make_butterfly()[0] if seed is None else random_gaussian_field(np.random.default_rng(seed))
+    want = 0.0
+    for c in mu.components:
+        b = c.box
+        ga = _gauss_segment(c.center_alpha, c.sigma_alpha, b.alpha_lo, b.alpha_hi)
+        gb = _gauss_segment(c.center_beta, c.sigma_beta, b.beta_lo, b.beta_hi)
+        want += abs(c.amplitude) * ga * gb
+    assert mu.abs_mass().hex() == want.hex()
 
 
 def test_zero_blocks_are_skipped_and_the_rest_added():
