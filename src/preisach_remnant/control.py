@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigurationError, DegenerateBoundsError
-from .interface import VERTEX_MERGE_TOL, MemoryInterface, head_slabs
+from .interface import VERTEX_MERGE_TOL, MemoryInterface
 from .weighting import (
     OutputReader,
     QRegion,
@@ -292,29 +292,25 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
     holds for that start with the ramp's slab terms.  A sample that starts
     no such ramp is pushed and read on its own.
 
-    The first pass walks the whole train and reads nothing: it keeps the
-    slab points of every head, the survivor each head links to and the
-    state that ends each ramp.  E is then evaluated at all the slab points
-    in one array call, and the second pass reads the ramps in order, each
-    ramp's outputs right after the read of its start.  E at a point does
-    not depend on when it is evaluated, so every output is the float of a
-    push and a read per sample.
+    The first pass walks each ramp once (``ramp_slabs``) and reads nothing:
+    it keeps the slab points of every sample but the ramp's last, the
+    survivor each of their heads links to and the state that ends the
+    ramp.  E is then evaluated at all the slab points in one array call,
+    and the second pass reads the ramps in order, each ramp's outputs
+    right after the read of its start.  E at a point does not depend on
+    when it is evaluated, so every output is the float of a push and a
+    read per sample.
     """
     t, u = render_signal(amplitudes, tau, sample_step)
     values = u.tolist()
     iface = iface0.push_extremum(values[0])
     ramps = [([], iface)]  # (survivors of the heads before its last sample, last state)
     alphas, betas = [], []
-    i = 1
+    box, i = iface.support_box, 1
     while i < len(values):
-        heads = iface.ramp_heads(values, i)
-        if heads:
-            iface = MemoryInterface(heads.pop(), iface.support_box)
-            i += len(heads) + 1
-        else:
-            iface = iface.push_extremum(values[i])
-            i += 1
-        a, b, survivors = head_slabs(heads)
+        a, b, survivors, head = iface.ramp_slabs(values, i)
+        iface = MemoryInterface(head, box) if head else iface.push_extremum(values[i])
+        i += len(survivors) + 1
         alphas += a
         betas += b
         ramps.append((survivors, iface))

@@ -151,23 +151,6 @@ def _linked_head(box: Box, v0: float, v: float, survivor):
     return ((v, v), (seam, survivor, depth + 1), depth + 2)
 
 
-def head_slabs(heads):
-    """(alphas, betas, survivors) of heads that ``_linked_head`` built, in
-    their order: the two points of E of the one slab the seam rule gives
-    each head (below the diagonal corner down to the seam after a rise,
-    below the seam down to the survivor after a fall) and its survivor."""
-    alphas, betas, survivors = [], [], []
-    for (v, _), ((a, b), survivor, _), _ in heads:
-        if b != v:  # a rise
-            alphas += (v, v)
-            betas += (v, b)
-        else:  # a fall
-            alphas += (a, a)
-            betas += (v, survivor[0][1])
-        survivors.append(survivor)
-    return alphas, betas, survivors
-
-
 class MemoryInterface:
     """Canonical staircase memory curve plus the support box it is clamped to.
 
@@ -278,30 +261,48 @@ class MemoryInterface:
         corners = _canonical_corners(head + surv, box)
         return MemoryInterface(_chain(corners), box, corners)
 
-    def ramp_heads(self, values, start: int = 0) -> list:
-        """Head nodes of the interfaces that pushing values[start],
-        values[start + 1], ... one after another passes through, for as
-        long as the pushes sweep on in one direction, each by more than
-        the merge tolerance, and each links a new head to the survivors.
+    def ramp_slabs(self, values, start: int):
+        """Walk the pushes of values[start], values[start + 1], ... one
+        after another, for as long as they sweep on in one direction, each
+        by more than the merge tolerance, and each links a new head to the
+        survivors.  Returns (alphas, betas, survivors, head): for every
+        push but the last, the two points of E of the one slab the seam
+        rule gives its head (below the diagonal corner down to the seam
+        after a rise, below the seam down to the survivor after a fall)
+        and the survivor the head links to; then the head node of the last
+        push, or None when values[start] links no head.
 
         Each push wipes the two nodes the one before it built, and the
         survivors of this interface it walks past were wiped by that push
         too.  So every head is also the head of this interface pushed to
-        its value directly, and links to a node of this interface.
+        its value directly, and links to a node of this interface; only
+        the last one is built.
         """
         box = self.support_box
+        lo, hi = box.beta_lo, box.alpha_hi
         v0 = self.current_value
         node = self.head
-        heads = []
+        alphas, betas, survivors = [], [], []
         rising = values[start] > v0
-        for i in range(start, len(values)):
-            v = values[i]
-            if (v - v0 if rising else v0 - v) <= VERTEX_MERGE_TOL:
-                break
-            node = _survivor(node, v, rising)
-            head = _linked_head(box, v0, v, node)
-            if head is None:
-                break
-            heads.append(head)
-            v0 = v
-        return heads
+        # the checks of push_extremum and _linked_head, with each value put
+        # to the box check once: the start here, every later one at its step
+        if lo <= v0 <= hi:
+            for i in range(start, len(values)):
+                v = values[i]
+                if (v - v0 if rising else v0 - v) <= VERTEX_MERGE_TOL or not lo <= v <= hi:
+                    break
+                node = _survivor(node, v, rising)
+                if node is None:
+                    break
+                a_s, b_s = node[0]
+                if not (a_s - v > VERTEX_MERGE_TOL and v - b_s > VERTEX_MERGE_TOL):
+                    break
+                alphas += (v, v) if rising else (a_s, a_s)
+                betas += (v, b_s)
+                survivors.append(node)
+                v0 = v
+        if not survivors:
+            return alphas, betas, survivors, None
+        del alphas[-2:], betas[-2:]
+        # the last head, as this interface pushed to its value directly builds it
+        return alphas, betas, survivors, _linked_head(box, self.current_value, v0, survivors.pop())

@@ -493,7 +493,7 @@ class OutputReader:
             elif nxt[0][1] != b:
                 alphas += (a, a)
                 betas += (b, nxt[0][1])
-        e = self.mu.everett(alphas, betas)
+        e = self.mu.everett(alphas, betas) if alphas else ()  # a repeated read adds no point
         # the nodes from the tail side in, each one's terms from the end of e
         expansion = seen[-1][1] if seen else []
         end = len(e)
@@ -519,7 +519,7 @@ class OutputReader:
     def read_slabs(self, survivors, e) -> list:
         """Outputs of the curves whose heads link to ``survivors``, nodes
         of the last curve read, with ``e`` the values of E at the heads'
-        slab points (``interface.head_slabs``).
+        slab points (``MemoryInterface.ramp_slabs``).
 
         ``math.fsum`` of the survivor's expansion and the slab's two terms
         rounds their exact sum correctly, so every output is the float

@@ -1,12 +1,17 @@
 """Experiment-runner subcommands, exit codes and artifact reproducibility."""
 
+import copy
 import json
 import math
 import os
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preisach_remnant import cli
 from preisach_remnant.cli import (
@@ -376,15 +381,23 @@ class TestSignOnQ:
         assert run("bounds", write_config(tmp_path, "c.json", cfg), tmp_path / "out") == code
 
 
-def with_changes(changes):
-    """The deadbeat config with each dotted key set to its value."""
-    cfg = deadbeat_config()
+#: a config value that ``with_changes`` deletes its key for
+MISSING = object()
+
+
+def with_changes(changes, cfg=None):
+    """The config ``cfg`` (the deadbeat config when None) with each dotted
+    key set to its value, or deleted for ``MISSING``."""
+    cfg = copy.deepcopy(cfg) if cfg is not None else deadbeat_config()
     for dotted, value in changes.items():
         *sections, key = dotted.split(".")
         target = cfg
         for section in sections:
             target = target.setdefault(section, {})
-        target[key] = value
+        if value is MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = value
     return cfg
 
 
@@ -575,3 +588,51 @@ def test_readme_sample_config_runs_bounds(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", json.loads(block))
     assert run("bounds", cfg, tmp_path / "out") == EXIT_OK
     assert json.loads((tmp_path / "out" / "bounds.json").read_text())["max_gain"] > 0.0
+
+
+# -- config fuzz ---------------------------------------------------------------
+
+#: a small valid butterfly config that sets every key of ``cli._KEYS``
+FUZZ_BASE = {
+    "weighting": {"preset": "butterfly", "scale": 1.0},
+    "q": {"alpha2": 1.0, "beta2": -1.0},
+    "initial_interface": {"preset": "virgin"},
+    "controller": {
+        "gamma_d": 0.3, "lambda": "auto", "w0": 0.0, "tolerance": 1e-3,
+        "max_pulses": 20, "mode": "positive",
+    },
+    "tau": 1.0,
+    "signal_samples_per_pulse": 8,
+    "oracle_samples_per_pulse": 8,
+    "amplitudes": [0.5, -0.3],
+    "sweep": {"param": "gamma_d", "values": [0.3, -0.2]},
+}
+#: the keys of the sections whose layout depends on the preset
+PRESET_KEYS = {
+    "weighting": ("preset", "scale", "value", "grid_csv"),
+    "initial_interface": ("preset", "extrema", "alpha_max", "shelf_beta"),
+}
+#: every dotted key the loader reads, and an unknown key in every section
+FUZZ_KEYS = [
+    (section + "." if section else "") + key
+    for section, keys in list(cli._KEYS.items()) + list(PRESET_KEYS.items())
+    for key in keys + ("unknown",)
+]
+EXTREMES = (1e308, -1e308, 1e-308, 5e-324, 0.0, -0.0, -1)
+#: extremes, wrong types, one-element lists of extremes and a missing key;
+#: each count among them is refused or small, as a count that fits below
+#: 2**63 but exhausts memory is out of scope (see the README)
+FUZZ_VALUES = EXTREMES + ("", None, True, False, [], {}) + tuple([x] for x in EXTREMES) + (MISSING,)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+def test_every_config_ends_in_a_defined_exit_code(key, value):
+    """One key of a valid config set to an extreme or a wrong value, or
+    deleted, ends every command in a defined exit code, never in an
+    exception."""
+    flags = ["--resolution", "64", "--oracle-n", "8"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "c.json", with_changes({key: value}, FUZZ_BASE))
+        for command in ("bounds", "control", "simulate", "oracle-check", "sweep"):
+            assert run(command, path, Path(tmp) / "out", flags) in (0, 2, 3, 4, 5)

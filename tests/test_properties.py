@@ -259,27 +259,54 @@ ramp_step = st.one_of(
 )
 
 
+def head_slab(head):
+    """(alphas, betas, survivor) of a head that links a diagonal corner and a
+    seam corner to a survivor: the two points of E of its one slab, below
+    the diagonal corner down to the seam after a rise and below the seam
+    down to the survivor after a fall."""
+    (v, _), ((a, b), survivor, _), _ = head
+    if b != v:  # a rise
+        return [v, v], [v, b], survivor
+    return [a, a], [v, survivor[0][1]], survivor
+
+
+def hexes(xs):
+    return [x.hex() for x in xs]
+
+
 @PROPERTY
 @given(ops=histories(), rising=st.booleans(), steps=st.lists(ramp_step, min_size=1, max_size=30))
-def test_ramp_heads_are_the_heads_of_single_pushes(ops, rising, steps):
-    """Each head of a ramp is the head of the pushes of the ramp one after
-    another and of its value pushed directly.  The ramp stops only where
-    the next push links no new head to the survivors either: it is a no-op
-    or builds a chain that shares no node with the one before."""
+def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
+    """The slab points and survivor the walk gives each sample but the last
+    are, bit for bit, those of the head that the pushes of the ramp one
+    after another build, and that pushing its value directly builds; the
+    last head is that of the last push.  The ramp stops only where the next
+    push links no new head to the survivors either: it is a no-op or builds
+    a chain that shares no node with the one before.  Steps of a few merge
+    tolerances and values past the box on either side are drawn."""
     iface = MemoryInterface.virgin(BOX)
     for v in input_values(ops):
         iface = iface.push_extremum(v)
     values = [iface.current_value]
     for step in steps:
         values.append(values[-1] + (step if rising else -step))
-    heads = iface.ramp_heads(values, 1)
+    alphas, betas, survivors, head = iface.ramp_slabs(values, 1)
+    assert len(alphas) == len(betas) == 2 * len(survivors)
+    walked = len(survivors) + (head is not None)
+    assert head is not None or not survivors
     chained = iface
-    for v, head in zip(values[1:], heads):
+    for k, v in enumerate(values[1:walked + 1]):
         chained = chained.push_extremum(v)
-        assert chained.head == head
-        assert iface.push_extremum(v).head == head
-    if len(heads) < len(steps):
-        nxt = chained.push_extremum(values[len(heads) + 1])
+        assert iface.push_extremum(v).head == chained.head
+        if k == len(survivors):
+            assert chained.head == head
+            continue
+        a, b, survivor = head_slab(chained.head)
+        assert hexes(alphas[2 * k:2 * k + 2]) == hexes(a)
+        assert hexes(betas[2 * k:2 * k + 2]) == hexes(b)
+        assert survivors[k] is survivor
+    if walked < len(steps):
+        nxt = chained.push_extremum(values[walked + 1])
         assert nxt is chained or not chain_ids(nxt) & chain_ids(chained)
 
 

@@ -181,6 +181,27 @@ class TestOutputReader:
             assert got == evaluate_output(mu, iface)
         assert len(iface.corners) == pushes + 2
 
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_a_repeated_read_makes_no_e_call(self, field):
+        """A read of the curve read last, or of a push that is a no-op,
+        adds no node and so evaluates no E; its output is the same float."""
+        if field == "grid":
+            values = np.random.default_rng(6).uniform(0.0, 1.0, (20, 20))
+            mu = GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), values)
+        else:
+            mu = make_butterfly()[0]
+        iface = nested_history(mu.support_box, 7)
+        calls = []
+        everett = mu.everett
+        mu.everett = lambda alphas, betas: calls.append(len(alphas)) or everett(alphas, betas)
+        reader = OutputReader(mu)
+        first = reader.read(iface)
+        assert calls
+        del calls[:]
+        for again in (iface, iface.push_extremum(iface.current_value)):
+            assert reader.read(again).hex() == first.hex()
+        assert calls == []
+
 
 class TestSectorBounds:
     def test_uniform_closed_forms(self):
