@@ -287,7 +287,6 @@ def cmd_sweep(cfg, args) -> int:
     for value in cfg.sweep_values:
         run_out = os.path.join(out, "%s_%r" % (param, value))
         run_args = argparse.Namespace(**dict(vars(args), out=run_out))
-        os.makedirs(run_args.out, exist_ok=True)
         record = {"value": value}
         try:
             run = replace(shared, **{field: _controller_value(param, value)})

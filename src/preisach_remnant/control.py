@@ -306,10 +306,9 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
     iface = iface0.push_extremum(values[0])
     ramps = [([], iface)]  # (survivors of the heads before its last sample, last state)
     alphas, betas = [], []
-    box, i = iface.support_box, 1
+    i = 1
     while i < len(values):
-        a, b, survivors, head = iface.ramp_slabs(values, i)
-        iface = MemoryInterface(head, box) if head else iface.push_extremum(values[i])
+        a, b, survivors, iface = iface.ramp_slabs(values, i)
         i += len(survivors) + 1
         alphas += a
         betas += b

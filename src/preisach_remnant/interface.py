@@ -126,31 +126,6 @@ def _survivor(node, v: float, rising: bool):
     return node
 
 
-def _linked_head(box: Box, v0: float, v: float, survivor):
-    """Head node of a sweep from v0 to v that links a diagonal corner and a
-    seam corner to ``survivor``, or None when the sweep must canonicalise.
-
-    The survivors are a suffix of a canonical staircase with the clamps of
-    the box.  When v and v0 keep those clamps and v lies more than the merge
-    tolerance inside the survivor's corner (the seam rule), the new head
-    neither merges with the survivor nor lines up with it, so
-    canonicalising would return the head plus the survivors.
-    """
-    if survivor is None:
-        return None
-    a_s, b_s = survivor[0]
-    if not (
-        a_s - v > VERTEX_MERGE_TOL
-        and v - b_s > VERTEX_MERGE_TOL
-        and box.beta_lo <= min(v, v0)
-        and max(v, v0) <= box.alpha_hi
-    ):
-        return None
-    depth = survivor[2]
-    seam = (v, b_s) if v > v0 else (a_s, v)
-    return ((v, v), (seam, survivor, depth + 1), depth + 2)
-
-
 class MemoryInterface:
     """Canonical staircase memory curve plus the support box it is clamped to.
 
@@ -235,22 +210,22 @@ class MemoryInterface:
     # -- memory updates ---------------------------------------------------
 
     def push_extremum(self, v: float) -> "MemoryInterface":
-        """Monotone input sweep to value v.
+        """Monotone input sweep to value v: a ramp of one sample (see
+        ``ramp_slabs``)."""
+        return self.ramp_slabs((float(v),), 0)[3]
+
+    def _canonical_push(self, v: float) -> "MemoryInterface":
+        """Push to v that canonicalises the whole staircase.
 
         An increase switches every relay with alpha < v to +1 and wipes the
-        dominated corners; a decrease is the mirror image.  The survivors
-        are a suffix of the chain and are kept as they are.
+        dominated corners; a decrease is the mirror image.  A push within
+        the merge tolerance of the current value returns this interface.
         """
-        v = float(v)
         v0 = self.current_value
         if abs(v - v0) <= VERTEX_MERGE_TOL:
             return self
         rising = v > v0
         node = _survivor(self.head, v, rising)
-        box = self.support_box
-        head = _linked_head(box, v0, v, node)
-        if head is not None:
-            return MemoryInterface(head, box)
         surv = []
         while node is not None:
             surv.append(node[0])
@@ -258,19 +233,30 @@ class MemoryInterface:
         head = [(v, v)]
         if surv:
             head.append((v, surv[0][1]) if rising else (surv[0][0], v))
-        corners = _canonical_corners(head + surv, box)
-        return MemoryInterface(_chain(corners), box, corners)
+        corners = _canonical_corners(head + surv, self.support_box)
+        return MemoryInterface(_chain(corners), self.support_box, corners)
 
     def ramp_slabs(self, values, start: int):
         """Walk the pushes of values[start], values[start + 1], ... one
         after another, for as long as they sweep on in one direction, each
         by more than the merge tolerance, and each links a new head to the
-        survivors.  Returns (alphas, betas, survivors, head): for every
-        push but the last, the two points of E of the one slab the seam
-        rule gives its head (below the diagonal corner down to the seam
-        after a rise, below the seam down to the survivor after a fall)
-        and the survivor the head links to; then the head node of the last
-        push, or None when values[start] links no head.
+        survivors.  Returns (alphas, betas, survivors, interface): for every
+        walked push but the last, the two points of E of the one slab the
+        seam rule gives its head (below the diagonal corner down to the seam
+        after a rise, below the seam down to the survivor after a fall) and
+        the survivor the head links to; then the interface after the last
+        walked push.  When values[start] links no head nothing is walked,
+        and the interface is this one pushed to values[start] through
+        ``_canonical_push``.
+
+        The seam rule links the head of a push to v to its survivor (a_s,
+        b_s) when b_s < v < a_s by more than the merge tolerance: the new
+        diagonal corner and seam corner then neither merge with the
+        survivor nor line up with it, so canonicalising would return them
+        plus the survivors.  Linking also keeps the clamps of the box, which
+        needs the value the walk starts from in [beta_lo, alpha_hi]: then
+        every corner lies in the box, so a value that passes the seam rule
+        lies in it too, and only the start is put to the box check.
 
         Each push wipes the two nodes the one before it built, and the
         survivors of this interface it walks past were wiped by that push
@@ -279,30 +265,31 @@ class MemoryInterface:
         the last one is built.
         """
         box = self.support_box
-        lo, hi = box.beta_lo, box.alpha_hi
         v0 = self.current_value
         node = self.head
         alphas, betas, survivors = [], [], []
         rising = values[start] > v0
-        # the checks of push_extremum and _linked_head, with each value put
-        # to the box check once: the start here, every later one at its step
-        if lo <= v0 <= hi:
+        last = None
+        if box.beta_lo <= v0 <= box.alpha_hi:
             for i in range(start, len(values)):
                 v = values[i]
-                if (v - v0 if rising else v0 - v) <= VERTEX_MERGE_TOL or not lo <= v <= hi:
+                if (v - v0 if rising else v0 - v) <= VERTEX_MERGE_TOL:
                     break
                 node = _survivor(node, v, rising)
                 if node is None:
                     break
-                a_s, b_s = node[0]
-                if not (a_s - v > VERTEX_MERGE_TOL and v - b_s > VERTEX_MERGE_TOL):
+                a, b = node[0]
+                if not (a - v > VERTEX_MERGE_TOL and v - b > VERTEX_MERGE_TOL):
                     break
-                alphas += (v, v) if rising else (a_s, a_s)
-                betas += (v, b_s)
-                survivors.append(node)
-                v0 = v
-        if not survivors:
-            return alphas, betas, survivors, None
-        del alphas[-2:], betas[-2:]
-        # the last head, as this interface pushed to its value directly builds it
-        return alphas, betas, survivors, _linked_head(box, self.current_value, v0, survivors.pop())
+                if last is not None:  # the sample before is not the last
+                    alphas += (v0, v0) if rising else (a_s, a_s)
+                    betas += (v0, b_s)
+                    survivors.append(last)
+                last, v0 = node, v
+                a_s, b_s = a, b
+        if last is None:
+            return alphas, betas, survivors, self._canonical_push(values[start])
+        depth = last[2]
+        seam = (v0, b_s) if rising else (a_s, v0)
+        head = ((v0, v0), (seam, last, depth + 1), depth + 2)
+        return alphas, betas, survivors, MemoryInterface(head, box)

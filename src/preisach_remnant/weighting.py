@@ -594,8 +594,8 @@ class SectorBounds:
     gamma2_minus: float
     gamma2_plus_q: float
     gamma1_minus_q: float
-    gamma1_plus_q: float = 0.0
-    gamma2_minus_q: float = 0.0
+    gamma1_plus_q: float
+    gamma2_minus_q: float
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -302,6 +302,7 @@ class TestSweep:
         assert "outside the reachable remnant range" in results[1]["error"]
         assert "error" not in results[0] and "error" not in results[2]
         assert (out / "gamma_d_0.5" / "summary.json").exists()
+        assert not (out / "gamma_d_99.0").exists()  # the failed run writes nothing
         assert "gamma_d=99.0" in capsys.readouterr().err
 
     def test_null_value_is_recorded_and_the_sweep_goes_on(self, tmp_path, capsys):

@@ -240,18 +240,18 @@ class TestAdmissibility:
 
 class TestMaxGain:
     def test_uniform_gain(self):
-        b = SectorBounds(0.0, 2.0, 2.0, 0.0, 2.0, 2.0)
+        b = SectorBounds(0.0, 2.0, 2.0, 0.0, 2.0, 2.0, 0.0, 0.0)
         assert max_gain(b) == pytest.approx(1.0)
 
     def test_reference_magnitudes(self):
         # a published pair of Q bounds: the gain cap is 2 / max of the two
         # and admits the gain 0.28 used alongside them
-        b = SectorBounds(0.0, 6.83, 5.50, 0.0, 6.83, 5.50)
+        b = SectorBounds(0.0, 6.83, 5.50, 0.0, 6.83, 5.50, 0.0, 0.0)
         assert max_gain(b) == pytest.approx(2.0 / 6.83, rel=1e-12)
         assert 0.28 < max_gain(b)
 
     def test_vanishing_bounds_are_degenerate(self):
-        b = SectorBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        b = SectorBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateBoundsError):
             max_gain(b)
 
@@ -419,7 +419,7 @@ class TestDenseResponse:
         expected = per_sample_reads(mu, iface, u)
 
         batched, pushed = [], []
-        read_slabs, push = OutputReader.read_slabs, MemoryInterface.push_extremum
+        read_slabs, push = OutputReader.read_slabs, MemoryInterface._canonical_push
 
         def spy_read_slabs(reader, survivors, e):
             batched.extend(survivors)
@@ -430,7 +430,7 @@ class TestDenseResponse:
             return push(iface, v)
 
         monkeypatch.setattr(OutputReader, "read_slabs", spy_read_slabs)
-        monkeypatch.setattr(MemoryInterface, "push_extremum", spy_push)
+        monkeypatch.setattr(MemoryInterface, "_canonical_push", spy_push)
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.1)
         assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
         assert pushed[:6] == u.tolist()[:6]  # the first pulse wipes every corner

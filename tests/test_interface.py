@@ -162,7 +162,9 @@ class TestPushExtremum:
         box = Box(-0.5, 1.0, -1.0, 0.5)
         iface = MemoryInterface.from_corners(corners, box)
         assert iface.push_extremum(0.0).corners == expected
-        assert iface.ramp_slabs([0.0], 0) == ([], [], [], None)
+        alphas, betas, survivors, pushed = iface.ramp_slabs([0.0], 0)
+        assert (alphas, betas, survivors) == ([], [], [])
+        assert pushed.corners == expected
 
     def test_module_level_wrapper(self):
         """The function form of a push is the method called on the class."""

@@ -96,6 +96,22 @@ def test_head_only_push_equals_full_canonicalisation(plays, ops):
         assert iface.corners == expected
 
 
+@pytest.mark.parametrize(
+    "values", [[-0.5, 2e-12, -0.25, 1e-12], [0.5, -2e-12, 0.25, -1e-12]], ids=["rise", "fall"]
+)
+def test_a_push_exactly_one_tolerance_inside_its_survivor_canonicalises(values):
+    """The last push lands exactly VERTEX_MERGE_TOL inside the corner of
+    its survivor, (2e-12, -0.25) after the rise and (0.25, -2e-12) after
+    the fall.  The seam rule is strict there: the seam corner merges with
+    the survivor, so the push must give a full canonicalisation."""
+    assert 2e-12 - 1e-12 == VERTEX_MERGE_TOL  # exact: 2e-12 is twice 1e-12 in binary too
+    iface = MemoryInterface.virgin(BOX)
+    for v in values:
+        expected = reference_push(iface, v)
+        iface = iface.push_extremum(v)
+        assert iface.corners == expected
+
+
 # -- fields -----------------------------------------------------------------------
 
 
@@ -280,26 +296,32 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
     """The slab points and survivor the walk gives each sample but the last
     are, bit for bit, those of the head that the pushes of the ramp one
     after another build, and that pushing its value directly builds; the
-    last head is that of the last push.  The ramp stops only where the next
-    push links no new head to the survivors either: it is a no-op or builds
-    a chain that shares no node with the one before.  Steps of a few merge
-    tolerances and values past the box on either side are drawn."""
+    last head is that of the last push.  A ramp that links no head returns
+    the full canonicalisation of its first push.  The ramp stops only where
+    the next push links no new head to the survivors either: it is a no-op
+    or builds a chain that shares no node with the one before.  Steps of a
+    few merge tolerances and values past the box on either side are
+    drawn."""
     iface = MemoryInterface.virgin(BOX)
     for v in input_values(ops):
         iface = iface.push_extremum(v)
     values = [iface.current_value]
     for step in steps:
         values.append(values[-1] + (step if rising else -step))
-    alphas, betas, survivors, head = iface.ramp_slabs(values, 1)
+    alphas, betas, survivors, last = iface.ramp_slabs(values, 1)
     assert len(alphas) == len(betas) == 2 * len(survivors)
-    walked = len(survivors) + (head is not None)
-    assert head is not None or not survivors
+    linked = last is not iface and bool(chain_ids(last) & chain_ids(iface))
+    walked = len(survivors) + linked
+    assert linked or not survivors
+    if not linked:
+        assert last.corners == reference_push(iface, values[1])
     chained = iface
     for k, v in enumerate(values[1:walked + 1]):
+        assert reference_push(chained, v) == reference_push(iface, v)
         chained = chained.push_extremum(v)
         assert iface.push_extremum(v).head == chained.head
         if k == len(survivors):
-            assert chained.head == head
+            assert chained.head == last.head
             continue
         a, b, survivor = head_slab(chained.head)
         assert hexes(alphas[2 * k:2 * k + 2]) == hexes(a)
