@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigurationError, DegenerateBoundsError
-from .interface import VERTEX_MERGE_TOL, MemoryInterface
+from .interface import MemoryInterface
 from .weighting import (
     OutputReader,
     QRegion,
@@ -47,8 +47,7 @@ def render_signal(amplitudes, tau: float, sample_step: float):
 
 
 def _require_zero_crossing(iface: MemoryInterface):
-    tol = 1e-9 * max(1.0, abs(iface.support_box.alpha_hi), abs(iface.support_box.beta_lo))
-    if abs(iface.current_value) > tol:
+    if abs(iface.current_value) > iface.support_box.input_tol:
         raise AdmissibilityError(
             "interface must pass through the diagonal at zero input"
         )
@@ -91,8 +90,9 @@ def last_input_extrema(iface: MemoryInterface):
     corners = iface.corners
     a0, b0 = corners[0]
     a1, b1 = corners[min(1, len(corners) - 1)]  # a box floor at zero leaves one corner
-    M = a1 if abs(b1 - b0) <= VERTEX_MERGE_TOL else a0
-    m = b1 if abs(a1 - a0) <= VERTEX_MERGE_TOL else b0
+    tol = iface.support_box.merge_tol
+    M = a1 if abs(b1 - b0) <= tol else a0
+    m = b1 if abs(a1 - a0) <= tol else b0
     return M, m
 
 
@@ -136,8 +136,7 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
 def validate_initial_interface(iface: MemoryInterface, q: QRegion) -> bool:
     """True when no curve point enters the strips that would let bounded
     pulses reach relays outside Q."""
-    a2, b2 = q.alpha2, q.beta2
-    tol = 1e-9 * max(1.0, abs(a2), abs(b2))
+    a2, b2, tol = q.alpha2, q.beta2, iface.support_box.input_tol
     for (x1, y1), (x2, y2) in zip(iface.corners, iface.corners[1:]):
         a_lo, a_hi = min(x1, x2), max(x1, x2)
         b_lo, b_hi = min(y1, y2), max(y1, y2)
@@ -251,7 +250,7 @@ def run_controller(
     g_max, g_min = remnant_extrema(mu, iface0, q)
     lo, hi = min(g_min, g_max), max(g_min, g_max)
     span = hi - lo
-    tol_pad = 1e-9 * max(1.0, abs(hi), abs(lo))
+    tol_pad = 1e-9 * max(abs(hi), abs(lo))
     if not (lo - tol_pad <= cfg.gamma_d <= hi + tol_pad):
         raise ConfigurationError(
             "target %g outside the reachable remnant range [%g, %g]"

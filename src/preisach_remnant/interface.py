@@ -24,15 +24,17 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
-#: absolute tolerance below which adjacent corners are merged
+#: tolerances per unit of box scale: corners this close merge; inputs get this slack
 VERTEX_MERGE_TOL = 1e-12
+INPUT_TOL = 1e-9
 
 _NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle [alpha_lo, alpha_hi] x [beta_lo, beta_hi]."""
+    """Axis-aligned rectangle [alpha_lo, alpha_hi] x [beta_lo, beta_hi]; every coordinate
+    comparison takes its tolerance from it, scaled by its largest |coordinate|."""
 
     alpha_lo: float
     alpha_hi: float
@@ -42,13 +44,17 @@ class Box:
     def __post_init__(self):
         if not (self.alpha_hi > self.alpha_lo and self.beta_hi > self.beta_lo):
             raise ConfigurationError("degenerate box: %r" % (self,))
+        scale = max(map(abs, (self.alpha_lo, self.alpha_hi, self.beta_lo, self.beta_hi)))
+        object.__setattr__(self, "merge_tol", VERTEX_MERGE_TOL * scale)
+        object.__setattr__(self, "input_tol", INPUT_TOL * scale)
 
     def contains(self, other: "Box") -> bool:
+        tol = self.input_tol
         return (
-            self.alpha_lo <= other.alpha_lo + 1e-9
-            and self.alpha_hi >= other.alpha_hi - 1e-9
-            and self.beta_lo <= other.beta_lo + 1e-9
-            and self.beta_hi >= other.beta_hi - 1e-9
+            self.alpha_lo <= other.alpha_lo + tol
+            and self.alpha_hi >= other.alpha_hi - tol
+            and self.beta_lo <= other.beta_lo + tol
+            and self.beta_hi >= other.beta_hi - tol
         )
 
 
@@ -56,14 +62,14 @@ def _canonical_corners(corners, box: Box):
     """Clamp, merge and validate a raw corner list.
 
     The first corner must lie on the diagonal.  Corners deeper than the
-    support box are clamped to it, near-duplicates (within
-    VERTEX_MERGE_TOL) are merged, collinear middle corners are dropped and
+    support box are clamped to it, near-duplicates (within the box's
+    ``merge_tol``) are merged, collinear middle corners are dropped and
     the tail down to the box floor is materialized.
     """
     if not corners:
         raise ConfigurationError("empty corner list")
     a0, b0 = corners[0]
-    if abs(a0 - b0) > 1e-9 * max(1.0, abs(a0), abs(b0)):
+    if abs(a0 - b0) > box.input_tol:
         raise ConfigurationError(
             "first corner must lie on the diagonal, got (%g, %g)" % (a0, b0)
         )
@@ -78,27 +84,28 @@ def _canonical_corners(corners, box: Box):
     if pts[-1][1] > tail_beta:
         pts.append((pts[-1][0], tail_beta))
 
+    tol = box.merge_tol
     out = [pts[0]]
     for p in pts[1:]:
         q = out[-1]
-        if abs(p[0] - q[0]) <= VERTEX_MERGE_TOL and abs(p[1] - q[1]) <= VERTEX_MERGE_TOL:
+        if abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol:
             continue
         if len(out) > 1:
             r = out[-2]
             if (
-                abs(r[0] - q[0]) <= VERTEX_MERGE_TOL and abs(q[0] - p[0]) <= VERTEX_MERGE_TOL
+                abs(r[0] - q[0]) <= tol and abs(q[0] - p[0]) <= tol
             ) or (
-                abs(r[1] - q[1]) <= VERTEX_MERGE_TOL and abs(q[1] - p[1]) <= VERTEX_MERGE_TOL
+                abs(r[1] - q[1]) <= tol and abs(q[1] - p[1]) <= tol
             ):
                 out[-1] = p  # q is the middle of three on one alpha or beta line
                 continue
         out.append(p)
 
     for (a1, b1), (a2, b2) in zip(out, out[1:]):
-        if a2 < a1 - VERTEX_MERGE_TOL or b2 > b1 + VERTEX_MERGE_TOL:
+        if a2 < a1 - tol or b2 > b1 + tol:
             raise ConfigurationError("corner list is not a monotone staircase")
         da, db = abs(a2 - a1), abs(b2 - b1)
-        if da > VERTEX_MERGE_TOL and db > VERTEX_MERGE_TOL:
+        if da > tol and db > tol:
             raise ConfigurationError(
                 "segments must be axis-aligned; corner jump (%g,%g)->(%g,%g)"
                 % (a1, b1, a2, b2)
@@ -154,14 +161,6 @@ class MemoryInterface:
                 node = node[1]
             self._corners = tuple(out)
         return self._corners
-
-    def __eq__(self, other):
-        if not isinstance(other, MemoryInterface):
-            return NotImplemented
-        return self.corners == other.corners and self.support_box == other.support_box
-
-    def __hash__(self):
-        return hash((self.corners, self.support_box))
 
     def __repr__(self):
         return "MemoryInterface(corners=%r, support_box=%r)" % (self.corners, self.support_box)
@@ -222,7 +221,7 @@ class MemoryInterface:
         the merge tolerance of the current value returns this interface.
         """
         v0 = self.current_value
-        if abs(v - v0) <= VERTEX_MERGE_TOL:
+        if abs(v - v0) <= self.support_box.merge_tol:
             return self
         rising = v > v0
         node = _survivor(self.head, v, rising)
@@ -265,6 +264,7 @@ class MemoryInterface:
         the last one is built.
         """
         box = self.support_box
+        tol = box.merge_tol
         v0 = self.current_value
         node = self.head
         alphas, betas, survivors = [], [], []
@@ -273,13 +273,13 @@ class MemoryInterface:
         if box.beta_lo <= v0 <= box.alpha_hi:
             for i in range(start, len(values)):
                 v = values[i]
-                if (v - v0 if rising else v0 - v) <= VERTEX_MERGE_TOL:
+                if (v - v0 if rising else v0 - v) <= tol:
                     break
                 node = _survivor(node, v, rising)
                 if node is None:
                     break
                 a, b = node[0]
-                if not (a - v > VERTEX_MERGE_TOL and v - b > VERTEX_MERGE_TOL):
+                if not (a - v > tol and v - b > tol):
                     break
                 if last is not None:  # the sample before is not the last
                     alphas += (v0, v0) if rising else (a_s, a_s)

@@ -564,6 +564,48 @@ def test_huge_field_with_a_finite_mass_runs(tmp_path, capsys, command):
         assert "nan" not in artifact.read_text().lower()
 
 
+#: a butterfly scale whose coordinates are exact in binary: its remnants
+#: are TINY**2 times those at scale 1, and its tolerances TINY times
+TINY = 2.0**-40
+
+
+def butterfly_run(tmp_path, command, scale, **settings):
+    """(exit code, summary or None) of ``command`` on the butterfly at
+    ``scale``, with the top-level config ``settings``."""
+    cfg = dict(settings, weighting={"preset": "butterfly", "scale": scale})
+    out = tmp_path / ("%s-%s" % (command, scale.hex()))
+    code = run(command, write_config(tmp_path, "c.json", cfg), out)
+    summary = out / "summary.json"
+    return code, json.loads(summary.read_text()) if summary.exists() else None
+
+
+def test_tiny_butterfly_control_converges_as_at_scale_one(tmp_path, capsys):
+    """The target 0.25 at scale 1 is 0.25 * TINY**2 at scale TINY: the run
+    takes the same 7 pulses and ends at the same remnant, TINY**2 times."""
+    runs = [butterfly_run(tmp_path, "control", s, controller={"gamma_d": 0.25 * s * s})
+            for s in (1.0, TINY)]
+    assert [(code, summary["pulses"]) for code, summary in runs] == [(EXIT_OK, 7)] * 2
+    assert runs[1][1]["final_remnant"] == TINY**2 * runs[0][1]["final_remnant"]
+
+
+def test_tiny_butterfly_simulate_is_scale_one_times_tiny_squared(tmp_path, capsys):
+    plan = [0.9, -0.9, 0.85, -0.85]
+    (_, one), (code, tiny) = [
+        butterfly_run(tmp_path, "simulate", s, amplitudes=[w * s for w in plan]) for s in (1.0, TINY)
+    ]
+    assert code == EXIT_OK
+    assert one["final_output"] == -1.199498754481763
+    assert tiny["final_output"] == -9.922021144888185e-25 == TINY**2 * one["final_output"]
+
+
+def test_tiny_butterfly_target_past_its_range_is_config_error(tmp_path, capsys):
+    """Its remnants lie within about 1e-24 of zero, so 1e-10 is out of
+    reach: the target pad is relative to them, with no floor at 1."""
+    code, summary = butterfly_run(tmp_path, "control", TINY, controller={"gamma_d": 1e-10})
+    assert (code, summary) == (EXIT_CONFIG, None)
+    assert "outside the reachable remnant range" in capsys.readouterr().err
+
+
 INADMISSIBLE = {
     "weighting": {"preset": "butterfly"},
     "q": {"alpha2": 0.5, "beta2": -0.5},

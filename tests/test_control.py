@@ -1,5 +1,7 @@
 """Pulse trains, remnant evaluation, admissibility and the controller."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from preisach_remnant import (
     uniform_field,
     validate_initial_interface,
 )
+from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader
 
@@ -236,6 +239,43 @@ class TestAdmissibility:
         )
         fixed = repair_initial_interface(iface, Q_UNIT)
         assert validate_initial_interface(fixed, Q_UNIT)
+
+
+class TestTolerancesScaleWithTheBox:
+    """The checks of a pulse's zero crossing, of the forbidden strips and of
+    the last extrema take their slack from the interface's box, so they
+    decide the same at every power-of-two scale 2**k."""
+
+    @staticmethod
+    def box(k):
+        s = math.ldexp(1.0, k)
+        return s, Box(0.0, s, -s, 0.0)
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_zero_crossing(self, k):
+        s, box = self.box(k)
+        apply_pulse(MemoryInterface.from_corners([(0.5 * INPUT_TOL * s,) * 2], box), 0.5 * s)
+        with pytest.raises(AdmissibilityError):
+            apply_pulse(MemoryInterface.from_corners([(2.0 * INPUT_TOL * s,) * 2], box), 0.5 * s)
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_forbidden_strip(self, k):
+        """A last maximum just past alpha2 enters strip 1 only beyond the
+        slack."""
+        s, box = self.box(k)
+        q = QRegion(0.5 * s, -s)
+        for x, admissible in ((0.5 * INPUT_TOL, True), (2.0 * INPUT_TOL, False)):
+            a = (0.5 + x) * s
+            iface = MemoryInterface.from_corners([(0.0, 0.0), (a, 0.0), (a, -s)], box)
+            assert validate_initial_interface(iface, q) is admissible
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_last_extrema_of_a_run_within_the_merge_tolerance(self, k):
+        """A first run that rises by a quarter of the merge tolerance is
+        flat: it ends at the last maximum."""
+        s, box = self.box(k)
+        corners = [(0.0, 0.0), (0.5 * s, 0.25 * VERTEX_MERGE_TOL * s), (0.5 * s, -s)]
+        assert last_input_extrema(MemoryInterface.from_corners(corners, box)) == (0.5 * s, 0.0)
 
 
 class TestMaxGain:

@@ -1,5 +1,6 @@
 """Staircase memory curve: canonical form, relay queries, memory updates."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ from preisach_remnant import (
     ConfigurationError,
     MemoryInterface,
 )
+from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.oracle import RelayGrid
 
 from conftest import close_to, random_gamma_interface, upper_beta
@@ -108,6 +110,36 @@ class TestConstruction:
     )
     def test_canonical_corners_of_raw_lists(self, raw, expected):
         assert MemoryInterface.from_corners(raw, UNIT_BOX).corners == expected
+
+
+class TestTolerances:
+    """Both tolerances are factors times the box's largest |coordinate|,
+    so at every power-of-two scale 2**k they sit at the same place."""
+
+    @pytest.mark.parametrize(
+        "box",
+        [Box(-4.0, 1.0, -2.0, 3.0), Box(-1.0, 4.0, -2.0, 3.0), Box(-1.0, 1.0, -4.0, 3.0),
+         Box(-1.0, 1.0, -2.0, 4.0)],
+        ids=["alpha_lo", "alpha_hi", "beta_lo", "beta_hi"],
+    )
+    def test_scale_is_the_largest_coordinate_magnitude(self, box):
+        assert (box.merge_tol, box.input_tol) == (4.0 * VERTEX_MERGE_TOL, 4.0 * INPUT_TOL)
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_containment_slack(self, k):
+        s = math.ldexp(1.0, k)
+        box = Box(0.0, s, -s, 0.0)
+        for x, inside in ((0.5 * INPUT_TOL, True), (2.0 * INPUT_TOL, False)):
+            assert box.contains(Box(0.0, (1.0 + x) * s, -s, 0.0)) is inside
+            assert box.contains(Box(0.0, s, -(1.0 + x) * s, 0.0)) is inside
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_diagonal_slack_of_the_first_corner(self, k):
+        s = math.ldexp(1.0, k)
+        box = Box(0.0, s, -s, 0.0)
+        MemoryInterface.from_corners([(0.0, 0.5 * INPUT_TOL * s)], box)
+        with pytest.raises(ConfigurationError):
+            MemoryInterface.from_corners([(0.0, 2.0 * INPUT_TOL * s)], box)
 
 
 class TestRelayState:

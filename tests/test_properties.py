@@ -1,6 +1,7 @@
 """Property tests of the Everett corner sums, the incremental output reads,
 the batched reads along a ramp and the head-only staircase update, each
-against a reference kept in this file."""
+against a reference kept in this file, and of the exact scaling of every
+answer under a power-of-two rescale of the field."""
 
 import math
 import sys
@@ -16,9 +17,13 @@ from preisach_remnant import (
     GaussianWeighting,
     GridWeighting,
     MemoryInterface,
+    QRegion,
     dense_response,
     evaluate_output,
     make_butterfly,
+    pulse_remnants,
+    remnant_extrema,
+    sector_bounds,
     uniform_field,
 )
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
@@ -552,3 +557,93 @@ def test_array_everett_at_signed_zeros_and_no_points(field, alphas, betas):
     positive lobe."""
     mu = uniform_field() if field == "grid" else make_butterfly()[0]
     assert_array_everett_is_everett(mu, alphas, betas)
+
+
+# -- scale invariance ------------------------------------------------------------
+
+
+def clear(lo, hi):
+    """Floats in [lo, hi] whose products with cell areas and with powers of
+    two down to 2**-160 stay clear of the subnormals, where a rescale would
+    lose bits."""
+    return st.floats(lo, hi).filter(lambda x: x == 0.0 or abs(x) >= 1e-200)
+
+
+@st.composite
+def quadrant_grids(draw):
+    """A grid whose box meets the alpha >= 0 >= beta quadrant, so that it
+    has sector bounds, and the Q region of its part there."""
+    a_lo, b_hi = draw(clear(-1.0, 0.5)), draw(clear(-0.5, 1.0))
+    a_hi = max(a_lo, 0.0) + draw(st.floats(0.1, 2.0))
+    b_lo = min(b_hi, 0.0) - draw(st.floats(0.1, 2.0))
+    n_alpha, n_beta = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(clear(-2.0, 2.0), min_size=n_alpha, max_size=n_alpha),
+                         min_size=n_beta, max_size=n_beta))
+    return (a_lo, a_hi, b_lo, b_hi), np.array(rows)
+
+
+#: the exponent of a rescale, its ends drawn often
+powers = st.one_of(st.sampled_from([-40, 40]), st.integers(-40, 40))
+
+
+def answers(mu, q, values, samples_per_pulse):
+    """(corners, outputs, bounds) of a field: every corner along the pushes
+    to ``values``, the reads after them, the remnants and the dense output
+    of ``values`` as a pulse train from the virgin state, the remnant
+    extrema, and the sector bounds."""
+    virgin = MemoryInterface.virgin(mu.support_box)
+    reader, iface = OutputReader(mu), virgin
+    corners, outputs = [], []
+    for v in values:
+        iface = iface.push_extremum(v)
+        corners += [x for corner in iface.corners for x in corner]
+        outputs.append(reader.read(iface))
+    outputs += pulse_remnants(mu, virgin, values)
+    outputs += dense_response(mu, virgin, values, 1.0, 1.0 / samples_per_pulse)[2].tolist()
+    outputs += remnant_extrema(mu, virgin, q)
+    return corners, outputs, list(sector_bounds(mu, q).to_dict().values())
+
+
+def assert_scaled(k, base, scaled, output_scale):
+    """``scaled`` holds the answers of the field rescaled by 2**k: its
+    corners 2**k times those of ``base``, its outputs ``output_scale``
+    times, and its sector bounds ``output_scale / 2**k`` times, bit for
+    bit."""
+    s = math.ldexp(1.0, k)
+    for got, want, factor in zip(scaled, base, (s, output_scale, output_scale / s)):
+        assert hexes(x / factor for x in got) == hexes(want)
+
+
+@PROPERTY
+@given(grid=quadrant_grids(), ops=histories(), samples_per_pulse=st.integers(2, 9), k=powers)
+def test_grid_answers_scale_exactly(grid, ops, samples_per_pulse, k):
+    """A grid with its box times 2**k and its cell values times 2**(-2k)
+    holds the same mass in every cell, so at inputs times 2**k every read
+    is the same float, every corner is 2**k times its own and every sector
+    bound 2**(-k) times.  In binary every one of these products is exact,
+    so every comparison of a coordinate must scale with the box too."""
+    (a_lo, a_hi, b_lo, b_hi), values = grid
+
+    def answers_at(k):
+        s = math.ldexp(1.0, k)
+        mu = GridWeighting(Box(a_lo * s, a_hi * s, b_lo * s, b_hi * s), values / (s * s))
+        inputs = [v * s for v in inputs_on(Box(a_lo, a_hi, b_lo, b_hi), ops)]
+        return answers(mu, QRegion(a_hi * s, b_lo * s), inputs, samples_per_pulse)
+
+    assert_scaled(k, answers_at(0), answers_at(k), 1.0)
+
+
+@PROPERTY
+@given(ops=histories(), samples_per_pulse=st.integers(2, 9), k=powers)
+def test_butterfly_answers_scale_exactly(ops, samples_per_pulse, k):
+    """The butterfly at scale 2**k keeps its amplitudes, so at inputs
+    times 2**k every output is 2**(2k) times its own, every corner 2**k
+    times and every sector bound 2**k times."""
+
+    def answers_at(k):
+        s = math.ldexp(1.0, k)
+        mu, q = make_butterfly(s)
+        inputs = [v * s for v in inputs_on(make_butterfly()[0].support_box, ops)]
+        return answers(mu, q, inputs, samples_per_pulse)
+
+    assert_scaled(k, answers_at(0), answers_at(k), math.ldexp(1.0, 2 * k))
