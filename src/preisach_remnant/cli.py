@@ -315,12 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Relay-field hysteresis simulation and remnant set-point control. "
         "Config defaults: weighting preset 'uniform' on q, virgin interface, "
         "lambda 'auto' (0.95 * max admissible gain), tolerance 1e-6 of the "
-        "remnant range, max_pulses 200, tau 1.0, resolution 512.",
+        "remnant range, max_pulses 200, tau 1.0, resolution 512 (the sector-bound scan "
+        "of analytic fields; grids are scanned at their own lattice).",
     )
     p.add_argument("command", choices=["bounds", "control", "simulate", "oracle-check", "sweep"])
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--resolution", type=_at_least_two, default=512, help="sector-bound scan lines")
+    p.add_argument(
+        "--resolution", type=_at_least_two, default=512,
+        help="sector-bound scan lines and cuts of analytic fields; grids use their own lattice",
+    )
     p.add_argument("--oracle-n", type=_at_least_two, default=300, help="relays per lattice axis")
     return p
 

@@ -29,7 +29,7 @@ from .interface import Box, MemoryInterface
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
-#: scan lines per block of the sector-bound scan; bounds its peak memory
+#: scan lines per block of the Gaussian sector-bound scan; bounds its memory
 SCAN_BLOCK_ROWS = 32
 
 
@@ -115,18 +115,6 @@ def _cell_fractions(edges, x):
     return idx, (x - edges[idx]) / (edges[idx + 1] - edges[idx])
 
 
-def _integrals_below_zero(edges, rows, cuts):
-    """Integral over [c, 0] of each piecewise-constant row (cells between
-    ``edges``) for every cut c <= 0: the partial cell at the cut plus an
-    exact sum of the cell terms above it, accumulated downward from zero."""
-    terms = rows * np.clip(np.minimum(edges[1:], 0.0) - edges[:-1], 0.0, None)
-    above = np.zeros_like(terms)
-    above[:, :-1] = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
-    m = np.clip(np.searchsorted(edges, cuts, side="right") - 1, 0, len(edges) - 2)
-    part = np.clip(np.minimum(edges[m + 1], 0.0) - np.maximum(edges[m], cuts), 0.0, None)
-    return rows[:, m] * part + above[:, m]
-
-
 class GridWeighting:
     """Piecewise-constant density on a uniform lattice over its support box.
 
@@ -205,23 +193,53 @@ class GridWeighting:
         upper = (1.0 - fa) * p[j + 1, i] + fa * p[j + 1, i + 1]
         return self._cell_area * ((1.0 - fb) * lower + fb * upper)
 
-    def scan_blocks(self, axis, lines, cuts):
-        """Row blocks of M[i, j], the integral of mu along ``axis`` at the
-        other coordinate lines[i], between 0 and cuts[j]."""
+    def line_integral_extrema(self, axis, line_lo, line_hi, cut_end, resolution):
+        """Extrema of the integral of mu along ``axis``, between 0 and a cut
+        toward ``cut_end``, over the cells across (line_lo, line_hi).  The
+        density is constant on each cell, so one line per cell and cuts at
+        the cell edges and the two ends hit every extremum exactly; the
+        lattice sets the scan, not ``resolution``.
+
+        The cuts run below zero, on the mirrored axis for a cut end above
+        it.  Each cell term is its value times the width of the cell between
+        the far cut and zero, and one cumulative sum of the terms downward
+        from zero gives the integral to every edge and to the far cut.  The
+        cut at 0 gives 0, which enters the extrema as +0.0 ahead of every
+        term, so a zero bound is +0.0.
+        """
         if axis == "beta":
-            line_edges, edges, rows = self.alpha_edges, self.beta_edges, self.values.T
+            line_edges, edges, cells = self.alpha_edges, self.beta_edges, self.values
         else:
-            line_edges, edges, rows = self.beta_edges, self.alpha_edges, self.values
-        lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
-        low = cuts <= 0.0
-        for start in range(0, len(lines), SCAN_BLOCK_ROWS):
-            idx, inside = _cells(line_edges, lines[start:start + SCAN_BLOCK_ROWS])
-            vals = np.where(inside[:, None], rows[idx], 0.0)
-            block = np.empty((len(vals), len(cuts)))
-            block[:, low] = _integrals_below_zero(edges, vals, cuts[low])
-            # cuts above zero: the same sums on the mirrored axis
-            block[:, ~low] = _integrals_below_zero(-edges[::-1], vals[:, ::-1], -cuts[~low])
-            yield block
+            line_edges, edges, cells = self.beta_edges, self.alpha_edges, self.values.T
+        across = np.flatnonzero((line_edges[1:] > line_lo) & (line_edges[:-1] < line_hi))
+        if len(across) == 0:
+            return 0.0, 0.0
+        cells = cells[:, across[0]:across[-1] + 1]  # cut axis first, one column per line
+        if cut_end > 0.0:
+            edges, cells, cut_end = -edges[::-1], cells[::-1], -cut_end
+        # from the far cut's cell up to the last cell below zero
+        m = int(np.clip(np.searchsorted(edges, cut_end, side="right") - 1, 0, len(edges) - 2))
+        top = min(int(np.searchsorted(edges, 0.0)), len(edges) - 1)
+        widths = np.minimum(edges[m + 1:top + 1], 0.0) - np.maximum(edges[m:top], cut_end)
+        terms = cells[m:top] * np.clip(widths, 0.0, None)[:, None]
+        np.cumsum(terms[::-1], axis=0, out=terms[::-1])
+        lo, hi = min(0.0, terms.min(initial=0.0)), max(0.0, terms.max(initial=0.0))
+        return float(lo), float(hi)
+
+    def sign_violation(self, q, sign):
+        """Why the density has not the sign of ``sign`` on Q, or None: exact,
+        every cell whose interior meets Q's interior is checked."""
+        a, b = self.alpha_edges, self.beta_edges
+        cols = np.flatnonzero((a[1:] > 0.0) & (a[:-1] < q.alpha2))
+        rows = np.flatnonzero((b[1:] > q.beta2) & (b[:-1] < 0.0))
+        bad = np.argwhere(sign * self.values[np.ix_(rows, cols)].T < 0.0)
+        if len(bad) == 0:
+            return None
+        i, j = cols[bad[0, 0]], rows[bad[0, 1]]
+        wrong = "negative" if sign > 0.0 else "positive"
+        return "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % (
+            wrong, a[i], a[i + 1], b[j], b[j + 1]
+        )
 
     def abs_mass(self) -> float:
         da = np.diff(self.alpha_edges)
@@ -386,6 +404,33 @@ class GaussianWeighting:
                 if p.any():
                     block += np.multiply.outer(p, segment, out=product[:len(p)])
             yield block
+
+    def line_integral_extrema(self, axis, line_lo, line_hi, cut_end, resolution):
+        """Extrema of the integral of mu along ``axis``, between 0 and a cut
+        toward ``cut_end``, sampled on ``resolution`` lines across [line_lo,
+        line_hi] and as many cuts, plus the two ends."""
+        cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
+        lines = np.linspace(line_lo, line_hi, resolution)
+        cuts = np.append(np.linspace(cut_lo, cut_hi, resolution), (cut_lo, cut_hi))
+        lo, hi = math.inf, -math.inf
+        for block in self.scan_blocks(axis, lines, cuts):
+            lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+        return lo, hi
+
+    def sign_violation(self, q, sign):
+        """Why the density may not have the sign of ``sign`` on Q, or None:
+        conservative, no component whose box interior meets Q's interior
+        has an amplitude of the other sign."""
+        for k, c in enumerate(self.components):
+            b = c.box
+            meets_q = b.alpha_lo < q.alpha2 and b.alpha_hi > 0.0
+            meets_q = meets_q and b.beta_lo < 0.0 and b.beta_hi > q.beta2
+            if meets_q and sign * c.amplitude < 0.0:
+                wrong = "negative" if sign > 0.0 else "positive"
+                return "weighting component %d (amplitude %g) may be %s on Q" % (
+                    k, c.amplitude, wrong
+                )
+        return None
 
     def abs_mass(self) -> float:
         # components with disjoint boxes make this exact; overlapping boxes
@@ -553,35 +598,11 @@ class QRegion:
 
     def check_nonnegative(self, mu, mode: str) -> None:
         """Reject a density that does not have the sign of ``mode`` on Q:
-        >= 0 for ``"positive"``, <= 0 for ``"negative"``.
-
-        Exact for grids: every cell whose interior meets Q's interior has
-        that sign.  Conservative for Gaussian sums: no component whose box
-        interior meets Q's interior has an amplitude of the other sign.
-        """
-        wrong = "negative" if mode == "positive" else "positive"
-        sign = 1.0 if mode == "positive" else -1.0
-        if isinstance(mu, GridWeighting):
-            a, b = mu.alpha_edges, mu.beta_edges
-            cols = np.flatnonzero((a[1:] > 0.0) & (a[:-1] < self.alpha2))
-            rows = np.flatnonzero((b[1:] > self.beta2) & (b[:-1] < 0.0))
-            bad = np.argwhere(sign * mu.values[np.ix_(rows, cols)].T < 0.0)
-            if len(bad):
-                i, j = cols[bad[0, 0]], rows[bad[0, 1]]
-                raise ConfigurationError(
-                    "weighting is %s on Q in the cell [%g, %g] x [%g, %g]"
-                    % (wrong, a[i], a[i + 1], b[j], b[j + 1])
-                )
-            return
-        for k, c in enumerate(mu.components):
-            b = c.box
-            meets_q = b.alpha_lo < self.alpha2 and b.alpha_hi > 0.0
-            meets_q = meets_q and b.beta_lo < 0.0 and b.beta_hi > self.beta2
-            if meets_q and sign * c.amplitude < 0.0:
-                raise ConfigurationError(
-                    "weighting component %d (amplitude %g) may be %s on Q"
-                    % (k, c.amplitude, wrong)
-                )
+        >= 0 for ``"positive"``, <= 0 for ``"negative"``; exact for grids
+        and conservative for Gaussian sums (``sign_violation``)."""
+        message = mu.sign_violation(self, 1.0 if mode == "positive" else -1.0)
+        if message:
+            raise ConfigurationError(message)
 
 
 @dataclass(frozen=True)
@@ -601,39 +622,13 @@ class SectorBounds:
         return asdict(self)
 
 
-def _cumulative_extrema(mu, axis, line_lo, line_hi, cut_end, resolution):
-    """Extrema of the integral of mu along ``axis``, between 0 and a cut
-    toward ``cut_end``, over lines across [line_lo, line_hi] of the other
-    coordinate.  The beta scan cuts below zero, the alpha scan above it."""
-    cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
-    if isinstance(mu, GridWeighting):
-        # cell centers across the lines and cell edges as cuts hit every
-        # extremum exactly
-        line_edges, cut_edges = (
-            (mu.alpha_edges, mu.beta_edges) if axis == "beta" else (mu.beta_edges, mu.alpha_edges)
-        )
-        lines = 0.5 * (line_edges[:-1] + line_edges[1:])
-        lines = lines[(line_edges[1:] > line_lo) & (line_edges[:-1] < line_hi)]
-        cuts = cut_edges[(cut_edges > cut_lo) & (cut_edges < cut_hi)]
-    else:
-        lines = np.linspace(line_lo, line_hi, resolution)
-        cuts = np.linspace(cut_lo, cut_hi, resolution)
-    cuts = np.append(cuts, (cut_lo, cut_hi))
-    if len(lines) == 0:
-        return 0.0, 0.0
-    lo, hi = math.inf, -math.inf
-    for block in mu.scan_blocks(axis, lines, cuts):
-        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
-    return lo, hi
-
-
 def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     """Sector-bound constants for the remnant response of ``mu``.
 
     The general bounds scan the whole support inside the quadrant
     alpha >= 0 >= beta; the Q-restricted variants scan only Q.  Grid fields
     are resolved exactly at their own lattice; the resolution controls the
-    scan density for analytic fields.
+    scan density for analytic fields (``line_integral_extrema``).
     """
     box = mu.support_box
     if box.alpha_hi < 0.0 or box.beta_lo > 0.0:
@@ -653,7 +648,7 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     # where Q covers the quadrant part of the support, the Q scans are the
     # general ones and run once: q's limits are nonzero, so equal limits
     # are the same floats, signed zeros included
-    extrema = {scan: _cumulative_extrema(mu, *scan, resolution) for scan in dict.fromkeys(scans)}
+    extrema = {s: mu.line_integral_extrema(*s, resolution) for s in dict.fromkeys(scans)}
     (f_lo, f_hi), (g_lo, g_hi), (fq_lo, fq_hi), (gq_lo, gq_hi) = map(extrema.get, scans)
 
     return SectorBounds(

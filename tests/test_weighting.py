@@ -1,6 +1,7 @@
 """Density fields, staircase integration and sector-bound constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,157 @@ class TestScanMatchesPointReference:
         assert set(sector_bounds(mu, Q_UNIT).to_dict().values()) == {0.0}
 
 
+# -- frozen reference: the blocked grid scan the lattice scan replaced --------
+#
+# GridWeighting.scan_blocks, _integrals_below_zero, _cells and the grid
+# branch of _cumulative_extrema as they were before the scan became one
+# cumulative sum per field, copied unchanged but for their names and the
+# inlined block size.
+
+
+def _frozen_cells(edges, x):
+    """(cell index, inside the edges) of every coordinate in ``x``."""
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    return idx, (edges[0] <= x) & (x <= edges[-1])
+
+
+def _frozen_integrals_below_zero(edges, rows, cuts):
+    """Integral over [c, 0] of each piecewise-constant row (cells between
+    ``edges``) for every cut c <= 0: the partial cell at the cut plus an
+    exact sum of the cell terms above it, accumulated downward from zero."""
+    terms = rows * np.clip(np.minimum(edges[1:], 0.0) - edges[:-1], 0.0, None)
+    above = np.zeros_like(terms)
+    above[:, :-1] = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+    m = np.clip(np.searchsorted(edges, cuts, side="right") - 1, 0, len(edges) - 2)
+    part = np.clip(np.minimum(edges[m + 1], 0.0) - np.maximum(edges[m], cuts), 0.0, None)
+    return rows[:, m] * part + above[:, m]
+
+
+def _frozen_scan_blocks(self, axis, lines, cuts):
+    """Row blocks of M[i, j], the integral of mu along ``axis`` at the
+    other coordinate lines[i], between 0 and cuts[j]."""
+    if axis == "beta":
+        line_edges, edges, rows = self.alpha_edges, self.beta_edges, self.values.T
+    else:
+        line_edges, edges, rows = self.beta_edges, self.alpha_edges, self.values
+    lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
+    low = cuts <= 0.0
+    for start in range(0, len(lines), 32):
+        idx, inside = _frozen_cells(line_edges, lines[start:start + 32])
+        vals = np.where(inside[:, None], rows[idx], 0.0)
+        block = np.empty((len(vals), len(cuts)))
+        block[:, low] = _frozen_integrals_below_zero(edges, vals, cuts[low])
+        # cuts above zero: the same sums on the mirrored axis
+        block[:, ~low] = _frozen_integrals_below_zero(-edges[::-1], vals[:, ::-1], -cuts[~low])
+        yield block
+
+
+def _frozen_cumulative_extrema(mu, axis, line_lo, line_hi, cut_end):
+    cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
+    # cell centers across the lines and cell edges as cuts hit every
+    # extremum exactly
+    line_edges, cut_edges = (
+        (mu.alpha_edges, mu.beta_edges) if axis == "beta" else (mu.beta_edges, mu.alpha_edges)
+    )
+    lines = 0.5 * (line_edges[:-1] + line_edges[1:])
+    lines = lines[(line_edges[1:] > line_lo) & (line_edges[:-1] < line_hi)]
+    cuts = cut_edges[(cut_edges > cut_lo) & (cut_edges < cut_hi)]
+    cuts = np.append(cuts, (cut_lo, cut_hi))
+    if len(lines) == 0:
+        return 0.0, 0.0
+    lo, hi = math.inf, -math.inf
+    for block in _frozen_scan_blocks(mu, axis, lines, cuts):
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+    return lo, hi
+
+
+def frozen_grid_sector_bounds(mu, q):
+    """``sector_bounds`` of a grid with the frozen blocked scan."""
+    box = mu.support_box
+    a_lo, a_hi, b_lo = max(0.0, box.alpha_lo), box.alpha_hi, min(0.0, box.beta_lo)
+    qa_hi, qb_lo = min(q.alpha2, a_hi), max(q.beta2, b_lo)
+    f_lo, f_hi = _frozen_cumulative_extrema(mu, "beta", a_lo, a_hi, b_lo)
+    g_lo, g_hi = _frozen_cumulative_extrema(mu, "alpha", b_lo, min(0.0, box.beta_hi), a_hi)
+    fq_lo, fq_hi = _frozen_cumulative_extrema(mu, "beta", a_lo, qa_hi, qb_lo)
+    gq_lo, gq_hi = _frozen_cumulative_extrema(mu, "alpha", qb_lo, 0.0, qa_hi)
+    return SectorBounds(
+        2.0 * f_lo, 2.0 * f_hi, 2.0 * g_hi, 2.0 * g_lo,
+        2.0 * fq_hi, 2.0 * gq_hi, 2.0 * fq_lo, 2.0 * gq_lo,
+    ).to_dict()
+
+
+def zero_sign_case(rng, k):
+    """(grid, Q) number ``k`` of a cycle of shapes, boxes, values and Qs:
+    1 x 1, 1 x n, n x 1 and up to 89 cells a side; boxes that straddle both
+    axes, with zero on a cell edge, with beta_hi <= 0 or alpha_lo >= 0;
+    signed, one-signed, half-zero and all-zero values; Q off the edges,
+    covering the quadrant part or on the box's own edges."""
+    n = int(rng.integers(2, 40))
+    n_alpha, n_beta = [tuple(rng.integers(1, 90, 2).tolist()), (1, 1), (1, n), (n, 1)][k % 4]
+    a_lo, a_hi = float(rng.uniform(-1.0, -0.01)), float(rng.uniform(0.05, 1.5))
+    b_lo, b_hi = float(rng.uniform(-1.5, -0.05)), float(rng.uniform(0.01, 1.0))
+    kind = k // 4 % 5
+    if kind == 1:  # zero on a cell edge of both axes
+        a_lo, a_hi, b_lo, b_hi = -0.25, 1.0, -1.0, 0.25
+        n_alpha, n_beta = 5 * max(1, n_alpha // 5), 5 * max(1, n_beta // 5)
+    elif kind == 2:  # beta_hi <= 0
+        b_hi = float(rng.choice([0.0, rng.uniform(b_lo + 0.01, 0.0)]))
+    elif kind == 3:  # alpha_lo >= 0
+        a_lo = float(rng.choice([0.0, rng.uniform(0.0, a_hi - 0.01)]))
+    elif kind == 4:  # both
+        b_hi, a_lo = 0.0, 0.0
+    values = rng.normal(size=(n_beta, n_alpha))
+    fill = k // 20 % 4
+    if fill == 1:
+        values[:] = 0.0
+    elif fill == 2:
+        values[rng.uniform(size=values.shape) < 0.5] = 0.0
+    elif fill == 3:
+        values = float(rng.choice([-1.0, 1.0])) * np.abs(values)
+    which = k // 80 % 3
+    if which == 0:
+        q = QRegion(float(rng.uniform(0.05, 1.6)), float(rng.uniform(-1.6, -0.05)))
+    elif which == 1:
+        q = QRegion(5.0, -5.0)
+    else:
+        q = QRegion(a_hi, b_lo)
+    return GridWeighting(Box(a_lo, a_hi, b_lo, b_hi), values), q
+
+
+def test_lattice_scan_is_the_frozen_blocked_scan():
+    """Over 600 seeded grids, every nonzero bound is the frozen blocked
+    scan's float, and every zero bound is +0.0, where the blocked scan gave
+    a zero of the sign its first block to reach zero had."""
+    rng = np.random.default_rng(46)
+    nonzero = negative_zeros = 0
+    for k in range(600):
+        mu, q = zero_sign_case(rng, k)
+        got = sector_bounds(mu, q).to_dict()
+        for key, want in frozen_grid_sector_bounds(mu, q).items():
+            if want != 0.0:
+                nonzero += 1
+                assert got[key].hex() == want.hex(), (k, key)
+            else:
+                negative_zeros += math.copysign(1.0, want) < 0.0
+                assert got[key] == 0.0 and math.copysign(1.0, got[key]) == 1.0, (k, key)
+    assert nonzero > 1000 and negative_zeros > 0
+
+
+def test_grid_scan_peak_memory_is_below_the_values():
+    """The lattice scan holds one array of the quadrant's cells at a time,
+    accumulated in place: its traced peak stays under the grid's own
+    values on a 400 x 400 grid."""
+    rng = np.random.default_rng(47)
+    mu = GridWeighting(Box(-0.25, 1.0, -1.0, 0.25), rng.normal(size=(400, 400)))
+    tracemalloc.start()
+    try:
+        sector_bounds(mu, QRegion(1.0, -1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mu.values.nbytes
+
+
 @st.composite
 def segment_cases(draw):
     """(center, sigma, box lo, box hi, cuts): cuts anywhere, and at +-0.0,
@@ -497,9 +649,9 @@ def test_each_distinct_scan_runs_once(monkeypatch, scene, scans):
     """Q scans whose ranges equal the general ones reuse their results."""
     mu, q = scene(np.random.default_rng(44))
     calls = []
-    real = weighting._cumulative_extrema
+    real = type(mu).line_integral_extrema
     monkeypatch.setattr(
-        weighting, "_cumulative_extrema", lambda *a: calls.append(a[1:5]) or real(*a)
+        type(mu), "line_integral_extrema", lambda *a: calls.append(a[1:5]) or real(*a)
     )
     got = sector_bounds(mu, q, 40).to_dict()
     assert len(calls) == len(set(calls)) == scans
