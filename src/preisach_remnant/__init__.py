@@ -29,6 +29,7 @@ from .control import (
     dense_response,
     last_input_extrema,
     max_gain,
+    premised_bounds,
     pulse_remnants,
     remnant,
     remnant_extrema,

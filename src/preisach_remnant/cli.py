@@ -17,6 +17,7 @@ from .control import (
     ControllerConfig,
     dense_response,
     max_gain,
+    premised_bounds,
     pulse_remnants,
     remnant_extrema,
     run_controller,
@@ -25,7 +26,7 @@ from .errors import ConfigurationError, DegenerateBoundsError
 from .interface import MemoryInterface
 from .oracle import DEFAULT_SAMPLES_PER_PULSE, oracle_pulse_remnants
 from .presets import butterfly_preset, interface_from_spec, known_keys, number, numbers
-from .weighting import GridWeighting, QRegion, SectorBounds, sector_bounds, uniform_field
+from .weighting import GridWeighting, QRegion, SectorBounds, uniform_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,23 +52,18 @@ _KEYS = {
 
 @dataclass(frozen=True)
 class Config:
-    """A checked config with its field, Q region and initial interface built.
-    ``gamma_d`` is None when unset, ``lam`` a float or ``"auto"``, ``bounds``
-    the sector bounds a sweep shares among its runs (None: compute them)."""
+    """A checked config with its field, initial interface and controller
+    settings built.  In ``controller``, ``gamma_d`` is None when unset and
+    ``lam`` a float or ``"auto"``; ``bounds`` are the sector bounds a sweep
+    shares among its runs (None: compute them)."""
 
     mu: object
-    q: QRegion
     iface: MemoryInterface
     tau: float
     sample_step: float
     amplitudes: tuple
     oracle_samples_per_pulse: int
-    gamma_d: float
-    lam: object
-    w0: float
-    tolerance: float
-    max_pulses: int
-    mode: str
+    controller: ControllerConfig
     sweep_param: str
     sweep_values: tuple
     bounds: SectorBounds = None
@@ -150,24 +146,26 @@ def load_config(path) -> Config:
     mu, q = _field(cfg)
     config = Config(
         mu=mu,
-        q=q,
         iface=interface_from_spec(_section(cfg, "initial_interface", {}), mu.support_box),
         tau=tau,
         sample_step=tau / spp,
         amplitudes=numbers(cfg.get("amplitudes", []), "amplitudes"),
         oracle_samples_per_pulse=number(oracle_spp, "oracle_samples_per_pulse", "an integer >= 1"),
-        gamma_d=_controller_value("gamma_d", c["gamma_d"]) if "gamma_d" in c else None,
-        lam=_controller_value("lambda", c.get("lambda", "auto")),
-        w0=number(c.get("w0", 0.0), "controller.w0"),
-        tolerance=tolerance,
-        max_pulses=number(c.get("max_pulses", 200), "controller.max_pulses", "an integer >= 0"),
-        mode=mode,
+        controller=ControllerConfig(
+            gamma_d=_controller_value("gamma_d", c["gamma_d"]) if "gamma_d" in c else None,
+            lam=_controller_value("lambda", c.get("lambda", "auto")),
+            w0=number(c.get("w0", 0.0), "controller.w0"),
+            q=q,
+            tolerance=tolerance,
+            max_pulses=number(c.get("max_pulses", 200), "controller.max_pulses", "an integer >= 0"),
+            mu_sign_mode=mode,
+        ),
         sweep_param=param,
         sweep_values=tuple(values or ()),
     )
     # render_signal's count of the longest signal a command may render; NaN
     # when the sample step underflows to 0 or overflows
-    pulses = max(len(config.amplitudes), config.max_pulses + 1)
+    pulses = max(len(config.amplitudes), config.controller.max_pulses + 1)
     step = config.sample_step
     samples = pulses * tau / step if 0.0 < step < math.inf else math.nan
     if not samples < 2**63:
@@ -195,30 +193,23 @@ def _write_signal(cfg, amplitudes, out):
     return y
 
 
-def _premised_bounds(cfg, args) -> SectorBounds:
-    """Sector bounds of a field whose density has the sign of the mode on
-    Q, the premise of the gain cap; any other field is a config error."""
-    cfg.q.check_nonnegative(cfg.mu, cfg.mode)
-    return sector_bounds(cfg.mu, cfg.q, args.resolution)
-
-
 def _controlled(cfg, args):
     """(trace, gain) of the controller run ``cfg`` sets up."""
-    if cfg.gamma_d is None:
+    c = cfg.controller
+    if c.gamma_d is None:
         raise ConfigurationError("controller.gamma_d must be a number, got None")
-    bounds = cfg.bounds or _premised_bounds(cfg, args)
-    lam = 0.95 * max_gain(bounds, cfg.mode) if cfg.lam == "auto" else cfg.lam
-    ccfg = ControllerConfig(
-        cfg.gamma_d, lam, cfg.w0, cfg.q, cfg.tolerance, cfg.max_pulses, cfg.mode
-    )
-    return run_controller(cfg.mu, cfg.iface, ccfg, bounds=bounds), lam
+    bounds = cfg.bounds or premised_bounds(cfg.mu, c.q, c.mu_sign_mode, args.resolution)
+    if c.lam == "auto":
+        c = replace(c, lam=0.95 * max_gain(bounds, c.mu_sign_mode))
+    return run_controller(cfg.mu, cfg.iface, c, bounds=bounds), c.lam
 
 
 def cmd_bounds(cfg, args) -> int:
-    bounds = _premised_bounds(cfg, args)
-    g_max, g_min = remnant_extrema(cfg.mu, cfg.iface, cfg.q)
+    c = cfg.controller
+    bounds = premised_bounds(cfg.mu, c.q, c.mu_sign_mode, args.resolution)
+    g_max, g_min = remnant_extrema(cfg.mu, cfg.iface, c.q)
     report = bounds.to_dict()
-    report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds, cfg.mode))
+    report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds, c.mu_sign_mode))
     print(_dump_json(report, args.out, "bounds.json"))
     return EXIT_OK
 
@@ -238,7 +229,7 @@ def cmd_control(cfg, args) -> int:
         "gamma_min": trace.gamma_min,
         "tolerance": trace.tolerance,
         "lambda": lam,
-        "gamma_d": cfg.gamma_d,
+        "gamma_d": cfg.controller.gamma_d,
     }
     print(_dump_json(summary, out, "summary.json"))
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
@@ -277,11 +268,12 @@ def cmd_sweep(cfg, args) -> int:
     param = cfg.sweep_param
     if param is None:
         raise ConfigurationError("sweep needs a sweep section with param and values")
-    field = "lam" if param == "lambda" else param  # the Config field it sets
+    field = "lam" if param == "lambda" else param  # the ControllerConfig field it sets
     out = args.out or "sweep_out"
     os.makedirs(out, exist_ok=True)
     # a swept key only sets the controller: the runs share field, interface and bounds
-    shared = replace(cfg, bounds=_premised_bounds(cfg, args))
+    c = cfg.controller
+    shared = replace(cfg, bounds=premised_bounds(cfg.mu, c.q, c.mu_sign_mode, args.resolution))
     results = []
     worst = EXIT_OK
     for value in cfg.sweep_values:
@@ -289,7 +281,7 @@ def cmd_sweep(cfg, args) -> int:
         run_args = argparse.Namespace(**dict(vars(args), out=run_out))
         record = {"value": value}
         try:
-            run = replace(shared, **{field: _controller_value(param, value)})
+            run = replace(shared, controller=replace(c, **{field: _controller_value(param, value)}))
             record["exit_code"] = cmd_control(run, run_args)
         except ConfigurationError as exc:
             # a bad value (a target outside the reachable range, a gain

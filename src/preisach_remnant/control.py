@@ -102,35 +102,28 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
     Positive amplitudes above the last maximum switch the band between the
     curve and beta = 0; negative amplitudes below the last minimum switch the
     band between alpha = 0 and the curve; anything in between is a dead zone.
+    Both bands are sums of one rectangle per run of the curve, from corner
+    (a1, b1) to corner (a2, b2), with (inf, -inf) after the tail: after a
+    rise the relays over alpha in (a1, a2] and beta in [b2, 0], after a fall
+    those over alpha in [0, a1] and beta in [b2, b1], each cut to the
+    pulse's reach.  A rise band starts at the largest alpha so far, which a
+    ``from_corners`` staircase may step back from within the merge
+    tolerance.
     """
     M, m = last_input_extrema(iface_next)
-    box = mu.support_box
-    if w_next > M:
-        total = 0.0
-        for lo, hi, level in iface_next.steps():
-            a_lo = max(lo, M)
-            a_hi = min(hi, w_next)
-            if a_hi <= a_lo:
-                continue
-            b_lo = max(level if level > -math.inf else box.beta_lo, box.beta_lo)
-            total += rect_mass(mu, a_lo, a_hi, b_lo, 0.0)
-        return 2.0 * total
-    if w_next < m:
-        total = 0.0
-        corners = iface_next.corners
-        # right edge of the switched band as a step function of beta:
-        # for beta in (b_{i+1}, b_i] the curve's inner alpha is a_i
-        b_prev = corners[0][1]
-        for i in range(len(corners)):
-            a_i = corners[i][0]
-            b_next_corner = corners[i + 1][1] if i + 1 < len(corners) else -math.inf
-            hi = min(b_prev, m)
-            lo = max(b_next_corner, w_next, box.beta_lo)
-            if hi > lo and a_i > 0.0:
-                total += rect_mass(mu, 0.0, a_i, lo, hi)
-            b_prev = b_next_corner
-        return -2.0 * total
-    return 0.0
+    rise = w_next > M
+    if not (rise or w_next < m):
+        return 0.0
+    beta_lo = mu.support_box.beta_lo
+    corners = iface_next.corners
+    total, a_lo = 0.0, M
+    for (a1, b1), (a2, b2) in zip(corners, corners[1:] + ((math.inf, -math.inf),)):
+        if rise:
+            a_lo = max(a_lo, a1)
+            total += rect_mass(mu, a_lo, min(a2, w_next), max(b2, beta_lo), 0.0)
+        else:
+            total += rect_mass(mu, 0.0, a1, max(b2, w_next, beta_lo), min(b1, m))
+    return 2.0 * total if rise else -2.0 * total
 
 
 def validate_initial_interface(iface: MemoryInterface, q: QRegion) -> bool:
@@ -167,6 +160,17 @@ def remnant_extrema(mu, iface0: MemoryInterface, q: QRegion):
     return g_max, g_min
 
 
+def premised_bounds(mu, q: QRegion, mode: str = "positive", resolution: int = 512) -> SectorBounds:
+    """Sector bounds of a field whose density has the sign of ``mode`` on
+    Q (>= 0 for ``"positive"``, <= 0 for ``"negative"``), the premise of the
+    gain cap; any other field is a config error.  The check is exact for
+    grids and conservative for Gaussian sums (``sign_violation``)."""
+    message = mu.sign_violation(q, 1.0 if mode == "positive" else -1.0)
+    if message:
+        raise ConfigurationError(message)
+    return sector_bounds(mu, q, resolution)
+
+
 def max_gain(bounds: SectorBounds, mode: str = "positive") -> float:
     """Supremum of admissible adaptation gains."""
     if mode == "positive":
@@ -182,6 +186,9 @@ def max_gain(bounds: SectorBounds, mode: str = "positive") -> float:
 
 @dataclass(frozen=True)
 class ControllerConfig:
+    """Every setting of a controller run; the CLI's config holds one with
+    ``gamma_d`` None when unset and ``lam`` ``"auto"`` until it runs."""
+
     gamma_d: float
     lam: float
     w0: float
@@ -203,15 +210,11 @@ class PulseRecord:
 @dataclass
 class ControlTrace:
     records: list
-    status: str  # "converged" | "max_pulses"
+    converged: bool  # False: the pulse budget ran out
     gamma_max: float
     gamma_min: float
     tolerance: float
     final_interface: MemoryInterface
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
     @property
     def amplitudes(self):
@@ -238,10 +241,8 @@ def run_controller(
     if not (q.beta2 <= cfg.w0 <= q.alpha2):
         raise ConfigurationError("w0 must lie in [beta2, alpha2]")
     if bounds is None:
-        # the bounds are worth nothing unless the density has one sign on
-        # Q; a caller that passes bounds vouches for them
-        q.check_nonnegative(mu, cfg.mu_sign_mode)
-        bounds = sector_bounds(mu, q)
+        # a caller that passes bounds vouches for their premise
+        bounds = premised_bounds(mu, q, cfg.mu_sign_mode)
     gain_cap = max_gain(bounds, cfg.mu_sign_mode)
     if not (0.0 < cfg.lam < gain_cap):
         raise ConfigurationError(
@@ -264,14 +265,14 @@ def run_controller(
     w = cfg.w0
     clamped = False
     records = []
-    status = "max_pulses"
+    converged = False
     for k in range(cfg.max_pulses + 1):
         iface = apply_pulse(iface, w)
         gamma_k = reader.read(iface)
         e_k = gamma_k - cfg.gamma_d
         records.append(PulseRecord(k, w, gamma_k, e_k, clamped))
         if abs(e_k) <= tol_e:
-            status = "converged"
+            converged = True
             break
         if k == cfg.max_pulses:
             break
@@ -279,7 +280,7 @@ def run_controller(
         w_new = min(max(w_raw, q.beta2), q.alpha2)
         clamped = w_new != w_raw
         w = w_new
-    return ControlTrace(records, status, g_max, g_min, tol_e, iface)
+    return ControlTrace(records, converged, g_max, g_min, tol_e, iface)
 
 
 def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_step: float):

@@ -100,12 +100,6 @@ def _scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _cells(edges, x):
-    """(cell index, inside the edges) of every coordinate in ``x``."""
-    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-    return idx, (edges[0] <= x) & (x <= edges[-1])
-
-
 def _cell_fractions(edges, x):
     """(cell index, fraction of the cell below the point) of every
     coordinate in ``x`` clamped to the edges; the last cell holds the top
@@ -150,9 +144,11 @@ class GridWeighting:
     def eval(self, alpha, beta):
         """Cell value at (alpha, beta), 0 outside the support; arrays
         broadcast, so column-by-row coordinates give a whole lattice."""
-        i, in_a = _cells(self.alpha_edges, np.asarray(alpha, float))
-        j, in_b = _cells(self.beta_edges, np.asarray(beta, float))
-        return _scalar_or_array(np.where(in_a & in_b, self.values[j, i], 0.0))
+        a, b = self.alpha_edges, self.beta_edges
+        alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
+        inside = (a[0] <= alpha) & (alpha <= a[-1]) & (b[0] <= beta) & (beta <= b[-1])
+        (i, _), (j, _) = _cell_fractions(a, alpha), _cell_fractions(b, beta)
+        return _scalar_or_array(np.where(inside, self.values[j, i], 0.0))
 
     def everett(self, alphas, betas):
         """E(alphas[k], betas[k]) for every k, as a list of floats.
@@ -595,14 +591,6 @@ class QRegion:
     def __post_init__(self):
         if not (self.alpha2 > 0.0 and self.beta2 < 0.0):
             raise ConfigurationError("need alpha2 > 0 and beta2 < 0")
-
-    def check_nonnegative(self, mu, mode: str) -> None:
-        """Reject a density that does not have the sign of ``mode`` on Q:
-        >= 0 for ``"positive"``, <= 0 for ``"negative"``; exact for grids
-        and conservative for Gaussian sums (``sign_violation``)."""
-        message = mu.sign_violation(self, 1.0 if mode == "positive" else -1.0)
-        if message:
-            raise ConfigurationError(message)
 
 
 @dataclass(frozen=True)

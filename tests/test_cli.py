@@ -20,7 +20,7 @@ from preisach_remnant.cli import (
     EXIT_OK,
     main,
 )
-from preisach_remnant import Box, ConfigurationError, GridWeighting, QRegion
+from preisach_remnant import Box, ConfigurationError, GridWeighting
 from preisach_remnant.presets import number
 
 
@@ -325,14 +325,13 @@ class TestSweep:
         base = dict(deadbeat_config(), weighting={"preset": "butterfly"})
         base["controller"] = {"gamma_d": 0.0, "lambda": "auto"}
         cfg = write_config(tmp_path, "c.json", dict(base, sweep={"param": "gamma_d", "values": values}))
-        scans, checks, controls = [], [], []
-        real, check, control = cli.sector_bounds, QRegion.check_nonnegative, cli.cmd_control
-        monkeypatch.setattr(cli, "sector_bounds", lambda *a: scans.append(a) or real(*a))
-        monkeypatch.setattr(QRegion, "check_nonnegative", lambda *a: checks.append(a) or check(*a))
+        scans, controls = [], []
+        real, control = cli.premised_bounds, cli.cmd_control
+        monkeypatch.setattr(cli, "premised_bounds", lambda *a: scans.append(a) or real(*a))
         monkeypatch.setattr(cli, "cmd_control", lambda *a: controls.append(a) or control(*a))
         out = tmp_path / "sweep"
         assert run("sweep", cfg, out, ["--resolution", "64"]) == EXIT_OK
-        assert len(scans) == len(checks) == 1
+        assert len(scans) == 1
         assert len(controls) == len(values)
         for v in values:
             single = dict(base, controller=dict(base["controller"], gamma_d=v))

@@ -33,9 +33,9 @@ from preisach_remnant import (
 )
 from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.presets import interface_from_spec
-from preisach_remnant.weighting import OutputReader
+from preisach_remnant.weighting import OutputReader, rect_mass
 
-from conftest import close_to, random_grid_field
+from conftest import close_to, random_gamma_interface, random_grid_field
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -195,6 +195,106 @@ class TestDeltaExplicit:
         mu, iface = uniform_scene()
         after = apply_pulse(iface, 0.75)
         assert delta_remnant_explicit(mu, after, -0.25) == pytest.approx(-0.375)
+
+    def test_one_walk_is_the_frozen_two_branch_formula(self):
+        """The corner-pair walk gives the float of the two-branch formula
+        it replaced, bit for bit, signed zeros included."""
+        kinds = {"rise": 0, "fall": 0, "dead": 0}
+        for mu, iface, w in frozen_delta_scenarios():
+            got = delta_remnant_explicit(mu, iface, w)
+            assert got.hex() == frozen_delta_remnant_explicit(mu, iface, w).hex()
+            M, m = last_input_extrema(iface)
+            kinds["rise" if w > M else "fall" if w < m else "dead"] += 1
+        assert min(kinds.values()) >= 200, kinds
+
+
+# The two-branch delta_remnant_explicit of the package before it walked the
+# corner pairs once, copied with only its name changed: the reference of
+# test_one_walk_is_the_frozen_two_branch_formula.
+def frozen_delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> float:
+    """Predicted remnant change of the next pulse without applying it.
+
+    Positive amplitudes above the last maximum switch the band between the
+    curve and beta = 0; negative amplitudes below the last minimum switch the
+    band between alpha = 0 and the curve; anything in between is a dead zone.
+    """
+    M, m = last_input_extrema(iface_next)
+    box = mu.support_box
+    if w_next > M:
+        total = 0.0
+        for lo, hi, level in iface_next.steps():
+            a_lo = max(lo, M)
+            a_hi = min(hi, w_next)
+            if a_hi <= a_lo:
+                continue
+            b_lo = max(level if level > -math.inf else box.beta_lo, box.beta_lo)
+            total += rect_mass(mu, a_lo, a_hi, b_lo, 0.0)
+        return 2.0 * total
+    if w_next < m:
+        total = 0.0
+        corners = iface_next.corners
+        # right edge of the switched band as a step function of beta:
+        # for beta in (b_{i+1}, b_i] the curve's inner alpha is a_i
+        b_prev = corners[0][1]
+        for i in range(len(corners)):
+            a_i = corners[i][0]
+            b_next_corner = corners[i + 1][1] if i + 1 < len(corners) else -math.inf
+            hi = min(b_prev, m)
+            lo = max(b_next_corner, w_next, box.beta_lo)
+            if hi > lo and a_i > 0.0:
+                total += rect_mass(mu, 0.0, a_i, lo, hi)
+            b_prev = b_next_corner
+        return -2.0 * total
+    return 0.0
+
+
+def frozen_delta_scenarios():
+    """(mu, iface, w) triples: criterion 1's 200 scenarios, drawn as it
+    draws them; pulse histories on grids and on the butterfly, each read at
+    amplitudes past the box on both sides, at a corner coordinate and at
+    both zeros; and the same amplitudes on staircases whose alpha steps back
+    within the merge tolerance at some vertical runs, which only
+    ``from_corners`` builds."""
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        mu = random_grid_field(rng)
+        box = mu.support_box
+        iface = random_gamma_interface(rng, box)
+        yield mu, iface, float(rng.uniform(box.beta_lo, box.alpha_hi))
+
+    rng = np.random.default_rng(17)
+    butterfly, _ = make_butterfly()
+
+    def amplitudes(iface):
+        box = iface.support_box
+        coords = [x for corner in iface.corners for x in corner]
+        return rng.uniform(box.beta_lo - 0.5, box.alpha_hi + 0.5, 8).tolist() + [
+            coords[int(rng.integers(len(coords)))], 0.0, -0.0,
+            box.alpha_hi + 1.0, box.beta_lo - 1.0,
+        ]
+
+    for k in range(150):
+        mu = butterfly if k % 5 == 0 else random_grid_field(rng)
+        box = mu.support_box
+        iface = MemoryInterface.virgin(box)
+        for w in rng.uniform(box.beta_lo - 0.5, box.alpha_hi + 0.5, int(rng.integers(0, 8))):
+            iface = apply_pulse(iface, float(w))
+        for w in amplitudes(iface):
+            yield mu, iface, w
+
+    for _ in range(100):
+        mu = random_grid_field(rng)
+        box = mu.support_box
+        alphas = np.sort(rng.uniform(0.0, box.alpha_hi, 4)).tolist()
+        betas = (-np.sort(rng.uniform(0.0, -box.beta_lo, 4))).tolist()
+        corners, b = [(0.0, 0.0)], 0.0
+        for a, b_next in zip(alphas, betas):
+            corners.append((a, b))
+            b = b_next
+            corners.append((a - 0.5 * box.merge_tol * int(rng.integers(0, 2)), b))
+        iface = MemoryInterface.from_corners(corners, box)
+        for w in amplitudes(iface):
+            yield mu, iface, w
 
 
 class TestRemnantExtrema:

@@ -1,18 +1,22 @@
 """Property tests of the Everett corner sums, the incremental output reads,
 the batched reads along a ramp and the head-only staircase update, each
-against a reference kept in this file, and of the exact scaling of every
-answer under a power-of-two rescale of the field."""
+against a reference kept in this file, of the exact scaling of every
+answer under a power-of-two rescale of the field, and of the controller's
+non-expansion on random grids below the gain cap."""
 
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from preisach_remnant import (
+    AdmissibilityError,
     Box,
+    ConfigurationError,
+    ControllerConfig,
     GaussianComponent,
     GaussianWeighting,
     GridWeighting,
@@ -21,10 +25,16 @@ from preisach_remnant import (
     dense_response,
     evaluate_output,
     make_butterfly,
+    max_gain,
+    premised_bounds,
     pulse_remnants,
+    remnant,
     remnant_extrema,
+    repair_initial_interface,
+    run_controller,
     sector_bounds,
     uniform_field,
+    validate_initial_interface,
 )
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
 from preisach_remnant.weighting import OutputReader, _grow, rect_mass
@@ -647,3 +657,116 @@ def test_butterfly_answers_scale_exactly(ops, samples_per_pulse, k):
         return answers(mu, q, inputs, samples_per_pulse)
 
     assert_scaled(k, answers_at(0), answers_at(k), math.ldexp(1.0, 2 * k))
+
+
+# -- the convergence guarantee ---------------------------------------------------
+
+
+@st.composite
+def controlled_grids(draw):
+    """A controller run on a grid of at most 12 x 12 cells: (field, q, mode,
+    admissible initial interface, gamma_d, gain, w0).
+
+    The box straddles both axes, sometimes with an axis on its edge, and Q
+    lies in its quadrant part.  Every cell whose interior meets Q's has the
+    sign of the mode (zero cells included), the others any sign.  The
+    initial interface comes from a random history, repaired by one
+    full-range pulse when it enters the forbidden strips.  The target is
+    anywhere in the reachable range, often at one of its ends, where the
+    clamp works, and the gain is anywhere below the cap."""
+    a_lo, b_hi = draw(st.sampled_from([0.0, -0.5])), draw(st.sampled_from([0.0, 0.5]))
+    a_hi, b_lo = draw(st.floats(0.1, 2.0)), -draw(st.floats(0.1, 2.0))
+    box = Box(a_lo, a_hi, b_lo, b_hi)
+    n_alpha, n_beta = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = np.array(draw(st.lists(clear(-2.0, 2.0), min_size=n_alpha * n_beta,
+                                    max_size=n_alpha * n_beta))).reshape(n_beta, n_alpha)
+    fraction = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+    q = QRegion(draw(fraction) * a_hi, draw(fraction) * b_lo)
+    mode = draw(st.sampled_from(["positive", "negative"]))
+    grid = GridWeighting(box, values)
+    a, b = grid.alpha_edges, grid.beta_edges
+    on_q = np.outer((b[1:] > q.beta2) & (b[:-1] < 0.0), (a[1:] > 0.0) & (a[:-1] < q.alpha2))
+    assume(np.any(values[on_q] != 0.0))  # zero bounds on Q: the controller refuses (exit 3)
+    values[on_q] = (1.0 if mode == "positive" else -1.0) * np.abs(values[on_q])
+    mu = GridWeighting(box, values)
+
+    iface = MemoryInterface.virgin(box)
+    for v in draw(st.lists(st.floats(b_lo - 0.2, a_hi + 0.2), max_size=5)):
+        iface = iface.push_extremum(v)
+    iface = iface.push_extremum(0.0)
+    if not validate_initial_interface(iface, q):
+        try:
+            iface = repair_initial_interface(iface, q)
+        except AdmissibilityError:
+            iface = repair_initial_interface(MemoryInterface.virgin(box), q)
+
+    g_max, g_min = remnant_extrema(mu, iface, q)
+    at = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    gamma_d = min(g_min, g_max) + at * abs(g_max - g_min)
+    gain = draw(st.floats(0.05, 0.999)) * max_gain(premised_bounds(mu, q, mode), mode)
+    return mu, q, mode, iface, gamma_d, gain, draw(st.floats(q.beta2, q.alpha2))
+
+
+def clamped_case(sign, rising):
+    """A run whose first update overshoots Q on the uniform field of sign
+    ``sign``, whose cap is 1: from the virgin curve toward the remnant of
+    the alpha2 pulse when ``rising``, else from the state after a full
+    positive pulse toward that of the beta2 pulse."""
+    q = QRegion(1.0, -1.0)
+    mu, iface = uniform_field(q, sign), MemoryInterface.virgin(Box(0.0, 1.0, -1.0, 0.0))
+    if not rising:
+        iface = iface.push_extremum(1.0).push_extremum(0.0)
+    g_alpha2, g_beta2 = remnant_extrema(mu, iface, q)
+    mode = "positive" if sign > 0.0 else "negative"
+    return mu, q, mode, iface, g_alpha2 if rising else g_beta2, 0.999, 0.0
+
+
+@PROPERTY
+@given(case=controlled_grids(), max_pulses=st.integers(1, 60))
+@example(case=clamped_case(1.0, True), max_pulses=60)
+@example(case=clamped_case(1.0, False), max_pulses=60)
+@example(case=clamped_case(-1.0, True), max_pulses=60)
+@example(case=clamped_case(-1.0, False), max_pulses=60)
+def test_the_controller_never_expands_the_error(case, max_pulses):
+    """On Q the smaller sector bound is exactly 0 (each scan includes the
+    cut at 0 and the density has one sign there), so below the gain cap
+    the sector argument gives non-expansion, |e_{k+1}| <= |e_k|, not a
+    rate.  Every step must keep it, up to the rounding of the reads, a few
+    ulps of the field's absolute mass; every pulse that moves the remnant
+    must have its secant slope in its Q sector; and every amplitude must
+    lie in [beta2, alpha2]."""
+    mu, q, mode, iface, gamma_d, gain, w0 = case
+    bounds = premised_bounds(mu, q, mode)
+    cfg = ControllerConfig(gamma_d, gain, w0, q, max_pulses=max_pulses, mu_sign_mode=mode)
+    records = run_controller(mu, iface, cfg, bounds=bounds).records
+    slack = 16 * math.ulp(mu.abs_mass())
+    assert all(q.beta2 <= r.w <= q.alpha2 for r in records)
+    for before, after in zip(records, records[1:]):
+        assert abs(after.e) <= abs(before.e) + slack
+        dg, dw = after.gamma - before.gamma, after.w - before.w
+        if dg != 0.0:
+            if dw > 0.0:
+                lo, hi = bounds.gamma1_plus_q * dw, bounds.gamma2_plus_q * dw
+            else:
+                lo, hi = bounds.gamma1_minus_q * dw, bounds.gamma2_minus_q * dw
+            assert min(lo, hi) - slack <= dg <= max(lo, hi) + slack
+
+
+def test_a_gain_just_above_the_cap_expands_the_error():
+    """The uniform field has slope exactly 2 on Q, so its gain cap is 1.
+    From the virgin curve the first pulse of the update law at a gain just
+    above 1 leaves a larger error than it started from, and one just below
+    a smaller one: the controller's refusal of the gain (exit 2) guards a
+    real expansion."""
+    q = QRegion(1.0, -1.0)
+    mu, virgin = uniform_field(q), MemoryInterface.virgin(Box(0.0, 1.0, -1.0, 0.0))
+    assert max_gain(premised_bounds(mu, q)) == 1.0
+    gamma_d, w0 = -0.5, 0.0
+    e0 = remnant(mu, virgin, w0)[0] - gamma_d
+    assert e0 == -0.5
+    for gain, grows in ((1.0 + 2**-10, True), (1.0 - 2**-10, False)):
+        w1 = min(max(w0 - gain * e0, q.beta2), q.alpha2)  # the law of run_controller
+        e1 = remnant(mu, virgin, w1)[0] - gamma_d
+        assert (abs(e1) > abs(e0)) == grows
+    with pytest.raises(ConfigurationError, match="outside the admissible interval"):
+        run_controller(mu, virgin, ControllerConfig(gamma_d, 1.0 + 2**-10, w0, q))

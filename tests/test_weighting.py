@@ -22,6 +22,7 @@ from preisach_remnant import (
     SectorBounds,
     evaluate_output,
     make_butterfly,
+    premised_bounds,
     remnant,
     sector_bounds,
     uniform_field,
@@ -663,6 +664,9 @@ def test_each_distinct_scan_runs_once(monkeypatch, scene, scans):
 
 
 class TestCheckNonnegative:
+    """``premised_bounds`` refuses a density without the mode's sign on Q
+    and gives the sector bounds of any other."""
+
     @staticmethod
     def first_offending_cell(mu, q, sign):
         """The first cell, alpha-major, whose overlap with Q has an interior
@@ -687,11 +691,11 @@ class TestCheckNonnegative:
             for mode, sign in (("positive", 1.0), ("negative", -1.0)):
                 cell = self.first_offending_cell(mu, q, sign)
                 if cell is None:
-                    q.check_nonnegative(mu, mode)
+                    assert premised_bounds(mu, q, mode) == sector_bounds(mu, q)
                     continue
                 rejected += 1
                 with pytest.raises(ConfigurationError) as err:
-                    q.check_nonnegative(mu, mode)
+                    premised_bounds(mu, q, mode)
                 wrong = "negative" if mode == "positive" else "positive"
                 want = "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % ((wrong,) + cell)
                 assert str(err.value) == want
@@ -701,19 +705,19 @@ class TestCheckNonnegative:
         # one positive cell, [0, 1] x [-1, 0], in a ring of negative ones
         values = [[-1.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, -1.0]]
         mu = GridWeighting(Box(-1.0, 2.0, -2.0, 1.0), values)
-        QRegion(1.0, -1.0).check_nonnegative(mu, "positive")
+        premised_bounds(mu, QRegion(1.0, -1.0), "positive")
         for q in (QRegion(1.0 + 1e-9, -1.0), QRegion(1.0, -1.0 - 1e-9)):
             with pytest.raises(ConfigurationError):
-                q.check_nonnegative(mu, "positive")
+                premised_bounds(mu, q, "positive")
 
     def test_sign_change_on_q_is_rejected_in_both_modes(self):
         # a remnant that is not monotone in the pulse amplitude
         mu = GridWeighting(UNIT_BOX, [[1.0], [-0.5]])
         for mode in ("positive", "negative"):
             with pytest.raises(ConfigurationError):
-                Q_UNIT.check_nonnegative(mu, mode)
-        Q_UNIT.check_nonnegative(GridWeighting(UNIT_BOX, [[-1.0], [-0.5]]), "negative")
-        Q_UNIT.check_nonnegative(GridWeighting(UNIT_BOX, [[1.0], [0.0]]), "positive")
+                premised_bounds(mu, Q_UNIT, mode)
+        premised_bounds(GridWeighting(UNIT_BOX, [[-1.0], [-0.5]]), Q_UNIT, "negative")
+        premised_bounds(GridWeighting(UNIT_BOX, [[1.0], [0.0]]), Q_UNIT, "positive")
 
     def test_gaussian_dip_inside_q(self):
         mu = GaussianWeighting([
@@ -721,10 +725,10 @@ class TestCheckNonnegative:
             GaussianComponent(-2.0, 0.3, -0.2, 0.05, 0.05, Box(0.2, 0.4, -0.3, -0.1)),
         ])
         with pytest.raises(ConfigurationError) as err:
-            Q_UNIT.check_nonnegative(mu, "positive")
+            premised_bounds(mu, Q_UNIT, "positive")
         assert str(err.value) == "weighting component 1 (amplitude -2) may be negative on Q"
         with pytest.raises(ConfigurationError) as err:
-            Q_UNIT.check_nonnegative(mu, "negative")
+            premised_bounds(mu, Q_UNIT, "negative")
         assert str(err.value) == "weighting component 0 (amplitude 1) may be positive on Q"
 
     def test_gaussian_box_touching_q_is_not_checked(self):
@@ -732,13 +736,13 @@ class TestCheckNonnegative:
             GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, UNIT_BOX),
             GaussianComponent(-2.0, -0.3, -0.5, 0.1, 0.1, Box(-0.6, 0.0, -1.0, 0.0)),
         ])
-        Q_UNIT.check_nonnegative(mu, "positive")
+        premised_bounds(mu, Q_UNIT, "positive")
         with pytest.raises(ConfigurationError):
-            QRegion(1.0, -1.0).check_nonnegative(mu, "negative")
+            premised_bounds(mu, QRegion(1.0, -1.0), "negative")
 
     def test_butterfly_passes_for_every_q(self):
         mu, q = make_butterfly()
         for q in (q, QRegion(0.3, -0.2), QRegion(5.0, -5.0)):
-            q.check_nonnegative(mu, "positive")
+            premised_bounds(mu, q, "positive")
             with pytest.raises(ConfigurationError):
-                q.check_nonnegative(mu, "negative")
+                premised_bounds(mu, q, "negative")

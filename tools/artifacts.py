@@ -1,6 +1,7 @@
-"""Write every CLI artifact of the benchmark workloads, for a diff of two trees.
+"""Write every CLI artifact of the benchmark workloads, and compare two trees of them.
 
 Usage: ``python3 tools/artifacts.py TREE OUT``
+       ``python3 tools/artifacts.py --compare OLD NEW LIST``
 
 Generates the inputs of the three workloads of ``perfbench/workloads.py`` at
 seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, runs every command of
@@ -13,10 +14,19 @@ leave byte-identical directories::
     python3 tools/artifacts.py ../parent ../artifacts-parent
     python3 tools/artifacts.py . ../artifacts-head
     diff -rq ../artifacts-parent ../artifacts-head
+
+``--compare`` lists the files that differ between two such directories (in
+bytes, or present in one only) and exits 1 unless they are exactly the
+files that ``LIST`` names, one path relative to the directories per line
+(``#`` starts a comment).  A change that moves answers on purpose lists
+the files it moves there; a ``LIST`` that does not exist names none.  A moved file
+that is not listed fails, and so does a listed file that did not move, so
+a list left from an earlier change fails too.
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import subprocess
@@ -45,8 +55,50 @@ print(json.dumps(codes))
 """
 
 
+def files_under(root):
+    """Every file under ``root``, as paths relative to it."""
+    return {
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _, names in os.walk(root) for name in names
+    }
+
+
+def moved_files(old, new):
+    """The files of two artifact directories that differ, or that only one
+    of them has."""
+    old_files, new_files = files_under(old), files_under(new)
+    both = old_files & new_files
+    return (old_files ^ new_files) | {
+        path for path in both
+        if not filecmp.cmp(os.path.join(old, path), os.path.join(new, path), shallow=False)
+    }
+
+
+def listed_files(path):
+    """The paths the list at ``path`` names; none when it does not exist."""
+    if not os.path.exists(path):
+        return set()
+    with open(path) as fh:
+        lines = (line.split("#", 1)[0].strip() for line in fh)
+        return {os.path.normpath(line) for line in lines if line}
+
+
+def compare(old, new, list_path):
+    """Exit status 0 when the moved files are exactly the listed ones."""
+    moved, listed = moved_files(old, new), listed_files(list_path)
+    for path in sorted(moved):
+        print("moved%s: %s" % ("" if path in listed else " (not listed)", path))
+    for path in sorted(listed - moved):
+        print("listed, did not move: %s" % path)
+    ok = moved == listed
+    print("%d files moved, %d listed: %s" % (len(moved), len(listed), "ok" if ok else "FAIL"))
+    return 0 if ok else 1
+
+
 def main(argv):
-    if len(argv) != 2:
+    if argv[:1] == ["--compare"] and len(argv) == 4:
+        sys.exit(compare(*argv[1:]))
+    if len(argv) != 2 or "--compare" in argv:
         sys.exit(__doc__)
     tree, out = (os.path.abspath(a) for a in argv)
     src = os.path.join(tree, "src")
