@@ -106,9 +106,11 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
     (a1, b1) to corner (a2, b2), with (inf, -inf) after the tail: after a
     rise the relays over alpha in (a1, a2] and beta in [b2, 0], after a fall
     those over alpha in [0, a1] and beta in [b2, b1], each cut to the
-    pulse's reach.  A rise band starts at the largest alpha so far, which a
-    ``from_corners`` staircase may step back from within the merge
-    tolerance.
+    pulse's reach.  A ``from_corners`` staircase may step back within the
+    merge tolerance.  Where alpha steps back, a rise band starts at the
+    largest alpha so far.  Where beta steps back up, the relays of the rows
+    between belong to the run after, so the fall band takes them out of
+    the run before: the negative slab of ``OutputReader``'s sum.
     """
     M, m = last_input_extrema(iface_next)
     rise = w_next > M
@@ -121,8 +123,10 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
         if rise:
             a_lo = max(a_lo, a1)
             total += rect_mass(mu, a_lo, min(a2, w_next), max(b2, beta_lo), 0.0)
-        else:
+        elif b2 <= b1:
             total += rect_mass(mu, 0.0, a1, max(b2, w_next, beta_lo), min(b1, m))
+        else:
+            total -= rect_mass(mu, 0.0, a1, max(b1, w_next, beta_lo), min(b2, m))
     return 2.0 * total if rise else -2.0 * total
 
 

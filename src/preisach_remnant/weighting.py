@@ -17,6 +17,7 @@ quadrant alpha >= 0 >= beta.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -96,8 +97,18 @@ def _erf(x):
     return np.fromiter(map(math.erf, x), float, len(x))
 
 
-def _scalar_or_array(out):
-    return float(out) if out.ndim == 0 else out
+def _on_axes(lattice_eval):
+    """``eval(alphas, betas)`` from a method that takes the two axes as
+    1-D float arrays and gives the density at every (alphas[r], betas[c]),
+    a row per alpha and a column per beta; two scalars give a float."""
+
+    @functools.wraps(lattice_eval)
+    def eval(self, alphas, betas):
+        axes = (np.atleast_1d(np.asarray(x, float)) for x in (alphas, betas))
+        out = lattice_eval(self, *axes)
+        return float(out[0, 0]) if np.ndim(alphas) == np.ndim(betas) == 0 else out
+
+    return eval
 
 
 def _cell_fractions(edges, x):
@@ -141,14 +152,17 @@ class GridWeighting:
         self.total_mass = self.everett([box.alpha_hi], [box.beta_hi])[0]
         _require_finite_mass(self, "grid weighting")
 
-    def eval(self, alpha, beta):
-        """Cell value at (alpha, beta), 0 outside the support; arrays
-        broadcast, so column-by-row coordinates give a whole lattice."""
+    @_on_axes
+    def eval(self, alphas, betas):
+        """Cell value at every (alphas[r], betas[c]), 0 outside the support:
+        each axis finds its cells once, and two gathers of whole rows and
+        columns of the values give the lattice."""
         a, b = self.alpha_edges, self.beta_edges
-        alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
-        inside = (a[0] <= alpha) & (alpha <= a[-1]) & (b[0] <= beta) & (beta <= b[-1])
-        (i, _), (j, _) = _cell_fractions(a, alpha), _cell_fractions(b, beta)
-        return _scalar_or_array(np.where(inside, self.values[j, i], 0.0))
+        (i, _), (j, _) = _cell_fractions(a, alphas), _cell_fractions(b, betas)
+        out = self.values.T.take(i, axis=0).take(j, axis=1)
+        out[~((a[0] <= alphas) & (alphas <= a[-1]))] = 0.0
+        out[:, ~((b[0] <= betas) & (betas <= b[-1]))] = 0.0
+        return out
 
     def everett(self, alphas, betas):
         """E(alphas[k], betas[k]) for every k, as a list of floats.
@@ -291,8 +305,9 @@ class GaussianComponent:
     sigma_beta: float
     box: Box
 
-    def eval(self, alpha, beta):
-        alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    @_on_axes
+    def eval(self, alphas, betas):
+        alpha, beta = np.broadcast_arrays(alphas[:, None], betas[None, :])
         b = self.box
         inside = (b.alpha_lo <= alpha) & (alpha <= b.alpha_hi)
         inside &= (b.beta_lo <= beta) & (beta <= b.beta_hi)
@@ -300,7 +315,7 @@ class GaussianComponent:
         zb = (beta[inside] - self.center_beta) / self.sigma_beta
         out = np.zeros(alpha.shape)
         out[inside] = self.amplitude * _exp(-0.5 * (za * za + zb * zb))
-        return _scalar_or_array(out)
+        return out
 
 
 class GaussianWeighting:
@@ -334,8 +349,8 @@ class GaussianWeighting:
         self.total_mass = self.everett([support_box.alpha_hi], [support_box.beta_hi])[0]
         _require_finite_mass(self, "Gaussian weighting")
 
-    def eval(self, alpha, beta):
-        return sum(c.eval(alpha, beta) for c in self.components)
+    def eval(self, alphas, betas):
+        return sum(c.eval(alphas, betas) for c in self.components)
 
     def everett(self, alphas, betas):
         """E(alphas[k], betas[k]) for every k, as a list of floats: per

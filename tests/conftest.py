@@ -1,6 +1,7 @@
 """Shared randomized-scenario builders and interface queries for the test
 suite."""
 
+import bisect
 import math
 
 import numpy as np
@@ -28,6 +29,25 @@ def random_grid_field(rng) -> GridWeighting:
             if grid.beta_edges[j + 1] > grid.alpha_edges[i]:
                 values[j, i] = 0.0
     return GridWeighting(box, values)
+
+
+def point_density(mu, a, b):
+    """Density at one relay, looked up without numpy."""
+    if hasattr(mu, "components"):
+        total = 0.0
+        for c in mu.components:
+            box = c.box
+            if box.alpha_lo <= a <= box.alpha_hi and box.beta_lo <= b <= box.beta_hi:
+                za = (a - c.center_alpha) / c.sigma_alpha
+                zb = (b - c.center_beta) / c.sigma_beta
+                total += c.amplitude * math.exp(-0.5 * (za * za + zb * zb))
+        return total
+    box = mu.support_box
+    if not (box.alpha_lo <= a <= box.alpha_hi and box.beta_lo <= b <= box.beta_hi):
+        return 0.0
+    i = min(max(bisect.bisect_right(list(mu.alpha_edges), a) - 1, 0), mu.n_alpha - 1)
+    j = min(max(bisect.bisect_right(list(mu.beta_edges), b) - 1, 0), mu.n_beta - 1)
+    return float(mu.values[j, i])
 
 
 def cell_sum(mu, a_lo, a_hi, b_lo, b_hi):

@@ -207,6 +207,39 @@ class TestDeltaExplicit:
             kinds["rise" if w > M else "fall" if w < m else "dead"] += 1
         assert min(kinds.values()) >= 200, kinds
 
+    def test_a_beta_step_back_is_counted_once_in_a_fall(self):
+        """Where a ``from_corners`` staircase's beta steps back up within
+        the merge tolerance, the fall band counts the rows between once:
+        the prediction is the direct after - before difference to a few
+        ulps, on the uniform field and on random grids."""
+        mu, _ = uniform_scene()
+        corners = [(0, 0), (0.3, 0), (0.3, -0.4), (0.6, -0.4 + 5e-13), (0.6, -0.8), (0.9, -0.8)]
+        iface = MemoryInterface.from_corners(corners, UNIT_BOX)
+        direct = evaluate_output(mu, apply_pulse(iface, -0.6)) - evaluate_output(mu, iface)
+        assert direct == -0.48000000000029985
+        # 2 ulps; counting the rows twice, or not at all, is off by 3e-13
+        assert delta_remnant_explicit(mu, iface, -0.6) == pytest.approx(direct, rel=2**-51, abs=0)
+        rng = np.random.default_rng(103)
+        falls = 0
+        for _ in range(150):
+            mu = random_grid_field(rng)
+            box = mu.support_box
+            alphas = np.sort(rng.uniform(0.0, box.alpha_hi, 4)).tolist()
+            betas = (-np.sort(rng.uniform(0.0, -box.beta_lo, 4))).tolist()
+            corners, b = [(0.0, 0.0), (alphas[0], 0.0)], betas[0]
+            for a, b_next in zip(alphas[1:], betas[1:]):
+                # a vertical run down to b, then a horizontal one that ends
+                # up to half the merge tolerance above b
+                corners += [(corners[-1][0], b), (a, b + 0.5 * box.merge_tol * rng.uniform())]
+                b = b_next
+            iface = MemoryInterface.from_corners(corners + [(alphas[-1], b)], box)
+            for w in rng.uniform(box.beta_lo - 0.2, 0.0, 4).tolist():
+                direct = evaluate_output(mu, apply_pulse(iface, w)) - evaluate_output(mu, iface)
+                got = delta_remnant_explicit(mu, iface, w)
+                assert abs(got - direct) <= 4 * math.ulp(mu.abs_mass())
+                falls += w < last_input_extrema(iface)[1]
+        assert falls >= 400
+
 
 # The two-branch delta_remnant_explicit of the package before it walked the
 # corner pairs once, copied with only its name changed: the reference of

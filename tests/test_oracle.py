@@ -8,6 +8,7 @@ import pytest
 
 from preisach_remnant import (
     Box,
+    GridWeighting,
     MemoryInterface,
     QRegion,
     RelayGrid,
@@ -19,7 +20,7 @@ from preisach_remnant import (
 )
 from preisach_remnant.control import render_signal
 
-from conftest import random_grid_field, upper_beta
+from conftest import point_density, random_grid_field, upper_beta
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 
@@ -95,27 +96,34 @@ def logged(grid):
     return grid
 
 
-def assert_steps_follow_the_rule(grid, u_values):
-    """Step ``grid`` through ``u_values``: after every step the lattice is
-    the where rule applied to the states before the run, step by step, and
-    every write the step made is part of one of the rule's two writes,
+def assert_steps_follow_the_rule(grid, u_values, per_call=1):
+    """Step ``grid`` through ``u_values``, ``per_call`` samples to a call:
+    after every call the lattice is the where rule applied to the states
+    before the run, sample by sample, and every write the call made is part
+    of one of the rule's two writes at one of its samples, in sample order,
     with its value."""
     alphas, betas = grid.alphas, grid.betas
     expected = np.array(grid.states)
+    u_values = [float(u) for u in u_values]
     writes = 0
-    for u in u_values:
-        u = float(u)
+    for start in range(0, len(u_values), per_call):
+        us = u_values[start:start + per_call]
         grid.states.log = []
-        grid.step(u)
-        expected = where_step(expected, alphas, betas, u)
+        grid.step(*us)
+        rules = []  # per sample: where it writes +1, where -1
+        for u in us:
+            expected = where_step(expected, alphas, betas, u)
+            minus = np.broadcast_to(u < betas[None, :], expected.shape)
+            rules.append({1: (u > alphas[:, None]) & ~minus, -1: minus})
         assert np.array_equal(grid.states, expected)
-        minus = np.broadcast_to(u < betas[None, :], expected.shape)
-        plus = (u > alphas[:, None]) & ~minus
+        s = 0
         for key, value in grid.states.log:
             written = np.zeros(expected.shape, dtype=bool)
             written[key] = True
             assert value in (1, -1)
-            assert not (written & ~(plus if value == 1 else minus)).any()
+            while s < len(rules) and (written & ~rules[s][value]).any():
+                s += 1  # a later sample's write
+            assert s < len(rules)
         writes += len(grid.states.log)
     assert writes > 0  # the log sees the writes of step
 
@@ -179,6 +187,59 @@ class TestRelayGridStep:
                 assert_steps_follow_the_rule(grid, ramp_samples(rng, grid, box.beta_lo, box.alpha_hi))
                 assert_steps_follow_the_rule(grid, rng.uniform(-1.2, 1.2, 30))
 
+    def test_a_call_of_many_samples_follows_the_rule(self):
+        rng = np.random.default_rng(43)
+        for mu in (random_grid_field(rng), make_butterfly()[0]):
+            box = mu.support_box
+            grid = logged(RelayGrid(mu, int(rng.integers(5, 40))))
+            for per_call in (2, 7, 1000):
+                grid.initialize(random_history(rng, box, nested=True))
+                assert_steps_follow_the_rule(
+                    grid, ramp_samples(rng, grid, box.beta_lo, box.alpha_hi), per_call
+                )
+
+    def test_a_call_of_many_samples_is_the_calls_of_one(self):
+        """step(*us) leaves the states that step(u) for each u in turn
+        leaves, through NaNs inside ramps and calls with no sample, and the
+        steps after it agree too."""
+        rng = np.random.default_rng(44)
+        for mu in [random_grid_field(rng) for _ in range(4)] + [make_butterfly()[0]]:
+            box = mu.support_box
+            n = int(rng.integers(5, 60))
+            one, many = RelayGrid(mu, n), RelayGrid(mu, n)
+            init = random_history(rng, box, nested=bool(rng.integers(2)))
+            one.initialize(init)
+            many.initialize(init)
+            samples = ramp_samples(rng, one, box.beta_lo, box.alpha_hi)
+            for k in rng.choice(len(samples), 4, replace=False):
+                samples[k] = math.nan
+            cuts = np.sort(rng.integers(0, len(samples) + 1, 8)).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [len(samples)]):  # some empty
+                for u in samples[lo:hi]:
+                    one.step(u)
+                many.step(*samples[lo:hi])
+                assert np.array_equal(many.states, one.states)
+            many.step()
+            for u in rng.uniform(box.beta_lo - 0.2, box.alpha_hi + 0.2, 10).tolist():
+                one.step(u)
+                many.step(u)
+                assert np.array_equal(many.states, one.states)
+
+    def test_a_sample_that_raises_keeps_the_samples_before_it(self):
+        mu, iface = uniform_scene()
+        grid, want = RelayGrid(mu, 40), RelayGrid(mu, 40)
+        for g in (grid, want):
+            g.initialize(iface)
+            g.step(0.2)  # blocks that the samples below move
+        with pytest.raises(TypeError):
+            grid.step(0.6, -0.3, "0.2")
+        want.step(0.6, -0.3)
+        assert np.array_equal(grid.states, want.states)
+        for u in (0.9, 0.1, -0.7, 0.0):
+            grid.step(u)
+            want.step(u)
+            assert np.array_equal(grid.states, want.states)
+
 
 def row_by_row_states(grid, iface):
     """The relay states of ``iface`` on the lattice, one row per alpha."""
@@ -204,14 +265,32 @@ class TestRelayGridStates:
             assert grid.states.dtype == np.int8
             assert np.array_equal(grid.states, row_by_row_states(grid, iface))
 
+    def test_initialize_with_every_corner_on_lattice_lines(self):
+        """A row on a step's upper alpha edge and a column on its level
+        are +1."""
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            mu = random_grid_field(rng)
+            grid = RelayGrid(mu, int(rng.integers(10, 60)))
+            alphas = np.sort(rng.choice(grid.alphas[grid.alphas > 0.0], 3, replace=False))
+            betas = -np.sort(-rng.choice(grid.betas[grid.betas < 0.0], 3, replace=False))
+            corners, b = [(0.0, 0.0)], 0.0
+            for a, b_next in zip(alphas.tolist(), betas.tolist()):
+                corners += [(a, b), (a, b_next)]
+                b = b_next
+            iface = MemoryInterface.from_corners(corners, mu.support_box)
+            grid.initialize(iface)
+            assert np.array_equal(grid.states, row_by_row_states(grid, iface))
+
     def test_output_is_the_sum_of_weighted_states(self):
         rng = np.random.default_rng(62)
-        mu, _ = make_butterfly()
-        grid = RelayGrid(mu, 90)
-        grid.initialize(MemoryInterface.virgin(mu.support_box))
-        for u in rng.uniform(-1.0, 1.0, 30):
-            grid.step(float(u))
-            assert grid.output() == float((grid.states * grid.weights).sum())
+        for mu in (make_butterfly()[0], random_grid_field(rng)):
+            box = mu.support_box
+            grid = RelayGrid(mu, 90)
+            grid.initialize(MemoryInterface.virgin(box))
+            for u in rng.uniform(box.beta_lo, box.alpha_hi, 30):
+                grid.step(float(u))
+                assert grid.output() == float((grid.states * grid.weights).sum())
 
 
 class TestOraclePulseRemnants:
@@ -287,25 +366,6 @@ def two_write_pulse_remnants(mu, init, amplitudes, n, samples_per_pulse):
     return np.array(out)
 
 
-def point_density(mu, a, b):
-    """Density at one relay, looked up without numpy."""
-    if hasattr(mu, "components"):
-        total = 0.0
-        for c in mu.components:
-            box = c.box
-            if box.alpha_lo <= a <= box.alpha_hi and box.beta_lo <= b <= box.beta_hi:
-                za = (a - c.center_alpha) / c.sigma_alpha
-                zb = (b - c.center_beta) / c.sigma_beta
-                total += c.amplitude * math.exp(-0.5 * (za * za + zb * zb))
-        return total
-    box = mu.support_box
-    if not (box.alpha_lo <= a <= box.alpha_hi and box.beta_lo <= b <= box.beta_hi):
-        return 0.0
-    i = min(max(bisect.bisect_right(list(mu.alpha_edges), a) - 1, 0), mu.n_alpha - 1)
-    j = min(max(bisect.bisect_right(list(mu.beta_edges), b) - 1, 0), mu.n_beta - 1)
-    return float(mu.values[j, i])
-
-
 def point_weights(mu, grid):
     box = mu.support_box
     cell = (box.alpha_hi - box.alpha_lo) / grid.n * ((box.beta_hi - box.beta_lo) / grid.n)
@@ -334,3 +394,12 @@ class TestRelayGridWeights:
         mu, _ = make_butterfly()
         grid = RelayGrid(mu, 60)
         assert np.array_equal(grid.weights, point_weights(mu, grid))
+
+    def test_relays_on_the_diagonal_keep_their_weight(self):
+        # on a square box the two axes are the same floats: alpha == beta
+        # indexes a relay
+        mu = GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), np.arange(1.0, 17.0).reshape(4, 4))
+        grid = RelayGrid(mu, 30)
+        assert np.array_equal(grid.alphas, grid.betas)
+        assert np.array_equal(grid.weights, point_weights(mu, grid))
+        assert np.all(np.diag(grid.weights) > 0.0)

@@ -30,6 +30,7 @@ from preisach_remnant import (
 
 from conftest import (
     cell_sum,
+    point_density,
     random_gamma_interface,
     random_grid_field,
     random_quadrant_scenario,
@@ -60,6 +61,39 @@ class TestEval:
             [GaussianComponent(1.0, 0.4, -0.4, 0.2, 0.2, UNIT_BOX)]
         )
         assert g.eval(0.4, -0.4) == pytest.approx(1.0)
+
+    def test_two_axes_give_the_scalar_value_at_every_pair(self):
+        """eval(alphas, betas) holds at [r, c] the float of the scalar
+        eval(alphas[r], betas[c]), and of a lookup without numpy, for grids
+        and the butterfly, at signed zeros, cell edges, points outside the
+        box, NaN and infinities."""
+        rng = np.random.default_rng(81)
+        fields = [random_grid_field(rng) for _ in range(6)]
+        fields += [uniform_field(Q_UNIT), make_butterfly()[0]]
+        for mu in fields:
+            box = mu.support_box
+            if isinstance(mu, GridWeighting):
+                edges = mu.alpha_edges.tolist(), mu.beta_edges.tolist()
+            else:  # every component box edge
+                boxes = [c.box for c in mu.components]
+                edges = (
+                    [x for b in boxes for x in (b.alpha_lo, b.alpha_hi)],
+                    [x for b in boxes for x in (b.beta_lo, b.beta_hi)],
+                )
+            axes = []
+            for lo, hi, on_edges in ((box.alpha_lo, box.alpha_hi, edges[0]),
+                                     (box.beta_lo, box.beta_hi, edges[1])):
+                axis = [0.0, -0.0, math.nan, math.inf, -math.inf] + on_edges
+                axis += rng.uniform(lo - 0.3, hi + 0.3, 12).tolist()  # some outside the box
+                rng.shuffle(axis)
+                axes.append(np.array(axis))
+            alphas, betas = axes
+            lattice = mu.eval(alphas, betas)
+            assert lattice.shape == (len(alphas), len(betas))
+            got = [[x.hex() for x in row] for row in lattice.tolist()]
+            assert got == [[mu.eval(float(a), float(b)).hex() for b in betas] for a in alphas]
+            assert got == [[point_density(mu, a, b).hex() for b in betas] for a in alphas]
+        assert all(type(mu.eval(0.5, -0.5)) is float for mu in fields)
 
     def test_grid_rejects_non_finite_values(self):
         with pytest.raises(ConfigurationError):
