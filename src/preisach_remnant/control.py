@@ -110,7 +110,10 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
     merge tolerance.  Where alpha steps back, a rise band starts at the
     largest alpha so far.  Where beta steps back up, the relays of the rows
     between belong to the run after, so the fall band takes them out of
-    the run before: the negative slab of ``OutputReader``'s sum.
+    the run before: the negative slab of ``OutputReader``'s sum.  A fall
+    band reaches up to the curve, not to the last minimum m: where the
+    first horizontal run ends above beta = 0 within the tolerance, the
+    relays between are +1 and the fall switches them too.
     """
     M, m = last_input_extrema(iface_next)
     rise = w_next > M
@@ -124,9 +127,9 @@ def delta_remnant_explicit(mu, iface_next: MemoryInterface, w_next: float) -> fl
             a_lo = max(a_lo, a1)
             total += rect_mass(mu, a_lo, min(a2, w_next), max(b2, beta_lo), 0.0)
         elif b2 <= b1:
-            total += rect_mass(mu, 0.0, a1, max(b2, w_next, beta_lo), min(b1, m))
+            total += rect_mass(mu, 0.0, a1, max(b2, w_next, beta_lo), b1)
         else:
-            total -= rect_mass(mu, 0.0, a1, max(b1, w_next, beta_lo), min(b2, m))
+            total -= rect_mass(mu, 0.0, a1, max(b1, w_next, beta_lo), b2)
     return 2.0 * total if rise else -2.0 * total
 
 

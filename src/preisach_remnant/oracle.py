@@ -16,6 +16,30 @@ from .interface import MemoryInterface
 #: default dense sampling per pulse for oracle replays
 DEFAULT_SAMPLES_PER_PULSE = 1000
 
+#: most relays summed in one product buffer by ``RelayGrid.output``
+OUTPUT_BLOCK = 1 << 15
+
+
+def _pairwise_sum(states, weights, block, lo, hi) -> float:
+    """Sum of states[lo:hi] * weights[lo:hi] (flat arrays) in numpy's own
+    pairwise order, holding at most ``len(block)`` products at a time.
+
+    numpy sums a contiguous float64 span by splitting it at ``half = size
+    // 2`` rounded down to a multiple of 8 (``pairwise_sum`` in its
+    ``loops_utils.h.src``), so a span split the same way down to at most
+    ``OUTPUT_BLOCK`` relays and summed per block by numpy adds the same
+    floats in the same order.  The one difference, numpy's ``0.0 +`` on
+    each block's sum, turns a -0.0 block into +0.0; that can only feed a
+    zero total, which numpy also returns as +0.0.
+    """
+    size = hi - lo
+    if size <= OUTPUT_BLOCK:
+        return float(np.multiply(states[lo:hi], weights[lo:hi], out=block[:size]).sum())
+    half = size // 2
+    half -= half % 8
+    return (_pairwise_sum(states, weights, block, lo, lo + half)
+            + _pairwise_sum(states, weights, block, lo + half, hi))
+
 
 class RelayGrid:
     """Dense n x n lattice of relays over the weighting support box."""
@@ -29,14 +53,14 @@ class RelayGrid:
         self.betas = box.beta_lo + (np.arange(n) + 0.5) * db
         self._axes = self.alphas.tolist(), self.betas.tolist()
         weights = mu.eval(self.alphas, self.betas)
-        weights *= da * db  # in place: the output buffer below takes its room
+        weights *= da * db  # in place: no second n x n array
         # only alpha >= beta indexes a relay: zero each row from the first
         # beta above its alpha
         for row, start in zip(weights, self.betas.searchsorted(self.alphas, "right").tolist()):
             row[start:] = 0.0
         self.weights = weights
         self.states = np.full((n, n), -1, dtype=np.int8)
-        self._products = np.empty((n, n))
+        self._block = np.empty(min(n * n, OUTPUT_BLOCK))
         self._blocks = 0, n
 
     def initialize(self, iface: MemoryInterface):
@@ -78,7 +102,10 @@ class RelayGrid:
             self._blocks = k0, j0
 
     def output(self) -> float:
-        return float(np.multiply(self.states, self.weights, out=self._products).sum())
+        """The weighted sum of the states: numpy's sum of their n x n
+        products, bit for bit, without an n x n product array."""
+        flat = self.n * self.n
+        return _pairwise_sum(self.states.reshape(flat), self.weights.reshape(flat), self._block, 0, flat)
 
 
 def oracle_pulse_remnants(mu, init: MemoryInterface, amplitudes, n: int,

@@ -240,6 +240,39 @@ class TestDeltaExplicit:
                 falls += w < last_input_extrema(iface)[1]
         assert falls >= 400
 
+    def test_a_fall_reaches_a_first_run_that_ends_above_zero(self):
+        """Where a ``from_corners`` staircase's first horizontal run ends
+        above beta = 0 within the merge tolerance, the relays between are +1
+        and the fall band counts them: the prediction is the direct
+        after - before difference to a few ulps of ``abs_mass``, on one grid
+        and on random grids."""
+        mu = GridWeighting(Box(0.0, 1.0, -1.0, 0.5), [[1.0], [1.0]])
+        corners = [(0, 0), (0.5, 5e-13), (0.5, -0.5), (0.9, -0.5)]
+        iface = MemoryInterface.from_corners(corners, mu.support_box)
+        direct = evaluate_output(mu, apply_pulse(iface, -0.6)) - evaluate_output(mu, iface)
+        assert direct == -0.6800000000005
+        # a band that stops at the last minimum m = 0 is 5e-13 off
+        assert abs(delta_remnant_explicit(mu, iface, -0.6) - direct) <= 4 * math.ulp(mu.abs_mass())
+        rng = np.random.default_rng(107)
+        slivers = 0
+        for _ in range(150):
+            mu = random_grid_field(rng)
+            box = mu.support_box
+            alphas = np.sort(rng.uniform(0.0, box.alpha_hi, 3)).tolist()
+            betas = (-np.sort(rng.uniform(0.0, -box.beta_lo, 3))).tolist()
+            lift = 0.5 * box.merge_tol * rng.uniform()
+            corners = [(0.0, 0.0), (alphas[0], lift)]
+            for a, b in zip(alphas[1:], betas):
+                corners += [(corners[-1][0], b), (a, b)]
+            iface = MemoryInterface.from_corners(corners + [(alphas[-1], betas[-1])], box)
+            assert last_input_extrema(iface)[1] == 0.0
+            ulps = 4 * math.ulp(mu.abs_mass())
+            slivers += abs(rect_mass(mu, 0.0, alphas[0], 0.0, lift)) > ulps
+            for w in rng.uniform(box.beta_lo - 0.2, 0.0, 4).tolist():
+                direct = evaluate_output(mu, apply_pulse(iface, w)) - evaluate_output(mu, iface)
+                assert abs(delta_remnant_explicit(mu, iface, w) - direct) <= ulps
+        assert slivers >= 25  # fields with mass in the band above zero
+
 
 # The two-branch delta_remnant_explicit of the package before it walked the
 # corner pairs once, copied with only its name changed: the reference of

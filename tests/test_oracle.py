@@ -1,7 +1,9 @@
 """Brute-force relay lattice versus the exact staircase engine."""
 
 import bisect
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from preisach_remnant import (
     uniform_field,
 )
 from preisach_remnant.control import render_signal
+from preisach_remnant.oracle import OUTPUT_BLOCK
 
 from conftest import point_density, random_grid_field, upper_beta
 
@@ -291,6 +294,42 @@ class TestRelayGridStates:
             for u in rng.uniform(box.beta_lo, box.alpha_hi, 30):
                 grid.step(float(u))
                 assert grid.output() == float((grid.states * grid.weights).sum())
+
+    @pytest.mark.parametrize("n", [2, 3, 181, 182, 256, 257, 300, 601])
+    def test_output_is_numpys_sum_bit_for_bit(self, n):
+        """181² relays fit in one OUTPUT_BLOCK, 182² do not and 256² are two
+        blocks exactly: the block sum is numpy's sum of the n x n products,
+        by ``float.hex``, with zero rows, -0.0 weights and magnitudes from
+        1e-12 to 1e12, and a lattice of zero weights sums to +0.0."""
+        assert 181 ** 2 <= OUTPUT_BLOCK < 182 ** 2
+        assert 256 ** 2 == 2 * OUTPUT_BLOCK
+        rng = np.random.default_rng(n)
+        grid = RelayGrid(uniform_scene()[0], n)
+        for _ in range(3):
+            grid.states[...] = rng.choice(np.array([-1, 1], dtype=np.int8), (n, n))
+            weights = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-12, 12, (n, n))
+            weights[rng.random(n) < 0.1] = 0.0
+            weights[rng.random((n, n)) < 0.05] = -0.0
+            grid.weights[...] = weights
+            assert grid.output().hex() == float(np.multiply(grid.states, grid.weights).sum()).hex()
+        grid.weights[...] = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        assert grid.output().hex() == (0.0).hex()
+
+    def test_a_lattice_is_freed_with_its_last_reference(self):
+        """No reference cycle holds a lattice that has stepped and summed:
+        with the cyclic collector off, its arrays go with the grid."""
+        mu, iface = uniform_scene()
+        gc.disable()
+        try:
+            grid = RelayGrid(mu, 200)  # more than one OUTPUT_BLOCK of relays
+            grid.initialize(iface)
+            grid.step(0.5, -0.3, 0.0)
+            grid.output()
+            weights = weakref.ref(grid.weights)
+            del grid
+            assert weights() is None
+        finally:
+            gc.enable()
 
 
 class TestOraclePulseRemnants:

@@ -1,14 +1,18 @@
 """Wall time of each relay-lattice phase and the peak memory it reaches.
 
-Usage: ``python3 tools/lattice_probe.py [N ...]`` (default N = 600 2400)
+Usage: ``python3 tools/lattice_probe.py [N ...]`` (default N = 300 600 2400)
 
 On a seeded 100 x 100 grid on the benchmark workloads' box, for each
 lattice size N, prints the median time to build a ``RelayGrid`` (the
 weights), to ``initialize`` it from a nested history, to ``step`` it
 through one pulse of 100 samples in one call (per pulse and per sample),
-and of one ``output``, then the process's peak resident set (``ru_maxrss``)
-so far.  The peak only grows, so give the sizes in ascending order.  Uses
-this checkout's ``src`` and needs only numpy.
+and of one ``output``; then the median time of a whole replay, from the
+build to the last output of ``oracle_pulse_remnants`` over 11 pulses of 100
+samples from the same history, with the minor page faults of the first
+replay (a steady-state ``output`` hides the first touch of fresh pages);
+then the process's peak resident set (``ru_maxrss``) so far.  The peak only
+grows, so give the sizes in ascending order.  Uses this checkout's ``src``
+and needs only numpy.
 """
 
 from __future__ import annotations
@@ -24,14 +28,26 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from preisach_remnant import Box, GridWeighting, MemoryInterface, RelayGrid  # noqa: E402
+from preisach_remnant import (  # noqa: E402
+    Box,
+    GridWeighting,
+    MemoryInterface,
+    RelayGrid,
+    oracle_pulse_remnants,
+)
 
 REPEATS = 7
 SAMPLES_PER_PULSE = 100
+#: the replayed train: 11 pulses of shrinking amplitude and alternating sign
+AMPLITUDES = [0.8 * (-0.7) ** k for k in range(11)]
 
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def median_ms(fn, setup=lambda: None):
@@ -45,7 +61,7 @@ def median_ms(fn, setup=lambda: None):
 
 
 def main(argv):
-    sizes = [int(x) for x in argv] or [600, 2400]
+    sizes = [int(x) for x in argv] or [300, 600, 2400]
     box = Box(-0.25, 1.0, -1.0, 0.25)
     mu = GridWeighting(box, np.random.default_rng(600).normal(size=(100, 100)))
     history = MemoryInterface.virgin(box)
@@ -65,6 +81,12 @@ def main(argv):
         print("n = %d: build %.2f ms, initialize %.3f ms, step %.2f ms per pulse of %d samples "
               "(%.2f us per sample), output %.2f ms"
               % (n, build, init, step, len(pulse), step * 1e3 / len(pulse), output))
+        faults = minor_faults()
+        oracle_pulse_remnants(mu, history, AMPLITUDES, n, SAMPLES_PER_PULSE)
+        faults = minor_faults() - faults
+        replay = median_ms(lambda: oracle_pulse_remnants(mu, history, AMPLITUDES, n, SAMPLES_PER_PULSE))
+        print("n = %d: replay of %d pulses %.2f ms, build to last output (%d minor faults in the first)"
+              % (n, len(AMPLITUDES), replay, faults))
         print("peak RSS after n = %d: %.1f MB" % (n, peak_rss_mb()))
 
 
