@@ -167,12 +167,19 @@ def remnant_extrema(mu, iface0: MemoryInterface, q: QRegion):
     return g_max, g_min
 
 
+def _mode_sign(mode: str) -> float:
+    """The sign on Q that ``mode`` names; any other mode is a config error."""
+    if mode not in ("positive", "negative"):
+        raise ConfigurationError("mode must be 'positive' or 'negative'")
+    return 1.0 if mode == "positive" else -1.0
+
+
 def premised_bounds(mu, q: QRegion, mode: str = "positive", resolution: int = 512) -> SectorBounds:
     """Sector bounds of a field whose density has the sign of ``mode`` on
     Q (>= 0 for ``"positive"``, <= 0 for ``"negative"``), the premise of the
-    gain cap; any other field is a config error.  The check is exact for
-    grids and conservative for Gaussian sums (``sign_violation``)."""
-    message = mu.sign_violation(q, 1.0 if mode == "positive" else -1.0)
+    gain cap; any other field or mode is a config error.  The check is exact
+    for grids and conservative for Gaussian sums (``sign_violation``)."""
+    message = mu.sign_violation(q, _mode_sign(mode))
     if message:
         raise ConfigurationError(message)
     return sector_bounds(mu, q, resolution)
@@ -180,12 +187,10 @@ def premised_bounds(mu, q: QRegion, mode: str = "positive", resolution: int = 51
 
 def max_gain(bounds: SectorBounds, mode: str = "positive") -> float:
     """Supremum of admissible adaptation gains."""
-    if mode == "positive":
+    if _mode_sign(mode) > 0.0:
         d = max(bounds.gamma2_plus_q, bounds.gamma1_minus_q)
-    elif mode == "negative":
-        d = abs(min(bounds.gamma2_minus_q, bounds.gamma1_plus_q))
     else:
-        raise ConfigurationError("mode must be 'positive' or 'negative'")
+        d = abs(min(bounds.gamma2_minus_q, bounds.gamma1_plus_q))
     if d <= 0.0:
         raise DegenerateBoundsError("sector bounds vanish on Q")
     return 2.0 / d
@@ -265,7 +270,7 @@ def run_controller(
             % (cfg.gamma_d, lo, hi)
         )
     tol_e = cfg.tolerance if cfg.tolerance is not None else 1e-6 * span
-    step_sign = -1.0 if cfg.mu_sign_mode == "positive" else 1.0
+    step_sign = -_mode_sign(cfg.mu_sign_mode)
 
     iface = iface0
     reader = OutputReader(mu)

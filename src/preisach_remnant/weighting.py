@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
@@ -32,15 +33,6 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 #: scan lines per block of the Gaussian sector-bound scan; bounds its memory
 SCAN_BLOCK_ROWS = 32
-
-
-def _cut_ranges(cuts, lo, hi):
-    """(max(min(0.0, t), lo), min(max(0.0, t), hi)) for every cut t: the part
-    of [lo, hi] between 0 and t, with Python's min and max, which keep their
-    first argument on a tie (a cut of -0.0 gives +0.0)."""
-    below = np.where(cuts < 0.0, cuts, 0.0)
-    above = np.where(cuts > 0.0, cuts, 0.0)
-    return np.where(lo > below, lo, below), np.where(hi < above, hi, above)
 
 
 def _erf_constants(lo, hi, center, sigma):
@@ -74,14 +66,17 @@ def _segments_from_lo_array(constants, xs):
     return out
 
 
-def _segments_between(constants, lo, hi):
-    """Integral of one component's profile over [lo[k], hi[k]] for every k
-    where hi[k] > lo[k], and 0 elsewhere, as the floats of the same
-    expression per element."""
-    _, _, mid, _, scale, _, k = constants
-    out = np.zeros(len(lo))
-    on = hi > lo
-    out[on] = k * (_erf((hi[on] - mid) / scale) - _erf((lo[on] - mid) / scale))
+def _segments_between(constants, cuts):
+    """Integral of one component's profile over [max(min(0.0, t), lo),
+    min(max(0.0, t), hi)] for every cut t where that is not empty, else 0:
+    the clamps keep the tie rule of Python's min and max (a cut of -0.0
+    gives +0.0), so each element is the float of the scalar expression."""
+    lo, hi, mid, _, scale, _, k = constants
+    below, above = np.where(cuts < 0.0, cuts, 0.0), np.where(cuts > 0.0, cuts, 0.0)
+    start, stop = np.where(lo > below, lo, below), np.where(hi < above, hi, above)
+    out = np.zeros(len(cuts))
+    on = stop > start
+    out[on] = k * (_erf((stop[on] - mid) / scale) - _erf((start[on] - mid) / scale))
     return out
 
 
@@ -103,12 +98,12 @@ def _on_axes(lattice_eval):
     a row per alpha and a column per beta; two scalars give a float."""
 
     @functools.wraps(lattice_eval)
-    def eval(self, alphas, betas):
+    def on_axes(self, alphas, betas):
         axes = (np.atleast_1d(np.asarray(x, float)) for x in (alphas, betas))
         out = lattice_eval(self, *axes)
         return float(out[0, 0]) if np.ndim(alphas) == np.ndim(betas) == 0 else out
 
-    return eval
+    return on_axes
 
 
 def _cell_fractions(edges, x):
@@ -305,18 +300,6 @@ class GaussianComponent:
     sigma_beta: float
     box: Box
 
-    @_on_axes
-    def eval(self, alphas, betas):
-        alpha, beta = np.broadcast_arrays(alphas[:, None], betas[None, :])
-        b = self.box
-        inside = (b.alpha_lo <= alpha) & (alpha <= b.alpha_hi)
-        inside &= (b.beta_lo <= beta) & (beta <= b.beta_hi)
-        za = (alpha[inside] - self.center_alpha) / self.sigma_alpha
-        zb = (beta[inside] - self.center_beta) / self.sigma_beta
-        out = np.zeros(alpha.shape)
-        out[inside] = self.amplitude * _exp(-0.5 * (za * za + zb * zb))
-        return out
-
 
 class GaussianWeighting:
     """Signed sum of truncated Gaussian lobes."""
@@ -349,8 +332,20 @@ class GaussianWeighting:
         self.total_mass = self.everett([support_box.alpha_hi], [support_box.beta_hi])[0]
         _require_finite_mass(self, "Gaussian weighting")
 
+    @_on_axes
     def eval(self, alphas, betas):
-        return sum(c.eval(alphas, betas) for c in self.components)
+        """Sum of the lobes at every (alphas[r], betas[c]), each 0 outside
+        its box, added into one lattice in component order."""
+        alpha, beta = np.broadcast_arrays(alphas[:, None], betas[None, :])
+        out = np.zeros(alpha.shape)
+        for c in self.components:
+            b = c.box
+            inside = (b.alpha_lo <= alpha) & (alpha <= b.alpha_hi)
+            inside &= (b.beta_lo <= beta) & (beta <= b.beta_hi)
+            za = (alpha[inside] - c.center_alpha) / c.sigma_alpha
+            zb = (beta[inside] - c.center_beta) / c.sigma_beta
+            out[inside] += c.amplitude * _exp(-0.5 * (za * za + zb * zb))
+        return out
 
     def everett(self, alphas, betas):
         """E(alphas[k], betas[k]) for every k, as a list of floats: per
@@ -383,17 +378,25 @@ class GaussianWeighting:
             out += amp * fa[ia] * fb[ib]
         return out
 
-    def scan_blocks(self, axis, lines, cuts):
-        """Row blocks of M[i, j], the integral of mu along ``axis`` at the
-        other coordinate lines[i], between 0 and cuts[j].
+    def line_integral_extrema(self, axis, line_lo, line_hi, cut_end, resolution):
+        """Extrema of the integral of mu along ``axis``, between 0 and a cut
+        toward ``cut_end``, sampled on ``resolution`` lines across [line_lo,
+        line_hi] and as many cuts, plus the two ends.
 
         Each component adds the outer product of its Gaussian profile across
         the lines and its erf segment up to each cut, in component order, so
         every entry is the same float as a per-point sum of the same terms.
-        A product that is zero on a block is skipped: entries start at +0.0
-        and a sum never becomes -0.0, so adding +-0.0 changes nothing.
+        A component whose profile or segments are all zero is left out:
+        entries start at +0.0 and a sum never becomes -0.0, so adding +-0.0
+        changes nothing.  ``SCAN_BLOCK_ROWS`` lines at a time go through one
+        reused product buffer, which bounds the scan's memory.
         """
-        lines, cuts = np.asarray(lines, float), np.asarray(cuts, float)
+        n = operator.index(resolution) if hasattr(resolution, "__index__") else 0
+        if n < 2:
+            raise ConfigurationError("resolution must be an integer >= 2, not %r" % (resolution,))
+        cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
+        lines = np.linspace(line_lo, line_hi, n)
+        cuts = np.append(np.linspace(cut_lo, cut_hi, n), (cut_lo, cut_hi))
         factors = []
         for amp, *constants in self._erf_terms:
             # the lines run across ``axis`` and the cuts along it
@@ -403,28 +406,16 @@ class GaussianWeighting:
             inside = (l_lo <= lines) & (lines <= l_hi)
             profile = np.where(inside, amp * _exp(-0.5 * z * z), 0.0)
             if profile.any():
-                segment = _segments_between(along, *_cut_ranges(cuts, along[0], along[1]))
+                segment = _segments_between(along, cuts)
                 if segment.any():
                     factors.append((profile, segment))
-        product = np.empty((min(SCAN_BLOCK_ROWS, len(lines)), len(cuts)))
-        for start in range(0, len(lines), SCAN_BLOCK_ROWS):
-            rows = slice(start, start + SCAN_BLOCK_ROWS)
-            block = np.zeros((len(lines[rows]), len(cuts)))
-            for profile, segment in factors:
-                p = profile[rows]
-                if p.any():
-                    block += np.multiply.outer(p, segment, out=product[:len(p)])
-            yield block
-
-    def line_integral_extrema(self, axis, line_lo, line_hi, cut_end, resolution):
-        """Extrema of the integral of mu along ``axis``, between 0 and a cut
-        toward ``cut_end``, sampled on ``resolution`` lines across [line_lo,
-        line_hi] and as many cuts, plus the two ends."""
-        cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
-        lines = np.linspace(line_lo, line_hi, resolution)
-        cuts = np.append(np.linspace(cut_lo, cut_hi, resolution), (cut_lo, cut_hi))
+        product = np.empty((min(SCAN_BLOCK_ROWS, n), len(cuts)))
         lo, hi = math.inf, -math.inf
-        for block in self.scan_blocks(axis, lines, cuts):
+        for start in range(0, n, SCAN_BLOCK_ROWS):
+            rows = slice(start, min(start + SCAN_BLOCK_ROWS, n))
+            block = np.zeros((rows.stop - start, len(cuts)))
+            for profile, segment in factors:
+                block += np.multiply.outer(profile[rows], segment, out=product[:len(block)])
             lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
         return lo, hi
 

@@ -28,6 +28,7 @@ from preisach_remnant import (
     render_signal,
     repair_initial_interface,
     run_controller,
+    sector_bounds,
     uniform_field,
     validate_initial_interface,
 )
@@ -520,6 +521,18 @@ class TestController:
         trace = run_controller(mu, iface, cfg)
         assert trace.converged
         assert trace.records[-1].gamma == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("bounds", [None, "given"], ids=["computed", "given"])
+    @pytest.mark.parametrize("mode", ["Positive", "", None])
+    def test_an_unknown_mode_is_refused(self, mode, bounds):
+        """A mode that is neither "positive" nor "negative" is a config
+        error, and is not read as "negative", whether the controller
+        computes its bounds or is given them."""
+        mu, iface = uniform_scene()
+        cfg = ControllerConfig(gamma_d=0.5, lam=0.5, w0=0.0, q=Q_UNIT, mu_sign_mode=mode)
+        given = sector_bounds(mu, Q_UNIT) if bounds else None
+        with pytest.raises(ConfigurationError, match="^mode must be 'positive' or 'negative'$"):
+            run_controller(mu, iface, cfg, given)
 
     def test_persistence_after_convergence(self):
         mu, iface = uniform_scene()

@@ -603,6 +603,37 @@ def test_grid_scan_peak_memory_is_below_the_values():
     assert peak <= mu.values.nbytes
 
 
+def test_gaussian_scan_peak_memory_is_bounded():
+    """The Gaussian scan holds ``SCAN_BLOCK_ROWS`` lines of entries at a
+    time: at resolution 2048 on the butterfly its traced peak stays under
+    8 MB, where the whole lines x cuts matrix alone would take 33.6 MB."""
+    mu, q = make_butterfly()
+    tracemalloc.start()
+    try:
+        sector_bounds(mu, q, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+@pytest.mark.parametrize("resolution", [0, 1, -1, 2.5, 2.0, True, "4", None])
+def test_gaussian_scan_refuses_a_resolution_that_is_not_an_integer_of_two_or_more(resolution):
+    """The Gaussian scan samples ``resolution`` lines and cuts: anything but
+    an integer >= 2 is a config error, not an empty or one-line scan, nor
+    numpy's own error."""
+    mu, q = make_butterfly()
+    with pytest.raises(ConfigurationError, match="^resolution must be an integer >= 2"):
+        sector_bounds(mu, q, resolution)
+
+
+def test_gaussian_scan_takes_any_integer_type_and_grids_ignore_the_resolution():
+    mu, q = make_butterfly()
+    assert sector_bounds(mu, q, np.int64(40)) == sector_bounds(mu, q, 40)
+    grid = uniform_field(Q_UNIT)
+    assert sector_bounds(grid, Q_UNIT, 0) == sector_bounds(grid, Q_UNIT)
+
+
 @st.composite
 def segment_cases(draw):
     """(center, sigma, box lo, box hi, cuts): cuts anywhere, and at +-0.0,
@@ -621,15 +652,12 @@ def segment_cases(draw):
 @given(case=segment_cases())
 @example(case=(0.0, 0.5, -1.0, 1.0, [-0.0, 0.0, -1.0, 1.0, 0.5, -0.5]))
 def test_array_segments_are_the_scalar_segments(case):
-    """The scan's clamped cut ranges and erf segments are, float for float,
-    Python's min/max and ``_gauss_segment`` of each cut."""
+    """The scan's erf segment up to each cut is, float for float,
+    ``_gauss_segment`` over the cut's range clamped with Python's min/max."""
     center, sigma, lo, hi, cuts = case
     want = [(max(min(0.0, t), lo), min(max(0.0, t), hi)) for t in cuts]
-    got_lo, got_hi = weighting._cut_ranges(np.array(cuts), lo, hi)
-    got = list(zip(got_lo.tolist(), got_hi.tolist()))
-    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
     constants = weighting._erf_constants(lo, hi, center, sigma)
-    segments = weighting._segments_between(constants, got_lo, got_hi).tolist()
+    segments = weighting._segments_between(constants, np.array(cuts)).tolist()
     assert [x.hex() for x in segments] == [_gauss_segment(center, sigma, *r).hex() for r in want]
 
 
@@ -651,23 +679,21 @@ def test_gaussian_abs_mass_is_the_reference_sum(seed):
 
 
 def test_zero_blocks_are_skipped_and_the_rest_added():
-    """Across 80 lines, lobe 0 is nonzero only on the first block and lobe 1
-    only on the last, so each is added to one block of three; every block
-    is still bit-equal to a per-point sum."""
+    """Across 80 lines, lobe 0 is nonzero only on the first block of
+    ``SCAN_BLOCK_ROWS`` lines and lobe 1 only on the last, so the middle
+    block adds only zeros; the scan's extrema are still bit-equal to those
+    of a per-point sum, and each lobe reaches one of them."""
     lobes = [
         GaussianComponent(1.5, 0.1, -0.5, 0.3, 0.4, Box(0.0, 0.2, -1.0, 0.0)),
         GaussianComponent(-0.7, 0.9, -0.2, 0.2, 0.3, Box(0.85, 1.0, -1.0, 0.0)),
     ]
     mu = GaussianWeighting(lobes)
-    lines, cuts = np.linspace(0.0, 1.0, 80), np.linspace(-1.0, 0.0, 9)
-    blocks = list(mu.scan_blocks("beta", lines, cuts))
-    assert [len(b) for b in blocks] == [32, 32, 16]
-    assert blocks[0].any() and not blocks[1].any() and blocks[2].any()
-    want = [
-        [_point_line_integral(mu, "beta", line, min(0.0, c), max(0.0, c)) for c in cuts.tolist()]
-        for line in lines.tolist()
-    ]
-    assert np.vstack(blocks).tolist() == want
+    assert weighting.SCAN_BLOCK_ROWS == 32
+    got = mu.line_integral_extrema("beta", 0.0, 1.0, -1.0, 80)
+    want = _point_extrema(mu, "beta", 0.0, 1.0, -1.0, 80)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    lo, hi = got
+    assert lo < 0.0 < hi
 
 
 @pytest.mark.parametrize(
@@ -773,6 +799,15 @@ class TestCheckNonnegative:
         premised_bounds(mu, Q_UNIT, "positive")
         with pytest.raises(ConfigurationError):
             premised_bounds(mu, QRegion(1.0, -1.0), "negative")
+
+    @pytest.mark.parametrize("value", [1.0, -1.0])
+    @pytest.mark.parametrize("mode", ["Positive", "NEGATIVE", "", None])
+    def test_an_unknown_mode_is_refused(self, mode, value):
+        """Any mode but "positive" and "negative" is refused before the
+        sign check, whatever the sign of the field; it is not read as
+        "negative"."""
+        with pytest.raises(ConfigurationError, match="^mode must be 'positive' or 'negative'$"):
+            premised_bounds(uniform_field(Q_UNIT, value), Q_UNIT, mode)
 
     def test_butterfly_passes_for_every_q(self):
         mu, q = make_butterfly()

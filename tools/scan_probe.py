@@ -1,12 +1,21 @@
-"""Peak memory and wall time of the sector-bound scan on a large grid.
+"""Peak memory and wall time of the sector-bound scan, Gaussian and grid.
 
-Usage: ``python3 tools/scan_probe.py [N]`` (default N = 2000)
+Usage: ``python3 tools/scan_probe.py [N [RESOLUTION]]`` (default N = 2000,
+RESOLUTION = 4096)
 
-Builds a seeded N x N grid on the benchmark workloads' box, with Q the
-quadrant part, and prints the process's peak resident set (``ru_maxrss``)
-after the build and after ``sector_bounds``, and the scan's wall time.  The
-scan allocates less than the grid's values, so the second peak should not
-exceed the first.  Uses this checkout's ``src`` and needs only numpy.
+First scans the butterfly preset at ``RESOLUTION`` lines and cuts, and
+prints the scan's wall time, the process's peak resident set
+(``ru_maxrss``) after it, and the scan's own traced peak (``tracemalloc``,
+from a second, traced run).  The Gaussian scan takes ``SCAN_BLOCK_ROWS``
+lines at a time, so its traced peak stays far below the whole lines x cuts
+matrix, which the line also prints.  It runs first because the peak RSS only
+grows, and the grid's values would hide it.
+
+Then builds a seeded N x N grid on the benchmark workloads' box, with Q the
+quadrant part, and prints the peak RSS after the build and after
+``sector_bounds``, and the scan's wall time.  The scan allocates less than
+the grid's values, so the second peak should not exceed the first.  Uses
+this checkout's ``src`` and needs only numpy.
 """
 
 from __future__ import annotations
@@ -15,30 +24,49 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from preisach_remnant import Box, GridWeighting, QRegion, sector_bounds  # noqa: E402
+from preisach_remnant import Box, GridWeighting, QRegion, make_butterfly, sector_bounds  # noqa: E402
 
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def timed_ms(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return (time.perf_counter() - start) * 1e3
+
+
 def main(argv):
     n = int(argv[0]) if argv else 2000
+    resolution = int(argv[1]) if len(argv) > 1 else 4096
+
+    mu, q = make_butterfly()
+    print("peak RSS before the butterfly scan: %.1f MB" % peak_rss_mb())
+    elapsed = timed_ms(sector_bounds, mu, q, resolution)
+    print("butterfly sector_bounds at resolution %d: %.1f ms, peak RSS %.1f MB"
+          % (resolution, elapsed, peak_rss_mb()))
+    tracemalloc.start()
+    sector_bounds(mu, q, resolution)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print("butterfly scan traced peak: %.2f MB (whole lines x cuts matrix: %.1f MB)"
+          % (peak / 1e6, resolution * (resolution + 2) * 8 / 1e6))
+
     values = np.random.default_rng(2000).normal(size=(n, n))
     mu = GridWeighting(Box(-0.25, 1.0, -1.0, 0.25), values)
     print("grid %d x %d, values %.1f MB" % (n, n, values.nbytes / 1e6))
     print("peak RSS after the build: %.1f MB" % peak_rss_mb())
-    start = time.perf_counter()
-    sector_bounds(mu, QRegion(1.0, -1.0))
-    elapsed = time.perf_counter() - start
+    elapsed = timed_ms(sector_bounds, mu, QRegion(1.0, -1.0))
     print("peak RSS after sector_bounds: %.1f MB" % peak_rss_mb())
-    print("sector_bounds wall time: %.1f ms" % (elapsed * 1e3))
+    print("sector_bounds wall time: %.1f ms" % elapsed)
 
 
 if __name__ == "__main__":
