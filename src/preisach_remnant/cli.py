@@ -137,6 +137,9 @@ def load_config(path) -> Config:
         raise ConfigurationError("sweep.param must be 'gamma_d' or 'lambda', got %r" % (param,))
     if sweep and not isinstance(values, list):
         raise ConfigurationError("sweep.values must be a list, got %r" % (values,))
+    for i, value in enumerate(values or ()):
+        if value in values[:i]:  # its run would write over the earlier one's
+            raise ConfigurationError("sweep.values repeats %r" % (value,))
     tau = number(cfg.get("tau", 1.0), "tau", "positive")
     spp = number(cfg.get("signal_samples_per_pulse", 50), "signal_samples_per_pulse", "positive")
     oracle_spp = cfg.get("oracle_samples_per_pulse", DEFAULT_SAMPLES_PER_PULSE)

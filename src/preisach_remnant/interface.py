@@ -238,14 +238,16 @@ class MemoryInterface:
     def ramp_slabs(self, values, start: int):
         """Walk the pushes of values[start], values[start + 1], ... one
         after another, for as long as they sweep on in one direction, each
-        by more than the merge tolerance, and each links a new head to the
-        survivors.  Returns (alphas, betas, survivors, interface): for every
-        walked push but the last, the two points of E of the one slab the
-        seam rule gives its head (below the diagonal corner down to the seam
-        after a rise, below the seam down to the survivor after a fall) and
-        the survivor the head links to; then the interface after the last
-        walked push.  When values[start] links no head nothing is walked,
-        and the interface is this one pushed to values[start] through
+        by more than the merge tolerance, and each either links a new head
+        to the survivors or wipes every corner.  Returns (alphas, betas,
+        survivors, interface): for every walked push but the last, the two
+        points of E of the one slab its head adds to its survivor (below the
+        diagonal corner down to the seam after a rise, below the seam down
+        to the survivor after a fall) and that survivor; then the interface
+        after the last walked push.  A push that wipes every corner has no
+        survivor (None), and its points are those of the whole curve it
+        leaves, (v, v) and (v, min(beta_lo, v)).  When nothing is walked,
+        the interface is this one pushed to values[start] through
         ``_canonical_push``.
 
         The seam rule links the head of a push to v to its survivor (a_s,
@@ -261,7 +263,9 @@ class MemoryInterface:
         survivors of this interface it walks past were wiped by that push
         too.  So every head is also the head of this interface pushed to
         its value directly, and links to a node of this interface; only
-        the last one is built.
+        the last one is built.  Once a push wipes every corner, so does
+        every later push of the walk, and the curve it leaves depends on
+        its value alone: a walk that ends wiped canonicalises only that.
         """
         box = self.support_box
         tol = box.merge_tol
@@ -269,7 +273,7 @@ class MemoryInterface:
         node = self.head
         alphas, betas, survivors = [], [], []
         rising = values[start] > v0
-        last = None
+        walked = False
         if box.beta_lo <= v0 <= box.alpha_hi:
             for i in range(start, len(values)):
                 v = values[i]
@@ -277,18 +281,21 @@ class MemoryInterface:
                     break
                 node = _survivor(node, v, rising)
                 if node is None:
-                    break
-                a, b = node[0]
-                if not (a - v > tol and v - b > tol):
-                    break
-                if last is not None:  # the sample before is not the last
+                    a, b = v, min(box.beta_lo, v)
+                else:
+                    a, b = node[0]
+                    if not (a - v > tol and v - b > tol):
+                        break
+                if walked:  # the sample before is not the last
                     alphas += (v0, v0) if rising else (a_s, a_s)
                     betas += (v0, b_s)
                     survivors.append(last)
-                last, v0 = node, v
+                walked, last, v0 = True, node, v
                 a_s, b_s = a, b
-        if last is None:
+        if not walked:
             return alphas, betas, survivors, self._canonical_push(values[start])
+        if last is None:
+            return alphas, betas, survivors, MemoryInterface.from_corners(((v0, v0),), box)
         depth = last[2]
         seam = (v0, b_s) if rising else (a_s, v0)
         head = ((v0, v0), (seam, last, depth + 1), depth + 2)

@@ -253,16 +253,6 @@ class GridWeighting:
 
     # -- CSV interchange ----------------------------------------------------
 
-    def save_csv(self, path):
-        b = self.support_box
-        with open(path, "w") as fh:
-            fh.write(
-                "%r,%r,%r,%r,%d,%d\n"
-                % (b.alpha_lo, b.alpha_hi, b.beta_lo, b.beta_hi, self.n_alpha, self.n_beta)
-            )
-            for row in self.values:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
     @classmethod
     def load_csv(cls, path) -> "GridWeighting":
         with open(path, errors="replace") as fh:  # a stray byte fails as a bad field
@@ -570,15 +560,23 @@ class OutputReader:
 
         ``math.fsum`` of the survivor's expansion and the slab's two terms
         rounds their exact sum correctly, so every output is the float
-        ``read`` gives; the reader keeps none of these curves.
+        ``read`` gives; the reader keeps none of these curves.  A head with
+        no survivor (None) is the whole curve (v, v), (v, b), whose full
+        read sums E(v, v), -E(v, b) and E(v, b); where b == v the curve is
+        the one corner (v, v), and the same three terms still sum to E(v, v).
         """
         seen, total = self._seen, self.mu.total_mass
         out = []
         for k, survivor in enumerate(survivors):
-            node, expansion = seen[survivor[2]]
-            if node is not survivor:
-                raise ValueError("head is not linked to the last curve read")
-            out.append(2.0 * math.fsum(expansion + [e[2 * k], -e[2 * k + 1]]) - total)
+            e1, e2 = e[2 * k], e[2 * k + 1]
+            if survivor is None:
+                terms = [e1, -e2, e2]
+            else:
+                node, expansion = seen[survivor[2]]
+                if node is not survivor:
+                    raise ValueError("head is not linked to the last curve read")
+                terms = expansion + [e1, -e2]
+            out.append(2.0 * math.fsum(terms) - total)
         return out
 
 

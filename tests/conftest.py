@@ -9,6 +9,19 @@ import numpy as np
 from preisach_remnant import Box, GridWeighting, MemoryInterface, QRegion
 
 
+def write_grid_csv(mu, path):
+    """Write the grid ``mu`` as the CSV ``GridWeighting.load_csv`` reads:
+    its box and cell counts, then one row of cell values per beta cell."""
+    b = mu.support_box
+    with open(path, "w") as fh:
+        fh.write(
+            "%r,%r,%r,%r,%d,%d\n"
+            % (b.alpha_lo, b.alpha_hi, b.beta_lo, b.beta_hi, mu.n_alpha, mu.n_beta)
+        )
+        for row in mu.values:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
 def random_grid_field(rng) -> GridWeighting:
     """Sign-indefinite piecewise-constant density on a random box that
     straddles both axes (so the alpha >= 0 >= beta quadrant is hit)."""

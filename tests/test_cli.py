@@ -23,6 +23,8 @@ from preisach_remnant.cli import (
 from preisach_remnant import Box, ConfigurationError, GridWeighting
 from preisach_remnant.presets import number
 
+from conftest import write_grid_csv
+
 
 def write_config(tmp_path, name, cfg):
     path = tmp_path / name
@@ -75,7 +77,7 @@ class TestBounds:
 
     def test_zero_density_grid_is_degenerate(self, tmp_path, capsys):
         grid = tmp_path / "zero.csv"
-        GridWeighting(Box(0.0, 1.0, -1.0, 0.0), [[0.0]]).save_csv(grid)
+        write_grid_csv(GridWeighting(Box(0.0, 1.0, -1.0, 0.0), [[0.0]]), grid)
         cfg = write_config(
             tmp_path,
             "c.json",
@@ -237,7 +239,7 @@ class TestSimulate:
         """A field that misses the alpha >= 0 >= beta quadrant has no sector
         bounds, which simulate never reads."""
         grid = tmp_path / "left.csv"
-        GridWeighting(Box(-2.0, -1.0, -1.0, 0.0), [[1.0]]).save_csv(grid)
+        write_grid_csv(GridWeighting(Box(-2.0, -1.0, -1.0, 0.0), [[1.0]]), grid)
         cfg = write_config(
             tmp_path,
             "c.json",
@@ -424,6 +426,7 @@ BAD_INPUTS = {
     ),
     "null_sweep_values": (dict(SWEEP, **{"sweep.values": None}), "sweep", [], "sweep.values"),
     "number_sweep_values": (dict(SWEEP, **{"sweep.values": 5}), "sweep", [], "sweep.values"),
+    "repeated_sweep_value": (dict(SWEEP, **{"sweep.values": [0.1, 0.1]}), "sweep", [], "sweep.values"),
     "null_alpha_max": (
         dict(PZT_SHELF, **{"initial_interface.alpha_max": None}),
         "bounds",

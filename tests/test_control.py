@@ -628,34 +628,80 @@ class TestDenseResponse:
             assert y[i] == pytest.approx(g, abs=1e-12)
 
     def test_ramps_are_read_in_batches_and_the_rest_sample_by_sample(self, monkeypatch):
-        """Samples that wipe every corner, lie past the box or repeat the
-        last input are pushed and read one at a time, the other ramps are
-        read in batches, and every output is the float of a push and a read
-        per sample."""
+        """Samples that wipe every corner are read in their ramp's batch
+        with no survivor, and a ramp that ends wiped builds its last state
+        from its last value alone; only samples that start past the box are
+        pushed through the full canonicalisation, a repeat of the last input
+        is not read again, and every output is the float of a push and a
+        read per sample."""
         mu, iface = uniform_scene()
         amplitudes = [0.75, -0.5, 1.25, 0.0, 0.5, 0.5, -0.25]
         _, u = render_signal(amplitudes, 1.0, 0.1)
         expected = per_sample_reads(mu, iface, u)
 
-        batched, pushed = [], []
-        read_slabs, push = OutputReader.read_slabs, MemoryInterface._canonical_push
+        batched, pushed, built, reads = [], [], [], []
+        read_slabs, read = OutputReader.read_slabs, OutputReader.read
+        push, from_corners = MemoryInterface._canonical_push, MemoryInterface.from_corners.__func__
 
         def spy_read_slabs(reader, survivors, e):
             batched.extend(survivors)
             return read_slabs(reader, survivors, e)
 
+        def spy_read(reader, iface):
+            reads.append(iface)
+            return read(reader, iface)
+
         def spy_push(iface, v):
-            pushed.append(v)
-            return push(iface, v)
+            out = push(iface, v)
+            if out is not iface:
+                pushed.append(v)
+            return out
+
+        def spy_from_corners(cls, corners, box):
+            built.append(corners[0][0])
+            return from_corners(cls, corners, box)
 
         monkeypatch.setattr(OutputReader, "read_slabs", spy_read_slabs)
+        monkeypatch.setattr(OutputReader, "read", spy_read)
         monkeypatch.setattr(MemoryInterface, "_canonical_push", spy_push)
+        monkeypatch.setattr(MemoryInterface, "from_corners", classmethod(spy_from_corners))
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.1)
         assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
-        assert pushed[:6] == u.tolist()[:6]  # the first pulse wipes every corner
-        assert [v for v in pushed if v > 1.0] == [v for v in u.tolist() if v > 1.0]
-        assert pushed.count(0.0) >= 10  # the zero pulse
+        values = u.tolist()
+        assert pushed == [values[values.index(1.25) + 1]]  # the fall from past the box
+        assert built == [0.75, 1.25]  # the rises from the virgin state and past the box
+        assert batched[:4] == [None] * 4  # the first pulse wipes every corner
+        assert batched.count(None) == 6
         assert len(batched) > len(u) // 2
+        assert all(a is not b for a, b in zip(reads, reads[1:]))
+        assert len(reads) < len(u) - len(batched) - 9  # the zero pulse is read once
+
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_ramps_that_wipe_every_corner_read_as_single_pushes(self, field, monkeypatch):
+        """From the virgin state: a first rise that wipes every corner, then
+        three ramps that each link to the corners of the pulses before and
+        wipe them all before they end, the second rising past alpha_hi and
+        the third falling below beta_lo.  Every output is the float of a
+        push and a read per sample."""
+        mu = random_grid_field(np.random.default_rng(3)) if field == "grid" else make_butterfly()[0]
+        box = mu.support_box
+        iface = MemoryInterface.virgin(box)
+        a, b = box.alpha_hi, box.beta_lo
+        amplitudes = [0.4 * a, 0.4 * b, 0.8 * a, 1.2 * a, 1.2 * b]
+        _, u = render_signal(amplitudes, 1.0, 1.0 / 16)
+        expected = per_sample_reads(mu, iface, u)
+
+        ramps = []
+        read_slabs = OutputReader.read_slabs
+
+        def spy(reader, survivors, e):
+            ramps.append([s is None for s in survivors])
+            return read_slabs(reader, survivors, e)
+
+        monkeypatch.setattr(OutputReader, "read_slabs", spy)
+        _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
+        assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+        assert sum(1 for r in ramps if r and not r[0] and r[-1]) == 3  # pulses 3 to 5
 
     @pytest.mark.parametrize("field", ["grid", "butterfly"])
     def test_one_array_everett_call_per_train(self, field, monkeypatch):

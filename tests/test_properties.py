@@ -305,18 +305,32 @@ def hexes(xs):
     return [x.hex() for x in xs]
 
 
+def wipes_every_corner(iface, v):
+    """Whether a push of ``iface`` to v leaves no corner standing."""
+    if v > iface.current_value:
+        return all(a <= v for a, _ in iface.corners)
+    return all(b >= v for _, b in iface.corners)
+
+
 @PROPERTY
 @given(ops=histories(), rising=st.booleans(), steps=st.lists(ramp_step, min_size=1, max_size=30))
+# from 0.0625: a rise that links, then wipes every corner and goes past
+# alpha_hi; a fall that links four times, then wipes every corner below beta_lo
+@example(ops=[("nest", 0.5)] * 4, rising=True, steps=[0.1, 0.1, 0.2, 0.3, 0.3])
+@example(ops=[("nest", 0.5)] * 4, rising=False, steps=[0.1, 0.3, 0.3, 0.3, 0.3, 0.3])
 def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
-    """The slab points and survivor the walk gives each sample but the last
-    are, bit for bit, those of the head that the pushes of the ramp one
-    after another build, and that pushing its value directly builds; the
-    last head is that of the last push.  A ramp that links no head returns
-    the full canonicalisation of its first push.  The ramp stops only where
-    the next push links no new head to the survivors either: it is a no-op
-    or builds a chain that shares no node with the one before.  Steps of a
-    few merge tolerances and values past the box on either side are
-    drawn."""
+    """The walk takes the samples that, pushed one after another, each move
+    the input and either link a new head to the chain before or wipe every
+    corner, from a start in the box; it stops at a no-op, at a push that
+    does neither (the seam rule fails) or, taking nothing, at a start
+    outside the box.  For every walked sample but the last, the slab points
+    and survivor are, bit for bit, those of the head that the pushes one
+    after another build, and that pushing its value directly builds; a
+    sample that wipes every corner has no survivor and the points (v, v),
+    (v, min(beta_lo, v)) of the whole curve it leaves.  The interface
+    returned is that of the last walked push, or the full canonicalisation
+    of the first push when nothing is walked.  Steps of a few merge
+    tolerances and values past the box on either side are drawn."""
     iface = MemoryInterface.virgin(BOX)
     for v in input_values(ops):
         iface = iface.push_extremum(v)
@@ -325,26 +339,32 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
         values.append(values[-1] + (step if rising else -step))
     alphas, betas, survivors, last = iface.ramp_slabs(values, 1)
     assert len(alphas) == len(betas) == 2 * len(survivors)
-    linked = last is not iface and bool(chain_ids(last) & chain_ids(iface))
-    walked = len(survivors) + linked
-    assert linked or not survivors
-    if not linked:
-        assert last.corners == reference_push(iface, values[1])
-    chained = iface
-    for k, v in enumerate(values[1:walked + 1]):
+
+    chained, walked = iface, 0
+    in_box = BOX.beta_lo <= iface.current_value <= BOX.alpha_hi
+    for k, v in enumerate(values[1:] if in_box else ()):
+        nxt = chained.push_extremum(v)
+        wiped = wipes_every_corner(chained, v)
+        if nxt is chained or not (wiped or chain_ids(nxt) & chain_ids(chained)):
+            break
         assert reference_push(chained, v) == reference_push(iface, v)
-        chained = chained.push_extremum(v)
-        assert iface.push_extremum(v).head == chained.head
+        assert wiped == wipes_every_corner(iface, v)
+        chained, walked = nxt, walked + 1
         if k == len(survivors):
-            assert chained.head == last.head
             continue
-        a, b, survivor = head_slab(chained.head)
+        if wiped:
+            a, b, survivor = [v, v], [v, min(BOX.beta_lo, v)], None
+        else:
+            assert iface.push_extremum(v).head == chained.head
+            a, b, survivor = head_slab(chained.head)
         assert hexes(alphas[2 * k:2 * k + 2]) == hexes(a)
         assert hexes(betas[2 * k:2 * k + 2]) == hexes(b)
         assert survivors[k] is survivor
-    if walked < len(steps):
-        nxt = chained.push_extremum(values[walked + 1])
-        assert nxt is chained or not chain_ids(nxt) & chain_ids(chained)
+    assert len(survivors) == max(walked - 1, 0)
+    if walked:
+        assert last.head == chained.head
+    else:
+        assert last.corners == reference_push(iface, values[1])
 
 
 def chain_ids(iface):

@@ -34,6 +34,7 @@ from conftest import (
     random_gamma_interface,
     random_grid_field,
     random_quadrant_scenario,
+    write_grid_csv,
 )
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
@@ -177,7 +178,7 @@ class TestStaircaseIntegration:
         values.flat[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0]
         mu = GridWeighting(Box(-0.5, 1.0, -1.0, 0.5), values)
         path = tmp_path / "grid.csv"
-        mu.save_csv(path)
+        write_grid_csv(mu, path)
         again = GridWeighting.load_csv(path)
         assert again.support_box == mu.support_box
         assert again.values.tobytes() == mu.values.tobytes()

@@ -4,8 +4,9 @@ Usage: ``python3 tools/artifacts.py TREE OUT``
        ``python3 tools/artifacts.py --compare OLD NEW LIST``
 
 Generates the inputs of the three workloads of ``perfbench/workloads.py`` at
-seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, runs every command of
-one pass of each against ``TREE/src``, which writes its ``--out`` directory
+seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, and one butterfly
+``simulate`` of growing pulses in ``OUT/butterfly-wipes``, runs every command
+of one pass of each against ``TREE/src``, which writes its ``--out`` directory
 beside them, and writes the exit codes to ``OUT/exit-codes.json``.  The
 inputs come from this checkout's generator, whichever tree runs them, and
 every path is relative to ``OUT``.  So two trees that give the same answers
@@ -38,6 +39,12 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = (1, 7)
+
+#: a butterfly simulate whose pulses grow, so that each pulse wipes every
+#: corner once it passes the extreme of the pulse before, and the last two
+#: go past the box on both sides
+WIPES = "butterfly-wipes"
+WIPES_AMPLITUDES = [0.3, -0.35, 0.6, -0.7, 1.2, -1.3]
 
 #: runs each argv of a JSON list through the CLI under the src directory
 #: given second, and prints the exit codes as JSON; the CLI's own printing
@@ -113,6 +120,11 @@ def main(argv):
             for op in spec["ops"]:
                 names.append(op["out"])
                 argvs.append(op["argv"])
+    os.makedirs(WIPES, exist_ok=True)
+    with open(os.path.join(WIPES, "config.json"), "w") as fh:
+        json.dump({"weighting": {"preset": "butterfly"}, "amplitudes": WIPES_AMPLITUDES}, fh, indent=1)
+    names.append(os.path.join(WIPES, "simulate"))
+    argvs.append(["simulate", "--config", os.path.join(WIPES, "config.json"), "--out", names[-1]])
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argvs), src],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
