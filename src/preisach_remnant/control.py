@@ -302,9 +302,7 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
     state at the ramp's start, or wipes every corner, so only the ramp's
     last state is read in full; the other outputs of the ramp combine the
     expansions the reader holds for that start with the ramp's slab terms.
-    A sample that starts no such ramp is pushed and read on its own, and one
-    that leaves the state as it was (a repeat within the merge tolerance)
-    repeats the output before it without a read.
+    A sample that starts no such ramp is pushed and read on its own.
 
     The first pass walks each ramp once (``ramp_slabs``) and reads nothing:
     it keeps the slab points of every sample but the ramp's last, the
@@ -329,10 +327,9 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
         ramps.append((survivors, iface))
     e = mu.everett_array(alphas, betas)
     reader = OutputReader(mu)
-    y, k, last = [], 0, None
+    y, k = [], 0
     for survivors, iface in ramps:
         y += reader.read_slabs(survivors, e[k:k + 2 * len(survivors)].tolist())
         k += 2 * len(survivors)
-        y.append(y[-1] if iface is last else reader.read(iface))
-        last = iface
+        y.append(reader.read(iface))
     return t, u, np.array(y)

@@ -562,21 +562,18 @@ class OutputReader:
         rounds their exact sum correctly, so every output is the float
         ``read`` gives; the reader keeps none of these curves.  A head with
         no survivor (None) is the whole curve (v, v), (v, b), whose full
-        read sums E(v, v), -E(v, b) and E(v, b); where b == v the curve is
-        the one corner (v, v), and the same three terms still sum to E(v, v).
+        read sums to E(v, v).
         """
         seen, total = self._seen, self.mu.total_mass
         out = []
         for k, survivor in enumerate(survivors):
-            e1, e2 = e[2 * k], e[2 * k + 1]
             if survivor is None:
-                terms = [e1, -e2, e2]
-            else:
-                node, expansion = seen[survivor[2]]
-                if node is not survivor:
-                    raise ValueError("head is not linked to the last curve read")
-                terms = expansion + [e1, -e2]
-            out.append(2.0 * math.fsum(terms) - total)
+                out.append(2.0 * e[2 * k] - total)
+                continue
+            node, expansion = seen[survivor[2]]
+            if node is not survivor:
+                raise ValueError("head is not linked to the last curve read")
+            out.append(2.0 * math.fsum(expansion + [e[2 * k], -e[2 * k + 1]]) - total)
         return out
 
 

@@ -350,12 +350,12 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
         assert reference_push(chained, v) == reference_push(iface, v)
         assert wiped == wipes_every_corner(iface, v)
         chained, walked = nxt, walked + 1
+        assert iface.push_extremum(v).head == chained.head
         if k == len(survivors):
             continue
         if wiped:
             a, b, survivor = [v, v], [v, min(BOX.beta_lo, v)], None
         else:
-            assert iface.push_extremum(v).head == chained.head
             a, b, survivor = head_slab(chained.head)
         assert hexes(alphas[2 * k:2 * k + 2]) == hexes(a)
         assert hexes(betas[2 * k:2 * k + 2]) == hexes(b)
