@@ -20,7 +20,7 @@ DEFAULT_SAMPLES_PER_PULSE = 1000
 OUTPUT_BLOCK = 1 << 15
 
 
-def _pairwise_sum(states, weights, block, lo, hi) -> float:
+def _pairwise_sum(states, weights, block, kept, lo, hi) -> float:
     """Sum of states[lo:hi] * weights[lo:hi] (flat arrays) in numpy's own
     pairwise order, holding at most ``len(block)`` products at a time.
 
@@ -31,14 +31,26 @@ def _pairwise_sum(states, weights, block, lo, hi) -> float:
     floats in the same order.  The one difference, numpy's ``0.0 +`` on
     each block's sum, turns a -0.0 block into +0.0; that can only feed a
     zero total, which numpy also returns as +0.0.
+
+    ``kept`` maps each block's ``lo`` to the bytes of the states it was
+    last summed from and that sum.  The weights do not change, so a block
+    whose states are byte-equal to its kept ones returns its kept sum, the
+    float numpy would give again; any other block is summed and kept.
     """
     size = hi - lo
     if size <= OUTPUT_BLOCK:
-        return float(np.multiply(states[lo:hi], weights[lo:hi], out=block[:size]).sum())
+        leaf = states[lo:hi]
+        key = leaf.tobytes()
+        last = kept.get(lo)
+        if last is not None and last[0] == key:
+            return last[1]
+        total = float(np.multiply(leaf, weights[lo:hi], out=block[:size]).sum())
+        kept[lo] = key, total
+        return total
     half = size // 2
     half -= half % 8
-    return (_pairwise_sum(states, weights, block, lo, lo + half)
-            + _pairwise_sum(states, weights, block, lo + half, hi))
+    return (_pairwise_sum(states, weights, block, kept, lo, lo + half)
+            + _pairwise_sum(states, weights, block, kept, lo + half, hi))
 
 
 class RelayGrid:
@@ -58,10 +70,18 @@ class RelayGrid:
         # beta above its alpha
         for row, start in zip(weights, self.betas.searchsorted(self.alphas, "right").tolist()):
             row[start:] = 0.0
-        self.weights = weights
+        weights.flags.writeable = False
+        self._weights = weights
         self.states = np.full((n, n), -1, dtype=np.int8)
         self._block = np.empty(min(n * n, OUTPUT_BLOCK))
+        self._kept = {}
         self._blocks = 0, n
+
+    @property
+    def weights(self):
+        """The n x n relay weights, read-only: the kept block sums of
+        ``output`` hold only for these."""
+        return self._weights
 
     def initialize(self, iface: MemoryInterface):
         # the steps partition the alpha axis into (lo, hi] intervals, so each
@@ -103,9 +123,11 @@ class RelayGrid:
 
     def output(self) -> float:
         """The weighted sum of the states: numpy's sum of their n x n
-        products, bit for bit, without an n x n product array."""
+        products, bit for bit, without an n x n product array; only the
+        blocks whose states changed since their last sum are summed again."""
         flat = self.n * self.n
-        return _pairwise_sum(self.states.reshape(flat), self.weights.reshape(flat), self._block, 0, flat)
+        return _pairwise_sum(self.states.reshape(flat), self._weights.reshape(flat),
+                             self._block, self._kept, 0, flat)
 
 
 def oracle_pulse_remnants(mu, init: MemoryInterface, amplitudes, n: int,

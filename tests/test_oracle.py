@@ -252,6 +252,40 @@ def row_by_row_states(grid, iface):
     return states
 
 
+class TableField:
+    """A field whose weights on any lattice over ``box`` are a given n x n
+    table (rows by alpha), before the scaling by the cell area."""
+
+    def __init__(self, box, table):
+        self.support_box = box
+        self.table = table
+
+    def eval(self, alphas, betas):
+        return np.array(self.table)
+
+
+def table_grid(weights, rng):
+    """A lattice over UNIT_BOX (every beta below every alpha, so no weight
+    is zeroed) of the given weights, in random states."""
+    n = len(weights)
+    grid = RelayGrid(TableField(UNIT_BOX, weights), n)
+    grid.states[...] = rng.choice(np.array([-1, 1], dtype=np.int8), (n, n))
+    return grid
+
+
+def assert_output_is_numpys_sum(grid):
+    assert grid.output().hex() == float(np.multiply(grid.states, grid.weights).sum()).hex()
+
+
+def leaf_spans(size, lo=0):
+    """The (lo, hi) spans of at most OUTPUT_BLOCK that numpy's pairwise
+    split of ``size`` floats sums one by one, in order."""
+    if size <= OUTPUT_BLOCK:
+        return [(lo, lo + size)]
+    half = size // 2 - size // 2 % 8
+    return leaf_spans(half, lo) + leaf_spans(size - half, lo + half)
+
+
 class TestRelayGridStates:
     def test_initialize_matches_the_row_by_row_rule(self):
         rng = np.random.default_rng(61)
@@ -304,16 +338,67 @@ class TestRelayGridStates:
         assert 181 ** 2 <= OUTPUT_BLOCK < 182 ** 2
         assert 256 ** 2 == 2 * OUTPUT_BLOCK
         rng = np.random.default_rng(n)
-        grid = RelayGrid(uniform_scene()[0], n)
         for _ in range(3):
-            grid.states[...] = rng.choice(np.array([-1, 1], dtype=np.int8), (n, n))
             weights = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-12, 12, (n, n))
             weights[rng.random(n) < 0.1] = 0.0
             weights[rng.random((n, n)) < 0.05] = -0.0
-            grid.weights[...] = weights
-            assert grid.output().hex() == float(np.multiply(grid.states, grid.weights).sum()).hex()
-        grid.weights[...] = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+            grid = table_grid(weights, rng)
+            assert_output_is_numpys_sum(grid)
+        grid = table_grid(np.where(rng.random((n, n)) < 0.5, -0.0, 0.0), rng)
         assert grid.output().hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("n", [181, 182, 257, 600])
+    def test_kept_block_sums_never_go_stale(self, n):
+        """After every change of the states, a block edit, its undo, a flip
+        where the weight is +-0.0, an initialize or a pulse, the output is
+        numpy's sum of the products again, by ``float.hex``."""
+        rng = np.random.default_rng(n)
+        weights = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+        zeros = rng.random((n, n)) < 0.1
+        weights[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        grid = RelayGrid(TableField(UNIT_BOX, weights), n)
+        with pytest.raises(ValueError):
+            grid.weights[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            grid.weights = weights
+        flat = grid.states.reshape(-1)  # a view: edits reach the lattice
+        leaves = leaf_spans(n * n)
+        assert len(leaves) == {181: 1, 182: 2, 257: 4, 600: 16}[n]
+        # from uniform states, so every block of one size has the same bytes
+        assert_output_is_numpys_sum(grid)
+        # edits in one block, in all of them, and across each block edge
+        spans = leaves + [(0, n * n)] + [(hi - n, hi + n) for _, hi in leaves[:-1]]
+        for lo, hi in spans:
+            picked = rng.integers(lo, hi, int(rng.integers(1, 50)))
+            flat[picked] *= -1
+            assert_output_is_numpys_sum(grid)
+            flat[picked] *= -1  # the undo: the states of a sum kept before
+            assert_output_is_numpys_sum(grid)
+            flat[picked] *= -1
+            assert_output_is_numpys_sum(grid)
+        on_zeros = np.flatnonzero(zeros)
+        for _ in range(4):
+            flat[rng.choice(on_zeros, 20)] *= -1
+            assert_output_is_numpys_sum(grid)
+        flat[on_zeros] = 1
+        assert_output_is_numpys_sum(grid)
+        flat[on_zeros] = -1
+        assert_output_is_numpys_sum(grid)
+        for nested in (False, True, False):
+            grid.initialize(random_history(rng, UNIT_BOX, nested))
+            assert_output_is_numpys_sum(grid)
+        # pulses from zero that grow, shrink and alternate in sign, each
+        # sampled as oracle_pulse_remnants does
+        sizes = np.sort(rng.uniform(0.05, 1.0, 6))
+        trains = [sizes, -sizes, sizes[::-1], -sizes[::-1], sizes[::-1] * (-1.0) ** np.arange(6)]
+        ramp = np.linspace(0.0, 1.0, 11)[1:]
+        for amplitudes in trains + [rng.uniform(-1.1, 1.1, 8)]:
+            grid.initialize(MemoryInterface.virgin(UNIT_BOX))
+            for w in amplitudes.tolist():
+                grid.step(*(w * ramp).tolist(), *(w * ramp[-2::-1]).tolist(), 0.0)
+                assert_output_is_numpys_sum(grid)
+                grid.step(*(w * ramp).tolist(), *(w * ramp[-2::-1]).tolist(), 0.0)  # a repeat
+                assert_output_is_numpys_sum(grid)
 
     def test_a_lattice_is_freed_with_its_last_reference(self):
         """No reference cycle holds a lattice that has stepped and summed:

@@ -4,8 +4,9 @@ Usage: ``python3 tools/artifacts.py TREE OUT``
        ``python3 tools/artifacts.py --compare OLD NEW LIST``
 
 Generates the inputs of the three workloads of ``perfbench/workloads.py`` at
-seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, and one butterfly
-``simulate`` of growing pulses in ``OUT/butterfly-wipes``, runs every command
+seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, one butterfly
+``simulate`` of growing pulses in ``OUT/butterfly-wipes`` and one
+``oracle-check`` of negative pulses in ``OUT/oracle-down``, runs every command
 of one pass of each against ``TREE/src``, which writes its ``--out`` directory
 beside them, and writes the exit codes to ``OUT/exit-codes.json``.  The
 inputs come from this checkout's generator, whichever tree runs them, and
@@ -36,6 +37,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 7)
@@ -45,6 +47,14 @@ SEEDS = (1, 7)
 #: go past the box on both sides
 WIPES = "butterfly-wipes"
 WIPES_AMPLITUDES = [0.3, -0.35, 0.6, -0.7, 1.2, -1.3]
+
+#: an oracle-check on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0]
+#: from a history that rose to the top of the box: the target lies below its
+#: remnant, so the controller steps down with negative pulses that grow, and
+#: each moves columns in every row, so at n = 600 the states of every output
+#: block change (5 of the 11 outputs); on the workloads' box a pulse back to 0
+#: leaves the rows with alpha < 0 as they were
+DOWN = "oracle-down"
 
 #: runs each argv of a JSON list through the CLI under the src directory
 #: given second, and prints the exit codes as JSON; the CLI's own printing
@@ -125,6 +135,24 @@ def main(argv):
         json.dump({"weighting": {"preset": "butterfly"}, "amplitudes": WIPES_AMPLITUDES}, fh, indent=1)
     names.append(os.path.join(WIPES, "simulate"))
     argvs.append(["simulate", "--config", os.path.join(WIPES, "config.json"), "--out", names[-1]])
+    os.makedirs(DOWN, exist_ok=True)
+    values = 1.0 + np.random.default_rng(22).uniform(0.0, 0.5, (100, 100))
+    grid_csv = os.path.join(DOWN, "grid.csv")
+    with open(grid_csv, "w") as fh:
+        fh.write("0.0,1.0,-1.0,0.0,100,100\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
+    config = {
+        "weighting": {"grid_csv": grid_csv},
+        "q": {"alpha2": 1.0, "beta2": -1.0},
+        "initial_interface": {"extrema": [1.0]},
+        "controller": {"gamma_d": -0.5, "lambda": 0.3, "w0": 0.0},
+        "oracle_samples_per_pulse": 100,
+    }
+    with open(os.path.join(DOWN, "config.json"), "w") as fh:
+        json.dump(config, fh, indent=1)
+    names.append(os.path.join(DOWN, "oracle-check"))
+    argvs.append(["oracle-check", "--config", os.path.join(DOWN, "config.json"), "--out", names[-1],
+                  "--oracle-n", "600"])
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argvs), src],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
