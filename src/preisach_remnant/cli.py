@@ -188,11 +188,12 @@ def _dump_json(obj, out_dir, name):
 
 
 def _write_signal(cfg, amplitudes, out):
-    """``signal.csv`` (t,u,y) of the pulse train, written in one pass."""
+    """``signal.csv`` (t,u,y) of the pulse train, formatted by one ``%``
+    over the interleaved samples: the ``%r`` of each float, as per row."""
     t, u, y = dense_response(cfg.mu, cfg.iface, amplitudes, cfg.tau, cfg.sample_step)
-    rows = ["%r,%r,%r\n" % row for row in zip(t.tolist(), u.tolist(), y.tolist())]
+    flat = np.column_stack((t, u, y)).ravel().tolist()
     with open(os.path.join(out, "signal.csv"), "w") as fh:
-        fh.write("t,u,y\n" + "".join(rows))
+        fh.write("t,u,y\n" + ("%r,%r,%r\n" * len(y)) % tuple(flat))
     return y
 
 
@@ -242,10 +243,10 @@ def cmd_simulate(cfg, args) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
+    rows = "%d,%r,%r\n" * len(remnants)
+    fields = [x for k, w in enumerate(cfg.amplitudes) for x in (k, w, remnants[k])]
     with open(os.path.join(out, "remnants.csv"), "w") as fh:
-        fh.write("k,w_k,gamma_k\n")
-        for k, (w, g) in enumerate(zip(cfg.amplitudes, remnants)):
-            fh.write("%d,%r,%r\n" % (k, w, g))
+        fh.write("k,w_k,gamma_k\n" + rows % tuple(fields))
     y = _write_signal(cfg, cfg.amplitudes, out)
     summary = {"pulses": len(cfg.amplitudes), "final_output": float(y[-1])}
     print(_dump_json(summary, out, "summary.json"))

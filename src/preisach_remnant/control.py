@@ -233,10 +233,11 @@ class ControlTrace:
         return [r.w for r in self.records]
 
     def write_csv(self, path):
+        """One row per pulse, all formatted by one ``%``."""
+        rows = "%d,%r,%r,%r,%d\n" * len(self.records)
+        fields = [x for r in self.records for x in (r.k, r.w, r.gamma, r.e, r.clamped)]
         with open(path, "w") as fh:
-            fh.write("k,w_k,gamma_k,e_k,clamped\n")
-            for r in self.records:
-                fh.write("%d,%r,%r,%r,%d\n" % (r.k, r.w, r.gamma, r.e, int(r.clamped)))
+            fh.write("k,w_k,gamma_k,e_k,clamped\n" + rows % tuple(fields))
 
 
 def run_controller(
@@ -325,11 +326,10 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
         alphas += a
         betas += b
         ramps.append((survivors, iface))
-    e = mu.everett_array(alphas, betas)
+    e = iter(mu.everett_array(alphas, betas).tolist())  # each ramp reads on from the last
     reader = OutputReader(mu)
-    y, k = [], 0
+    y = []
     for survivors, iface in ramps:
-        y += reader.read_slabs(survivors, e[k:k + 2 * len(survivors)].tolist())
-        k += 2 * len(survivors)
+        y += reader.read_slabs(survivors, e)
         y.append(reader.read(iface))
     return t, u, np.array(y)

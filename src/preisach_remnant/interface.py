@@ -277,9 +277,17 @@ class MemoryInterface:
         if box.beta_lo <= v0 <= box.alpha_hi:
             for i in range(start, len(values)):
                 v = values[i]
-                if (v - v0 if rising else v0 - v) <= tol:
+                # _survivor inline: one test of the direction per sample
+                if rising:
+                    if v - v0 <= tol:
+                        break
+                    while node is not None and node[0][0] <= v:
+                        node = node[1]
+                elif v0 - v <= tol:
                     break
-                node = _survivor(node, v, rising)
+                else:
+                    while node is not None and node[0][1] >= v:
+                        node = node[1]
                 if node is None:
                     a, b = v, min(box.beta_lo, v)
                 else:

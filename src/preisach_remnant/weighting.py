@@ -193,9 +193,11 @@ class GridWeighting:
         numpy's per-call cost is paid once."""
         i, fa = _cell_fractions(self.alpha_edges, alphas)
         j, fb = _cell_fractions(self.beta_edges, betas)
-        p = self._prefix
-        lower = (1.0 - fa) * p[j, i] + fa * p[j, i + 1]
-        upper = (1.0 - fa) * p[j + 1, i] + fa * p[j + 1, i + 1]
+        p, row = self._prefix.ravel(), self.n_alpha + 1
+        k = j * row + i  # the flat index of the cell's lower left node
+        lower = (1.0 - fa) * p.take(k) + fa * p.take(k + 1)
+        k += row
+        upper = (1.0 - fa) * p.take(k) + fa * p.take(k + 1)
         return self._cell_area * ((1.0 - fb) * lower + fb * upper)
 
     def line_integral_extrema(self, axis, line_lo, line_hi, cut_end, resolution):
@@ -233,14 +235,19 @@ class GridWeighting:
 
     def sign_violation(self, q, sign):
         """Why the density has not the sign of ``sign`` on Q, or None: exact,
-        every cell whose interior meets Q's interior is checked."""
+        every cell whose interior meets Q's interior is checked, alpha
+        column by alpha column.  Those cells are a contiguous block of
+        rows and columns, read as a view."""
         a, b = self.alpha_edges, self.beta_edges
         cols = np.flatnonzero((a[1:] > 0.0) & (a[:-1] < q.alpha2))
         rows = np.flatnonzero((b[1:] > q.beta2) & (b[:-1] < 0.0))
-        bad = np.argwhere(sign * self.values[np.ix_(rows, cols)].T < 0.0)
+        if len(cols) == 0 or len(rows) == 0:
+            return None
+        i, j = cols[0], rows[0]
+        bad = np.argwhere(sign * self.values[j:rows[-1] + 1, i:cols[-1] + 1].T < 0.0)
         if len(bad) == 0:
             return None
-        i, j = cols[bad[0, 0]], rows[bad[0, 1]]
+        i, j = i + bad[0, 0], j + bad[0, 1]
         wrong = "negative" if sign > 0.0 else "positive"
         return "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % (
             wrong, a[i], a[i + 1], b[j], b[j + 1]
@@ -521,12 +528,16 @@ class OutputReader:
             node = node[1]
         del seen[0 if node is None else node[2] + 1:]
         # the points of E each new node needs: E(a_j, b_j) and E(a_j, b_{j+1})
-        # where the next corner is lower, E(a_n, b_n) at the tail
+        # where the next corner is lower, E(a_n, b_n) at a tail above the
+        # field's beta_lo (at or below it, E is +0.0 on every field)
         alphas, betas = [], []
+        tail = False
         for (a, b), nxt, _ in new:
             if nxt is None:
-                alphas.append(a)
-                betas.append(b)
+                tail = b > self.mu.support_box.beta_lo
+                if tail:
+                    alphas.append(a)
+                    betas.append(b)
             elif nxt[0][1] != b:
                 alphas += (a, a)
                 betas += (b, nxt[0][1])
@@ -537,8 +548,8 @@ class OutputReader:
         for node in reversed(new):
             nxt = node[1]
             if nxt is None:
-                terms = (e[end - 1],)
-                end -= 1
+                terms = (e[end - 1],) if tail else ()
+                end -= len(terms)
             elif nxt[0][1] != node[0][1]:
                 terms = (e[end - 2], -e[end - 1])
                 end -= 2
@@ -556,24 +567,34 @@ class OutputReader:
     def read_slabs(self, survivors, e) -> list:
         """Outputs of the curves whose heads link to ``survivors``, nodes
         of the last curve read, with ``e`` the values of E at the heads'
-        slab points (``MemoryInterface.ramp_slabs``).
+        slab points (``MemoryInterface.ramp_slabs``), two per head.  From an
+        iterator, ``e`` is consumed as far as the heads go, so a caller can
+        pass the points of a whole train ramp after ramp.
 
         ``math.fsum`` of the survivor's expansion and the slab's two terms
         rounds their exact sum correctly, so every output is the float
-        ``read`` gives; the reader keeps none of these curves.  A head with
+        ``read`` gives; the reader keeps none of these curves.  The heads
+        of a ramp that link to one survivor come in a run, which looks it
+        up once and fills the slab's two terms into one list.  A head with
         no survivor (None) is the whole curve (v, v), (v, b), whose full
         read sums to E(v, v).
         """
-        seen, total = self._seen, self.mu.total_mass
+        seen, total, fsum = self._seen, self.mu.total_mass, math.fsum
+        e = iter(e)
         out = []
-        for k, survivor in enumerate(survivors):
+        last = terms = None
+        for survivor, e1, e2 in zip(survivors, e, e):
             if survivor is None:
-                out.append(2.0 * e[2 * k] - total)
+                out.append(2.0 * e1 - total)
                 continue
-            node, expansion = seen[survivor[2]]
-            if node is not survivor:
-                raise ValueError("head is not linked to the last curve read")
-            out.append(2.0 * math.fsum(expansion + [e[2 * k], -e[2 * k + 1]]) - total)
+            if survivor is not last:  # a run of heads on one survivor shares its terms
+                node, expansion = seen[survivor[2]]
+                if node is not survivor:
+                    raise ValueError("head is not linked to the last curve read")
+                last, terms = survivor, expansion + [0.0, 0.0]
+            terms[-2] = e1
+            terms[-1] = -e2
+            out.append(2.0 * fsum(terms) - total)
         return out
 
 

@@ -21,6 +21,7 @@ from preisach_remnant.cli import (
     main,
 )
 from preisach_remnant import Box, ConfigurationError, GridWeighting
+from preisach_remnant.control import ControlTrace, PulseRecord
 from preisach_remnant.presets import number
 
 from conftest import write_grid_csv
@@ -254,6 +255,52 @@ class TestSimulate:
         rows = (tmp_path / "s" / "remnants.csv").read_text().strip().splitlines()[1:]
         # every relay has alpha < 0, so it holds +1 at zero input
         assert [float(r.split(",")[2]) for r in rows] == [1.0, 1.0]
+
+
+#: floats whose ``%r`` the CSV writers must keep: both zeros, which compare
+#: equal but print apart, the least subnormal, both sides of the switches to
+#: exponent notation (1e-05 and 1e16) and a power of ten past them
+AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 1e-05, 0.0001, -1e-05, 1e16, 1e15, 1e22, -1e22, 1.0 / 3.0)
+
+
+class TestCsvWriters:
+    """``signal.csv``, ``remnants.csv`` and ``trace.csv`` are each formatted
+    by one ``%``; their bytes are those of one ``"%r,...\\n"`` per row."""
+
+    def test_simulate_artifacts_are_the_per_row_format(self, tmp_path, capsys, monkeypatch):
+        amplitudes = [-0.5, 0.0, -0.0, 5e-324, -1e-05, 1e16, 1e22, -1e22]
+        remnants = [AWKWARD[k % len(AWKWARD)] for k in range(3, 3 + len(amplitudes))]
+        t = np.array(AWKWARD * 3)
+        u = np.array(AWKWARD[::-1] * 3)
+        y = np.roll(t, 5)
+        monkeypatch.setattr(cli, "pulse_remnants", lambda mu, iface, amps: list(remnants))
+        monkeypatch.setattr(cli, "dense_response", lambda mu, iface, amps, tau, step: (t, u, y))
+        cfg = write_config(tmp_path, "c.json", dict(deadbeat_config(), amplitudes=amplitudes))
+        out = tmp_path / "out"
+        assert run("simulate", cfg, out) == EXIT_OK
+        rows = ["%d,%r,%r\n" % row for row in zip(range(len(amplitudes)), amplitudes, remnants)]
+        assert (out / "remnants.csv").read_text() == "k,w_k,gamma_k\n" + "".join(rows)
+        rows = ["%r,%r,%r\n" % row for row in zip(t.tolist(), u.tolist(), y.tolist())]
+        assert (out / "signal.csv").read_text() == "t,u,y\n" + "".join(rows)
+        assert "-0.0," in rows[1] and "5e-324" in rows[2] and "1e+22" in rows[9]
+
+    def test_trace_is_the_per_row_format(self, tmp_path):
+        records = [
+            PulseRecord(k, w, AWKWARD[-1 - k], AWKWARD[k // 2], bool(k % 3))
+            for k, w in enumerate(AWKWARD)
+        ]
+        trace = ControlTrace(records, False, 1.0, -1.0, 1e-6, None)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        rows = ["%d,%r,%r,%r,%d\n" % (r.k, r.w, r.gamma, r.e, int(r.clamped)) for r in records]
+        assert path.read_text() == "k,w_k,gamma_k,e_k,clamped\n" + "".join(rows)
+        assert rows[1].startswith("1,-0.0,") and rows[3].startswith("3,-5e-324,")
+
+    def test_empty_plans_write_the_header_alone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(deadbeat_config(), amplitudes=[]))
+        assert run("simulate", cfg, tmp_path / "out") == EXIT_OK
+        assert (tmp_path / "out" / "remnants.csv").read_text() == "k,w_k,gamma_k\n"
+        assert (tmp_path / "out" / "signal.csv").read_text() == "t,u,y\n0.0,0.0,-1.0\n"
 
 
 class TestOracleCheck:

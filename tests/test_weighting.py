@@ -240,6 +240,113 @@ class TestOutputReader:
         assert calls == []
 
 
+def fsum_of_every_term(mu, iface):
+    """Mass below the curve as ``math.fsum`` of every term of Everett's
+    identity, those that cancel and the tail's E(a_n, b_n) included."""
+    corners = iface.corners
+    terms = []
+    for (a, b), (_, b_next) in zip(corners, corners[1:]):
+        e = mu.everett([a, a], [b, b_next])
+        terms += (e[0], -e[1])
+    terms += mu.everett(*zip(corners[-1]))
+    return math.fsum(terms)
+
+
+def random_pushes(rng, mu, iface, count):
+    """``iface`` after ``count`` pushes to values spread over the support
+    box and a little past it."""
+    box = mu.support_box
+    for v in rng.uniform(1.2 * box.beta_lo, 1.2 * box.alpha_hi, count):
+        iface = iface.push_extremum(float(v))
+    return iface
+
+
+class TestTailTerm:
+    """A tail at or below the field's beta_lo adds E(a_n, b_n) = +0.0,
+    which the reader leaves out; every read is still ``math.fsum`` of all
+    the terms, bit for bit."""
+
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_reads_are_the_fsum_of_every_term(self, field):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            mu = random_grid_field(rng) if field == "grid" else make_butterfly()[0]
+            reader = OutputReader(mu)
+            iface = MemoryInterface.virgin(mu.support_box)
+            for _ in range(6):
+                iface = random_pushes(rng, mu, iface, int(rng.integers(1, 5)))
+                assert iface.corners[-1][1] <= mu.support_box.beta_lo
+                assert reader.below(iface).hex() == fsum_of_every_term(mu, iface).hex()
+                assert OutputReader(mu).below(iface).hex() == fsum_of_every_term(mu, iface).hex()
+
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_no_e_at_a_tail_on_the_floor(self, field):
+        """The virgin curve (0, 0), (0, beta_lo) needs its two slab points
+        only."""
+        mu = random_grid_field(np.random.default_rng(48)) if field == "grid" else make_butterfly()[0]
+        points = []
+        everett = mu.everett
+        mu.everett = lambda alphas, betas: points.append(len(alphas)) or everett(alphas, betas)
+        OutputReader(mu).below(MemoryInterface.virgin(mu.support_box))
+        assert points == [2]
+
+    def test_a_box_floor_inside_the_slack_keeps_the_tail_term(self):
+        """An interface box whose beta_lo lies above the field's by less
+        than ``Box.contains``' slack leaves the tail on a sliver of mass."""
+        mu = GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), np.full((4, 4), 1e9))
+        box = Box(-1.0, 1.0, -1.0 + 0.5e-9, 1.0)
+        assert box.contains(mu.support_box)
+        rng = np.random.default_rng(49)
+        reader = OutputReader(mu)
+        iface = MemoryInterface.virgin(box)
+        slivers = 0
+        for _ in range(20):
+            iface = random_pushes(rng, mu, iface, 1)
+            a, b = iface.corners[-1]
+            if b > mu.support_box.beta_lo:
+                slivers += 1
+                assert mu.everett([a], [b])[0] > 0.0
+            assert reader.below(iface).hex() == fsum_of_every_term(mu, iface).hex()
+        assert 0 < slivers < 20
+
+
+class TestReadSlabs:
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_a_ramp_from_a_list_or_a_shared_iterator(self, field):
+        """The heads of one ramp, some on one survivor in a run, read from
+        a list of their slab points or from an iterator that goes on past
+        them: the same floats as a push and a read per sample, and the
+        iterator left at the points after the ramp's."""
+        if field == "grid":
+            values = np.random.default_rng(50).uniform(0.0, 1.0, (20, 20))
+            mu = GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), values)
+        else:
+            mu = make_butterfly()[0]
+        iface = nested_history(mu.support_box, 6)  # its last push falls to -0.77
+        # a rise past 0.81, the last maximum, to 1.03, which wipes every corner
+        values = [iface.current_value + 0.2 * k for k in range(10)]
+        alphas, betas, survivors, _ = iface.ramp_slabs(values, 1)
+        assert len(survivors) == 8 and len({id(s) for s in survivors}) == 2
+        reader = OutputReader(mu)
+        reader.read(iface)
+        e = mu.everett_array(alphas, betas).tolist()
+        expected = [OutputReader(mu).read(iface.push_extremum(v)) for v in values[1:len(survivors) + 1]]
+        assert [x.hex() for x in reader.read_slabs(survivors, e)] == [x.hex() for x in expected]
+        rest = iter(e + ["next"])
+        got = reader.read_slabs(survivors, rest)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert list(rest) == ["next"]
+
+    def test_a_head_off_the_last_curve_read_is_refused(self):
+        mu = random_grid_field(np.random.default_rng(51))
+        iface = nested_history(mu.support_box, 4)
+        reader = OutputReader(mu)
+        reader.read(iface)
+        stranger = nested_history(mu.support_box, 4).head[1]
+        with pytest.raises(ValueError):
+            reader.read_slabs([iface.head[1], stranger], [0.0] * 4)
+
+
 class TestSectorBounds:
     def test_uniform_closed_forms(self):
         mu = uniform_field(Q_UNIT)
@@ -761,6 +868,40 @@ class TestCheckNonnegative:
                 want = "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % ((wrong,) + cell)
                 assert str(err.value) == want
         assert 0 < rejected < 400
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_check_finds_the_first_scattered_wrong_cell(self, seed):
+        """Grids of one sign up to 40 x 40 cells with a few cells of the
+        other sign or zero scattered over them, on boxes and Q regions that
+        meet in every way, the Q rows or columns missing the grid included:
+        ``sign_violation`` names the cell the per-cell loop finds first."""
+        rng = np.random.default_rng([44, seed])
+        found = 0
+        for _ in range(60):
+            n_beta, n_alpha = rng.integers(1, 41, 2)
+            box = Box(*rng.uniform(-1.5, -0.05, 1), *rng.uniform(0.05, 1.5, 1),
+                      *rng.uniform(-1.5, -0.05, 1), *rng.uniform(0.05, 1.5, 1))
+            if rng.random() < 0.1:  # the grid misses Q's columns
+                box = Box(box.alpha_lo - 2.0, box.alpha_lo - 1.0, box.beta_lo, box.beta_hi)
+            sign = float(rng.choice([-1.0, 1.0]))
+            values = sign * rng.uniform(0.1, 1.0, (n_beta, n_alpha))
+            for _ in range(rng.integers(0, 4)):
+                j, i = rng.integers(0, n_beta), rng.integers(0, n_alpha)
+                values[j, i] = -values[j, i] if rng.random() < 0.8 else 0.0
+            mu = GridWeighting(box, values)
+            q = QRegion(float(rng.uniform(0.1, 1.4)), float(rng.uniform(-1.4, -0.1)))
+            for s in (sign, -sign):
+                cell = self.first_offending_cell(mu, q, s)
+                got = mu.sign_violation(q, s)
+                if cell is None:
+                    assert got is None
+                    continue
+                found += s == sign
+                wrong = "negative" if s > 0.0 else "positive"
+                assert got == "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % (
+                    (wrong,) + cell
+                )
+        assert found > 0
 
     def test_cells_that_only_touch_q_are_not_checked(self):
         # one positive cell, [0, 1] x [-1, 0], in a ring of negative ones
