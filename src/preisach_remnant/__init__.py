@@ -34,7 +34,6 @@ from .control import (
     remnant,
     remnant_extrema,
     render_signal,
-    repair_initial_interface,
     run_controller,
     validate_initial_interface,
 )

@@ -44,7 +44,7 @@ _KEYS = {
         "weighting", "q", "initial_interface", "controller", "tau",
         "signal_samples_per_pulse", "oracle_samples_per_pulse", "amplitudes", "sweep",
     ),
-    "controller": ("gamma_d", "lambda", "w0", "tolerance", "max_pulses", "mode"),
+    "controller": ("gamma_d", "lambda", "w0", "tolerance", "max_pulses"),
     "sweep": ("param", "values"),
     "q": ("alpha2", "beta2"),
 }
@@ -118,7 +118,7 @@ def _field(cfg):
 
 def load_config(path) -> Config:
     """Read the JSON config at ``path`` and check every key once: its type,
-    ``null``, finiteness and range, and the mode and preset strings."""
+    ``null``, finiteness and range, and the preset and sweep strings."""
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -128,9 +128,6 @@ def load_config(path) -> Config:
         raise ConfigurationError("config must be a mapping")
     known_keys(cfg, "", _KEYS[""])
     c = _section(cfg, "controller", {})
-    mode = c.get("mode", "positive")
-    if mode not in ("positive", "negative"):
-        raise ConfigurationError("controller.mode %r is not 'positive' or 'negative'" % (mode,))
     sweep = _section(cfg, "sweep", {})
     param, values = sweep.get("param"), sweep.get("values")
     if sweep and param not in ("gamma_d", "lambda"):
@@ -161,7 +158,6 @@ def load_config(path) -> Config:
             q=q,
             tolerance=tolerance,
             max_pulses=number(c.get("max_pulses", 200), "controller.max_pulses", "an integer >= 0"),
-            mu_sign_mode=mode,
         ),
         sweep_param=param,
         sweep_values=tuple(values or ()),
@@ -202,18 +198,18 @@ def _controlled(cfg, args):
     c = cfg.controller
     if c.gamma_d is None:
         raise ConfigurationError("controller.gamma_d must be a number, got None")
-    bounds = cfg.bounds or premised_bounds(cfg.mu, c.q, c.mu_sign_mode, args.resolution)
+    bounds = cfg.bounds or premised_bounds(cfg.mu, c.q, args.resolution)
     if c.lam == "auto":
-        c = replace(c, lam=0.95 * max_gain(bounds, c.mu_sign_mode))
+        c = replace(c, lam=0.95 * max_gain(bounds))
     return run_controller(cfg.mu, cfg.iface, c, bounds=bounds), c.lam
 
 
 def cmd_bounds(cfg, args) -> int:
     c = cfg.controller
-    bounds = premised_bounds(cfg.mu, c.q, c.mu_sign_mode, args.resolution)
+    bounds = premised_bounds(cfg.mu, c.q, args.resolution)
     g_max, g_min = remnant_extrema(cfg.mu, cfg.iface, c.q)
     report = bounds.to_dict()
-    report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds, c.mu_sign_mode))
+    report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds))
     print(_dump_json(report, args.out, "bounds.json"))
     return EXIT_OK
 
@@ -277,7 +273,7 @@ def cmd_sweep(cfg, args) -> int:
     os.makedirs(out, exist_ok=True)
     # a swept key only sets the controller: the runs share field, interface and bounds
     c = cfg.controller
-    shared = replace(cfg, bounds=premised_bounds(cfg.mu, c.q, c.mu_sign_mode, args.resolution))
+    shared = replace(cfg, bounds=premised_bounds(cfg.mu, c.q, args.resolution))
     results = []
     worst = EXIT_OK
     for value in cfg.sweep_values:

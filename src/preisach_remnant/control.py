@@ -149,15 +149,6 @@ def validate_initial_interface(iface: MemoryInterface, q: QRegion) -> bool:
     return True
 
 
-def repair_initial_interface(iface: MemoryInterface, q: QRegion) -> MemoryInterface:
-    """Apply one full-range pulse so the interface becomes admissible."""
-    for w in (q.alpha2, q.beta2):
-        candidate = apply_pulse(iface, w)
-        if validate_initial_interface(candidate, q):
-            return candidate
-    raise AdmissibilityError("no single full-range pulse makes the interface admissible")
-
-
 def remnant_extrema(mu, iface0: MemoryInterface, q: QRegion):
     """(gamma_max, gamma_min): remnants of the two full-range pulses."""
     if not validate_initial_interface(iface0, q):
@@ -167,30 +158,34 @@ def remnant_extrema(mu, iface0: MemoryInterface, q: QRegion):
     return g_max, g_min
 
 
-def _mode_sign(mode: str) -> float:
-    """The sign on Q that ``mode`` names; any other mode is a config error."""
-    if mode not in ("positive", "negative"):
-        raise ConfigurationError("mode must be 'positive' or 'negative'")
-    return 1.0 if mode == "positive" else -1.0
+def _sign_on_q(mu, q: QRegion) -> float:
+    """The sign of the density on Q, the premise of the gain cap: 1.0 when
+    it is >= 0 there, -1.0 when it is only <= 0; a field of neither sign is
+    a config error that names a wrong cell or lobe of each.  The check is
+    exact for grids and conservative for Gaussian sums (``sign_violation``)."""
+    positive = mu.sign_violation(q, 1.0)
+    if positive is None:
+        return 1.0
+    negative = mu.sign_violation(q, -1.0)
+    if negative is None:
+        return -1.0
+    raise ConfigurationError("%s; %s" % (positive, negative))
 
 
-def premised_bounds(mu, q: QRegion, mode: str = "positive", resolution: int = 512) -> SectorBounds:
-    """Sector bounds of a field whose density has the sign of ``mode`` on
-    Q (>= 0 for ``"positive"``, <= 0 for ``"negative"``), the premise of the
-    gain cap; any other field or mode is a config error.  The check is exact
-    for grids and conservative for Gaussian sums (``sign_violation``)."""
-    message = mu.sign_violation(q, _mode_sign(mode))
-    if message:
-        raise ConfigurationError(message)
+def premised_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
+    """Sector bounds of a field whose density has one sign on Q, the
+    premise of the gain cap; any other field is a config error."""
+    _sign_on_q(mu, q)
     return sector_bounds(mu, q, resolution)
 
 
-def max_gain(bounds: SectorBounds, mode: str = "positive") -> float:
-    """Supremum of admissible adaptation gains."""
-    if _mode_sign(mode) > 0.0:
-        d = max(bounds.gamma2_plus_q, bounds.gamma1_minus_q)
-    else:
-        d = abs(min(bounds.gamma2_minus_q, bounds.gamma1_plus_q))
+def max_gain(bounds: SectorBounds) -> float:
+    """Supremum of admissible adaptation gains: 2 over the steepest Q slope.
+    A density of one sign on Q leaves the two Q bounds of the other sign at
+    0.0, so the slopes of that sign decide."""
+    d = max(
+        bounds.gamma2_plus_q, bounds.gamma1_minus_q, -bounds.gamma2_minus_q, -bounds.gamma1_plus_q
+    )
     if d <= 0.0:
         raise DegenerateBoundsError("sector bounds vanish on Q")
     return 2.0 / d
@@ -207,7 +202,6 @@ class ControllerConfig:
     q: QRegion
     tolerance: float = None
     max_pulses: int = 200
-    mu_sign_mode: str = "positive"
 
 
 @dataclass
@@ -247,21 +241,20 @@ def run_controller(
     bounds: SectorBounds = None,
 ) -> ControlTrace:
     """Iterate the amplitude update until the remnant error is within
-    tolerance or the pulse budget runs out."""
+    tolerance or the pulse budget runs out.  The sign on Q is checked, and
+    sets the step's sign, whether ``bounds`` are given or computed."""
     q = cfg.q
-    if not validate_initial_interface(iface0, q):
-        raise AdmissibilityError("initial interface enters the forbidden strips")
+    g_max, g_min = remnant_extrema(mu, iface0, q)
     if not (q.beta2 <= cfg.w0 <= q.alpha2):
         raise ConfigurationError("w0 must lie in [beta2, alpha2]")
+    step_sign = -_sign_on_q(mu, q)
     if bounds is None:
-        # a caller that passes bounds vouches for their premise
-        bounds = premised_bounds(mu, q, cfg.mu_sign_mode)
-    gain_cap = max_gain(bounds, cfg.mu_sign_mode)
+        bounds = sector_bounds(mu, q)
+    gain_cap = max_gain(bounds)
     if not (0.0 < cfg.lam < gain_cap):
         raise ConfigurationError(
             "gain %g outside the admissible interval (0, %g)" % (cfg.lam, gain_cap)
         )
-    g_max, g_min = remnant_extrema(mu, iface0, q)
     lo, hi = min(g_min, g_max), max(g_min, g_max)
     span = hi - lo
     tol_pad = 1e-9 * max(abs(hi), abs(lo))
@@ -271,7 +264,6 @@ def run_controller(
             % (cfg.gamma_d, lo, hi)
         )
     tol_e = cfg.tolerance if cfg.tolerance is not None else 1e-6 * span
-    step_sign = -_mode_sign(cfg.mu_sign_mode)
 
     iface = iface0
     reader = OutputReader(mu)

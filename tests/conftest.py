@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 
-from preisach_remnant import Box, GridWeighting, MemoryInterface, QRegion
+from preisach_remnant import (
+    Box,
+    GridWeighting,
+    MemoryInterface,
+    QRegion,
+    apply_pulse,
+    validate_initial_interface,
+)
 
 
 def write_grid_csv(mu, path):
@@ -20,6 +27,16 @@ def write_grid_csv(mu, path):
         )
         for row in mu.values:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def full_range_repair(iface, q):
+    """``iface`` after the first full-range pulse, to alpha2 or else to
+    beta2, that leaves it admissible; None when neither does."""
+    for w in (q.alpha2, q.beta2):
+        candidate = apply_pulse(iface, w)
+        if validate_initial_interface(candidate, q):
+            return candidate
+    return None
 
 
 def random_grid_field(rng) -> GridWeighting:

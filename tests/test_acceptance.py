@@ -21,13 +21,13 @@ from preisach_remnant import (
     oracle_pulse_remnants,
     remnant,
     remnant_extrema,
-    repair_initial_interface,
     run_controller,
     sector_bounds,
     uniform_field,
 )
 
 from conftest import (
+    full_range_repair,
     random_gamma_interface,
     random_grid_field,
     random_nonneg_q_scenario,
@@ -105,7 +105,7 @@ def test_criterion_3_monotone_response_on_q():
         b = sector_bounds(mu, q)
         cap = max(b.gamma2_plus_q, b.gamma1_minus_q)
         # a single full-range pulse makes the virgin curve admissible
-        iface = repair_initial_interface(MemoryInterface.virgin(mu.support_box), q)
+        iface = full_range_repair(MemoryInterface.virgin(mu.support_box), q)
         g_prev, iface = remnant(mu, iface, 0.0)
         w_prev = 0.0
         for _ in range(6):
@@ -126,7 +126,7 @@ def test_criterion_4_full_range_pulses_are_extremal():
     worst = 0.0
     for _ in range(20):
         mu, q = random_nonneg_q_scenario(rng, floor=0.05)
-        iface0 = repair_initial_interface(MemoryInterface.virgin(mu.support_box), q)
+        iface0 = full_range_repair(MemoryInterface.virgin(mu.support_box), q)
         g_max, g_min = remnant_extrema(mu, iface0, q)
         ws = np.concatenate([
             rng.uniform(q.beta2, q.alpha2, size=98), [q.alpha2, q.beta2]

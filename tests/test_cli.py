@@ -93,6 +93,28 @@ class TestBounds:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("bounds", str(tmp_path / "nope.json")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", [b"{", b"\xff"], ids=["truncated", "not_utf8"])
+    def test_config_that_is_not_json(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        assert run("bounds", str(path), tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: %s is not a JSON config: " % path)
+
+    def test_missing_grid_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "weighting": {"grid_csv": str(tmp_path / "nope.csv")},
+            "q": {"alpha2": 1.0, "beta2": -1.0},
+        })
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: [Errno ")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_below_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, "c.json", deadbeat_config())
+        assert run("bounds", cfg, tmp_path / "file" / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: [Errno ")
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -394,8 +416,9 @@ class TestSweep:
 
 
 class TestSignOnQ:
-    """The gain cap needs a density with the sign of the mode on Q: every
-    command that reads the sector bounds checks it, simulate does not."""
+    """The gain cap needs a density of one sign on Q, found from the field:
+    every command that reads the sector bounds checks it, simulate does
+    not."""
 
     @staticmethod
     def sign_change_config(tmp_path):
@@ -417,17 +440,33 @@ class TestSignOnQ:
         out = tmp_path / "out"
         assert run(command, cfg, out) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "config error: weighting is negative on Q in the cell [0, 1] x [-0.5, 0]\n"
+        assert err == (
+            "config error: weighting is negative on Q in the cell [0, 1] x [-0.5, 0];"
+            " weighting is positive on Q in the cell [0, 1] x [-1, -0.5]\n"
+        )
         assert not os.listdir(out)
 
     def test_simulate_runs_without_the_premise(self, tmp_path, capsys):
         assert run("simulate", self.sign_change_config(tmp_path), tmp_path / "out") == EXIT_OK
 
-    @pytest.mark.parametrize("mode, code", [("negative", EXIT_OK), ("positive", EXIT_CONFIG)])
-    def test_mode_sets_the_sign(self, tmp_path, capsys, mode, code):
-        cfg = dict(deadbeat_config(), weighting={"preset": "uniform", "value": -1.0})
-        cfg["controller"] = {"gamma_d": 0.5, "mode": mode}
-        assert run("bounds", write_config(tmp_path, "c.json", cfg), tmp_path / "out") == code
+    def test_either_sign_runs(self, tmp_path, capsys):
+        """The uniform fields of value 1 and -1 have mirrored Q bounds and
+        the same gain cap, and each controller reaches its target."""
+        caps = []
+        for value in (1.0, -1.0):
+            cfg = dict(deadbeat_config(), weighting={"preset": "uniform", "value": value})
+            cfg["controller"] = {"gamma_d": 0.5 * value}
+            path, out = write_config(tmp_path, "c.json", cfg), tmp_path / ("out%r" % value)
+            assert run("bounds", path, out / "bounds") == EXIT_OK
+            assert run("control", path, out / "control") == EXIT_OK
+            caps.append(json.loads((out / "bounds" / "bounds.json").read_text())["max_gain"])
+        assert caps == [1.0, 1.0]
+
+    @pytest.mark.parametrize("mode", ["positive", "negative", "up", None])
+    def test_mode_is_not_a_config_key(self, tmp_path, capsys, mode):
+        cfg = dict(deadbeat_config(), controller={"gamma_d": 0.5, "mode": mode})
+        assert run("bounds", write_config(tmp_path, "c.json", cfg), tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: controller.mode is not a known config key\n"
 
 
 #: a config value that ``with_changes`` deletes its key for
@@ -488,7 +527,6 @@ BAD_INPUTS = {
     "infinite_w0": ({"controller.w0": float("inf")}, "control", [], "controller.w0"),
     "negative_infinite_lambda": ({"controller.lambda": -float("inf")}, "control", [], "controller.lambda"),
     "string_lambda": ({"controller.lambda": "0.5"}, "control", [], "controller.lambda"),
-    "unknown_mode": ({"controller.mode": "up"}, "bounds", [], "controller.mode"),
     "typo_lambda": ({"controller.lamda": 0.01}, "control", [], "controller.lamda"),
     "unknown_top_level_key": ({"tua": 1.0}, "bounds", [], "tua"),
     "unknown_q_key": ({"q.gamma": 1.0}, "bounds", [], "q.gamma"),
@@ -691,7 +729,7 @@ FUZZ_BASE = {
     "initial_interface": {"preset": "virgin"},
     "controller": {
         "gamma_d": 0.3, "lambda": "auto", "w0": 0.0, "tolerance": 1e-3,
-        "max_pulses": 20, "mode": "positive",
+        "max_pulses": 20,
     },
     "tau": 1.0,
     "signal_samples_per_pulse": 8,

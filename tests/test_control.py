@@ -22,11 +22,11 @@ from preisach_remnant import (
     last_input_extrema,
     make_butterfly,
     max_gain,
+    premised_bounds,
     pulse_remnants,
     remnant,
     remnant_extrema,
     render_signal,
-    repair_initial_interface,
     run_controller,
     sector_bounds,
     uniform_field,
@@ -36,7 +36,7 @@ from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader, rect_mass
 
-from conftest import close_to, random_gamma_interface, random_grid_field
+from conftest import close_to, random_gamma_interface, random_grid_field, random_nonneg_q_scenario
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -399,14 +399,6 @@ class TestAdmissibility:
         )
         assert not validate_initial_interface(iface, Q_UNIT)
 
-    def test_repair_by_single_full_pulse(self):
-        box = Box(0.0, 2.0, -1.0, 0.0)
-        iface = MemoryInterface.from_corners(
-            [(0.0, 0.0), (1.2, 0.0), (1.2, -0.5), (2.0, -0.5)], box
-        )
-        fixed = repair_initial_interface(iface, Q_UNIT)
-        assert validate_initial_interface(fixed, Q_UNIT)
-
 
 class TestTolerancesScaleWithTheBox:
     """The checks of a pulse's zero crossing, of the forbidden strips and of
@@ -462,6 +454,31 @@ class TestMaxGain:
         with pytest.raises(DegenerateBoundsError):
             max_gain(b)
 
+    @staticmethod
+    def one_sign_fields():
+        """(field, q, sign): seeded grids >= 0 and <= 0 on Q, the butterfly
+        and the uniform field of value -1."""
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            mu, q = random_nonneg_q_scenario(rng, floor=0.05)
+            yield mu, q, 1.0
+            yield GridWeighting(mu.support_box, -mu.values), q, -1.0
+        yield make_butterfly() + (1.0,)
+        yield uniform_field(Q_UNIT, value=-1.0), Q_UNIT, -1.0
+
+    def test_cap_is_that_of_the_sign_on_q(self):
+        """On a field of one sign on Q the sign-free cap is, bit for bit,
+        2 over the larger Q bound of that sign: max(gamma2_plus_q,
+        gamma1_minus_q) for a density >= 0, |min(gamma2_minus_q,
+        gamma1_plus_q)| for one <= 0."""
+        for mu, q, sign in self.one_sign_fields():
+            b = premised_bounds(mu, q, 64)
+            if sign > 0.0:
+                d = max(b.gamma2_plus_q, b.gamma1_minus_q)
+            else:
+                d = abs(min(b.gamma2_minus_q, b.gamma1_plus_q))
+            assert max_gain(b).hex() == (2.0 / d).hex()
+
 
 class TestController:
     def test_uniform_deadbeat(self):
@@ -513,26 +530,13 @@ class TestController:
             run_controller(mu, iface, cfg)
 
     def test_negative_density_mode(self):
+        """A density <= 0 on Q flips the step's sign, found from the field."""
         mu = uniform_field(Q_UNIT, value=-1.0)
         iface = MemoryInterface.virgin(UNIT_BOX)
-        cfg = ControllerConfig(
-            gamma_d=-0.5, lam=0.5, w0=0.0, q=Q_UNIT, mu_sign_mode="negative"
-        )
+        cfg = ControllerConfig(gamma_d=-0.5, lam=0.5, w0=0.0, q=Q_UNIT)
         trace = run_controller(mu, iface, cfg)
         assert trace.converged
         assert trace.records[-1].gamma == pytest.approx(-0.5)
-
-    @pytest.mark.parametrize("bounds", [None, "given"], ids=["computed", "given"])
-    @pytest.mark.parametrize("mode", ["Positive", "", None])
-    def test_an_unknown_mode_is_refused(self, mode, bounds):
-        """A mode that is neither "positive" nor "negative" is a config
-        error, and is not read as "negative", whether the controller
-        computes its bounds or is given them."""
-        mu, iface = uniform_scene()
-        cfg = ControllerConfig(gamma_d=0.5, lam=0.5, w0=0.0, q=Q_UNIT, mu_sign_mode=mode)
-        given = sector_bounds(mu, Q_UNIT) if bounds else None
-        with pytest.raises(ConfigurationError, match="^mode must be 'positive' or 'negative'$"):
-            run_controller(mu, iface, cfg, given)
 
     def test_persistence_after_convergence(self):
         mu, iface = uniform_scene()
@@ -544,15 +548,44 @@ class TestController:
             g, cur = remnant(mu, cur, 0.0)
             assert abs(g - g_final) <= 1e-12
 
-    def test_computed_bounds_need_the_sign_on_q(self):
-        """Without bounds from the caller the controller checks the sign
-        premise before it computes them; the grid is negative on the lower
-        half of Q."""
+    @pytest.mark.parametrize("bounds", [None, "given"], ids=["computed", "given"])
+    def test_bounds_need_the_sign_on_q(self, bounds):
+        """The controller checks the sign premise whether it computes the
+        bounds or is given them; the grid is positive on the lower half of
+        Q and negative on the upper half."""
         mu = GridWeighting(UNIT_BOX, [[1.0], [-0.5]])
         iface = MemoryInterface.virgin(UNIT_BOX)
         cfg = ControllerConfig(gamma_d=0.2, lam=0.5, w0=0.0, q=Q_UNIT)
-        with pytest.raises(ConfigurationError, match="negative on Q"):
-            run_controller(mu, iface, cfg)
+        given = sector_bounds(mu, Q_UNIT) if bounds else None
+        with pytest.raises(ConfigurationError, match="negative on Q.*; .*positive on Q"):
+            run_controller(mu, iface, cfg, given)
+
+    def test_errors_come_in_order(self):
+        """Interface, w0, sign premise, gain, target: each run below breaks
+        the rules from one of them on, and is refused for that one."""
+        box = Box(0.0, 2.0, -1.0, 0.0)
+        bad_iface = MemoryInterface.from_corners(
+            [(0.0, 0.0), (1.2, 0.0), (1.2, -0.5), (2.0, -0.5)], box
+        )
+        good_iface = MemoryInterface.virgin(box)
+        mixed = GridWeighting(box, [[1.0, 1.0], [-0.5, 1.0]])
+        positive = GridWeighting(box, [[1.0, 1.0], [1.0, 1.0]])
+        broken = dict(iface=bad_iface, mu=mixed, w0=5.0, lam=50.0, gamma_d=50.0)
+        fixes = [
+            ("iface", good_iface, AdmissibilityError, "forbidden strips"),
+            ("w0", 0.0, ConfigurationError, "w0 must lie"),
+            ("mu", positive, ConfigurationError, "negative on Q"),
+            ("lam", 0.5, ConfigurationError, "outside the admissible interval"),
+            ("gamma_d", 0.0, ConfigurationError, "outside the reachable remnant range"),
+        ]
+        for key, fixed, error, message in fixes:
+            run = broken
+            with pytest.raises(error, match=message):
+                cfg = ControllerConfig(run["gamma_d"], run["lam"], run["w0"], Q_UNIT)
+                run_controller(run["mu"], run["iface"], cfg)
+            broken = dict(broken, **{key: fixed})
+        cfg = ControllerConfig(broken["gamma_d"], broken["lam"], broken["w0"], Q_UNIT)
+        assert run_controller(broken["mu"], broken["iface"], cfg).converged
 
     def test_trace_csv_round_trip(self, tmp_path):
         mu, iface = uniform_scene()

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from preisach_remnant import (
-    AdmissibilityError,
     Box,
     ConfigurationError,
     ControllerConfig,
@@ -30,7 +29,6 @@ from preisach_remnant import (
     pulse_remnants,
     remnant,
     remnant_extrema,
-    repair_initial_interface,
     run_controller,
     sector_bounds,
     uniform_field,
@@ -39,7 +37,7 @@ from preisach_remnant import (
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
 from preisach_remnant.weighting import OutputReader, _grow, rect_mass
 
-from conftest import cell_sum
+from conftest import cell_sum, full_range_repair
 
 #: derandomized so the suite gives the same verdict on every run
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -684,12 +682,12 @@ def test_butterfly_answers_scale_exactly(ops, samples_per_pulse, k):
 
 @st.composite
 def controlled_grids(draw):
-    """A controller run on a grid of at most 12 x 12 cells: (field, q, mode,
+    """A controller run on a grid of at most 12 x 12 cells: (field, q,
     admissible initial interface, gamma_d, gain, w0).
 
     The box straddles both axes, sometimes with an axis on its edge, and Q
-    lies in its quadrant part.  Every cell whose interior meets Q's has the
-    sign of the mode (zero cells included), the others any sign.  The
+    lies in its quadrant part.  Every cell whose interior meets Q's has one
+    drawn sign (zero cells included), the others any sign.  The
     initial interface comes from a random history, repaired by one
     full-range pulse when it enters the forbidden strips.  The target is
     anywhere in the reachable range, often at one of its ends, where the
@@ -702,12 +700,12 @@ def controlled_grids(draw):
                                     max_size=n_alpha * n_beta))).reshape(n_beta, n_alpha)
     fraction = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
     q = QRegion(draw(fraction) * a_hi, draw(fraction) * b_lo)
-    mode = draw(st.sampled_from(["positive", "negative"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
     grid = GridWeighting(box, values)
     a, b = grid.alpha_edges, grid.beta_edges
     on_q = np.outer((b[1:] > q.beta2) & (b[:-1] < 0.0), (a[1:] > 0.0) & (a[:-1] < q.alpha2))
     assume(np.any(values[on_q] != 0.0))  # zero bounds on Q: the controller refuses (exit 3)
-    values[on_q] = (1.0 if mode == "positive" else -1.0) * np.abs(values[on_q])
+    values[on_q] = sign * np.abs(values[on_q])
     mu = GridWeighting(box, values)
 
     iface = MemoryInterface.virgin(box)
@@ -715,16 +713,13 @@ def controlled_grids(draw):
         iface = iface.push_extremum(v)
     iface = iface.push_extremum(0.0)
     if not validate_initial_interface(iface, q):
-        try:
-            iface = repair_initial_interface(iface, q)
-        except AdmissibilityError:
-            iface = repair_initial_interface(MemoryInterface.virgin(box), q)
+        iface = full_range_repair(iface, q) or full_range_repair(MemoryInterface.virgin(box), q)
 
     g_max, g_min = remnant_extrema(mu, iface, q)
     at = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     gamma_d = min(g_min, g_max) + at * abs(g_max - g_min)
-    gain = draw(st.floats(0.05, 0.999)) * max_gain(premised_bounds(mu, q, mode), mode)
-    return mu, q, mode, iface, gamma_d, gain, draw(st.floats(q.beta2, q.alpha2))
+    gain = draw(st.floats(0.05, 0.999)) * max_gain(premised_bounds(mu, q))
+    return mu, q, iface, gamma_d, gain, draw(st.floats(q.beta2, q.alpha2))
 
 
 def clamped_case(sign, rising):
@@ -737,8 +732,7 @@ def clamped_case(sign, rising):
     if not rising:
         iface = iface.push_extremum(1.0).push_extremum(0.0)
     g_alpha2, g_beta2 = remnant_extrema(mu, iface, q)
-    mode = "positive" if sign > 0.0 else "negative"
-    return mu, q, mode, iface, g_alpha2 if rising else g_beta2, 0.999, 0.0
+    return mu, q, iface, g_alpha2 if rising else g_beta2, 0.999, 0.0
 
 
 @PROPERTY
@@ -755,9 +749,9 @@ def test_the_controller_never_expands_the_error(case, max_pulses):
     ulps of the field's absolute mass; every pulse that moves the remnant
     must have its secant slope in its Q sector; and every amplitude must
     lie in [beta2, alpha2]."""
-    mu, q, mode, iface, gamma_d, gain, w0 = case
-    bounds = premised_bounds(mu, q, mode)
-    cfg = ControllerConfig(gamma_d, gain, w0, q, max_pulses=max_pulses, mu_sign_mode=mode)
+    mu, q, iface, gamma_d, gain, w0 = case
+    bounds = premised_bounds(mu, q)
+    cfg = ControllerConfig(gamma_d, gain, w0, q, max_pulses=max_pulses)
     records = run_controller(mu, iface, cfg, bounds=bounds).records
     slack = 16 * math.ulp(mu.abs_mass())
     assert all(q.beta2 <= r.w <= q.alpha2 for r in records)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preisach_remnant import weighting
+from preisach_remnant.control import _sign_on_q
 from preisach_remnant import (
     Box,
     ConfigurationError,
@@ -832,8 +833,8 @@ def test_each_distinct_scan_runs_once(monkeypatch, scene, scans):
 
 
 class TestCheckNonnegative:
-    """``premised_bounds`` refuses a density without the mode's sign on Q
-    and gives the sector bounds of any other."""
+    """``premised_bounds`` refuses a density of neither sign on Q, naming a
+    wrong cell or lobe of each, and gives the sector bounds of any other."""
 
     @staticmethod
     def first_offending_cell(mu, q, sign):
@@ -856,18 +857,19 @@ class TestCheckNonnegative:
         for _ in range(200):
             mu = random_grid_field(rng)
             q = QRegion(float(rng.uniform(0.1, 1.4)), float(rng.uniform(-1.4, -0.1)))
-            for mode, sign in (("positive", 1.0), ("negative", -1.0)):
-                cell = self.first_offending_cell(mu, q, sign)
-                if cell is None:
-                    assert premised_bounds(mu, q, mode) == sector_bounds(mu, q)
-                    continue
-                rejected += 1
-                with pytest.raises(ConfigurationError) as err:
-                    premised_bounds(mu, q, mode)
-                wrong = "negative" if mode == "positive" else "positive"
-                want = "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % ((wrong,) + cell)
-                assert str(err.value) == want
-        assert 0 < rejected < 400
+            cells = [self.first_offending_cell(mu, q, sign) for sign in (1.0, -1.0)]
+            if None in cells:
+                assert _sign_on_q(mu, q) == (1.0 if cells[0] is None else -1.0)
+                assert premised_bounds(mu, q) == sector_bounds(mu, q)
+                continue
+            rejected += 1
+            with pytest.raises(ConfigurationError) as err:
+                premised_bounds(mu, q)
+            want = "weighting is %s on Q in the cell [%g, %g] x [%g, %g]"
+            assert str(err.value) == "; ".join(
+                want % ((wrong,) + cell) for wrong, cell in zip(("negative", "positive"), cells)
+            )
+        assert 0 < rejected < 200
 
     @pytest.mark.parametrize("seed", range(4))
     def test_grid_check_finds_the_first_scattered_wrong_cell(self, seed):
@@ -907,19 +909,33 @@ class TestCheckNonnegative:
         # one positive cell, [0, 1] x [-1, 0], in a ring of negative ones
         values = [[-1.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, -1.0]]
         mu = GridWeighting(Box(-1.0, 2.0, -2.0, 1.0), values)
-        premised_bounds(mu, QRegion(1.0, -1.0), "positive")
+        premised_bounds(mu, QRegion(1.0, -1.0))
         for q in (QRegion(1.0 + 1e-9, -1.0), QRegion(1.0, -1.0 - 1e-9)):
             with pytest.raises(ConfigurationError):
-                premised_bounds(mu, q, "positive")
+                premised_bounds(mu, q)
 
-    def test_sign_change_on_q_is_rejected_in_both_modes(self):
+    def test_sign_change_on_q_is_rejected(self):
         # a remnant that is not monotone in the pulse amplitude
         mu = GridWeighting(UNIT_BOX, [[1.0], [-0.5]])
-        for mode in ("positive", "negative"):
-            with pytest.raises(ConfigurationError):
-                premised_bounds(mu, Q_UNIT, mode)
-        premised_bounds(GridWeighting(UNIT_BOX, [[-1.0], [-0.5]]), Q_UNIT, "negative")
-        premised_bounds(GridWeighting(UNIT_BOX, [[1.0], [0.0]]), Q_UNIT, "positive")
+        with pytest.raises(ConfigurationError) as err:
+            premised_bounds(mu, Q_UNIT)
+        assert str(err.value) == (
+            "weighting is negative on Q in the cell [0, 1] x [-0.5, 0]; "
+            "weighting is positive on Q in the cell [0, 1] x [-1, -0.5]"
+        )
+
+    @pytest.mark.parametrize(
+        "values, sign",
+        [([[1.0], [0.5]], 1.0), ([[1.0], [0.0]], 1.0), ([[-1.0], [-0.5]], -1.0),
+         ([[-1.0], [0.0]], -1.0), ([[0.0], [0.0]], 1.0)],
+        ids=["positive", "positive_and_zero", "negative", "negative_and_zero", "zero"],
+    )
+    def test_the_sign_on_q_is_measured(self, values, sign):
+        """Zero cells take either sign; a field that is zero on Q reads as
+        >= 0, and its bounds vanish (``max_gain`` calls that degenerate)."""
+        mu = GridWeighting(UNIT_BOX, values)
+        assert _sign_on_q(mu, Q_UNIT) == sign
+        assert premised_bounds(mu, Q_UNIT) == sector_bounds(mu, Q_UNIT)
 
     def test_gaussian_dip_inside_q(self):
         mu = GaussianWeighting([
@@ -927,33 +943,31 @@ class TestCheckNonnegative:
             GaussianComponent(-2.0, 0.3, -0.2, 0.05, 0.05, Box(0.2, 0.4, -0.3, -0.1)),
         ])
         with pytest.raises(ConfigurationError) as err:
-            premised_bounds(mu, Q_UNIT, "positive")
-        assert str(err.value) == "weighting component 1 (amplitude -2) may be negative on Q"
-        with pytest.raises(ConfigurationError) as err:
-            premised_bounds(mu, Q_UNIT, "negative")
-        assert str(err.value) == "weighting component 0 (amplitude 1) may be positive on Q"
+            premised_bounds(mu, Q_UNIT)
+        assert str(err.value) == (
+            "weighting component 1 (amplitude -2) may be negative on Q; "
+            "weighting component 0 (amplitude 1) may be positive on Q"
+        )
 
     def test_gaussian_box_touching_q_is_not_checked(self):
         mu = GaussianWeighting([
             GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, UNIT_BOX),
             GaussianComponent(-2.0, -0.3, -0.5, 0.1, 0.1, Box(-0.6, 0.0, -1.0, 0.0)),
         ])
-        premised_bounds(mu, Q_UNIT, "positive")
-        with pytest.raises(ConfigurationError):
-            premised_bounds(mu, QRegion(1.0, -1.0), "negative")
+        assert _sign_on_q(mu, Q_UNIT) == 1.0
+        premised_bounds(mu, Q_UNIT)
 
-    @pytest.mark.parametrize("value", [1.0, -1.0])
-    @pytest.mark.parametrize("mode", ["Positive", "NEGATIVE", "", None])
-    def test_an_unknown_mode_is_refused(self, mode, value):
-        """Any mode but "positive" and "negative" is refused before the
-        sign check, whatever the sign of the field; it is not read as
-        "negative"."""
-        with pytest.raises(ConfigurationError, match="^mode must be 'positive' or 'negative'$"):
-            premised_bounds(uniform_field(Q_UNIT, value), Q_UNIT, mode)
+    @pytest.mark.parametrize("amplitude, sign", [(1.0, 1.0), (-1.0, -1.0)])
+    def test_gaussian_sum_of_one_sign(self, amplitude, sign):
+        mu = GaussianWeighting([GaussianComponent(amplitude, 0.5, -0.5, 0.5, 0.5, UNIT_BOX)])
+        assert _sign_on_q(mu, Q_UNIT) == sign
+
+    def test_the_third_argument_is_the_resolution(self):
+        """A Gaussian sum is scanned at the resolution given third."""
+        mu, q = make_butterfly()
+        assert premised_bounds(mu, q, 16) == sector_bounds(mu, q, 16) != sector_bounds(mu, q, 32)
 
     def test_butterfly_passes_for_every_q(self):
         mu, q = make_butterfly()
         for q in (q, QRegion(0.3, -0.2), QRegion(5.0, -5.0)):
-            premised_bounds(mu, q, "positive")
-            with pytest.raises(ConfigurationError):
-                premised_bounds(mu, q, "negative")
+            assert _sign_on_q(mu, q) == 1.0

@@ -5,8 +5,9 @@ Usage: ``python3 tools/artifacts.py TREE OUT``
 
 Generates the inputs of the three workloads of ``perfbench/workloads.py`` at
 seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, one butterfly
-``simulate`` of growing pulses in ``OUT/butterfly-wipes`` and one
-``oracle-check`` of negative pulses in ``OUT/oracle-down``, runs every command
+``simulate`` of growing pulses in ``OUT/butterfly-wipes``, one
+``oracle-check`` of negative pulses in ``OUT/oracle-down`` and a ``bounds``
+and a ``control`` of a density <= 0 on Q in ``OUT/negative-grid``, runs every command
 of one pass of each against ``TREE/src``, which writes its ``--out`` directory
 beside them, and writes the exit codes to ``OUT/exit-codes.json``.  The
 inputs come from this checkout's generator, whichever tree runs them, and
@@ -55,6 +56,11 @@ WIPES_AMPLITUDES = [0.3, -0.35, 0.6, -0.7, 1.2, -1.3]
 #: block change (5 of the 11 outputs); on the workloads' box a pulse back to 0
 #: leaves the rows with alpha < 0 as they were
 DOWN = "oracle-down"
+
+#: bounds and control on a seeded negative 100 x 100 grid over
+#: [0, 1] x [-1, 0], with the gain cap and the sign of the step that a
+#: density <= 0 on Q gives
+NEGATIVE = "negative-grid"
 
 #: runs each argv of a JSON list through the CLI under the src directory
 #: given second, and prints the exit codes as JSON; the CLI's own printing
@@ -112,6 +118,20 @@ def compare(old, new, list_path):
     return 0 if ok else 1
 
 
+def write_grid_case(name, values, config):
+    """Write ``name/grid.csv``, the 100 x 100 grid ``values`` over
+    [0, 1] x [-1, 0], and ``name/config.json``, ``config`` on that grid
+    with q (1, -1)."""
+    os.makedirs(name, exist_ok=True)
+    grid_csv = os.path.join(name, "grid.csv")
+    with open(grid_csv, "w") as fh:
+        fh.write("0.0,1.0,-1.0,0.0,100,100\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
+    config = dict({"weighting": {"grid_csv": grid_csv}, "q": {"alpha2": 1.0, "beta2": -1.0}}, **config)
+    with open(os.path.join(name, "config.json"), "w") as fh:
+        json.dump(config, fh, indent=1)
+
+
 def main(argv):
     if argv[:1] == ["--compare"] and len(argv) == 4:
         sys.exit(compare(*argv[1:]))
@@ -135,24 +155,20 @@ def main(argv):
         json.dump({"weighting": {"preset": "butterfly"}, "amplitudes": WIPES_AMPLITUDES}, fh, indent=1)
     names.append(os.path.join(WIPES, "simulate"))
     argvs.append(["simulate", "--config", os.path.join(WIPES, "config.json"), "--out", names[-1]])
-    os.makedirs(DOWN, exist_ok=True)
-    values = 1.0 + np.random.default_rng(22).uniform(0.0, 0.5, (100, 100))
-    grid_csv = os.path.join(DOWN, "grid.csv")
-    with open(grid_csv, "w") as fh:
-        fh.write("0.0,1.0,-1.0,0.0,100,100\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
     config = {
-        "weighting": {"grid_csv": grid_csv},
-        "q": {"alpha2": 1.0, "beta2": -1.0},
         "initial_interface": {"extrema": [1.0]},
         "controller": {"gamma_d": -0.5, "lambda": 0.3, "w0": 0.0},
         "oracle_samples_per_pulse": 100,
     }
-    with open(os.path.join(DOWN, "config.json"), "w") as fh:
-        json.dump(config, fh, indent=1)
+    write_grid_case(DOWN, 1.0 + np.random.default_rng(22).uniform(0.0, 0.5, (100, 100)), config)
     names.append(os.path.join(DOWN, "oracle-check"))
     argvs.append(["oracle-check", "--config", os.path.join(DOWN, "config.json"), "--out", names[-1],
                   "--oracle-n", "600"])
+    config = {"controller": {"gamma_d": 0.4}}
+    write_grid_case(NEGATIVE, -1.0 - np.random.default_rng(24).uniform(0.0, 0.5, (100, 100)), config)
+    for command in ("bounds", "control"):
+        names.append(os.path.join(NEGATIVE, command))
+        argvs.append([command, "--config", os.path.join(NEGATIVE, "config.json"), "--out", names[-1]])
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argvs), src],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
