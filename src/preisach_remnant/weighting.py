@@ -237,17 +237,22 @@ class GridWeighting:
         """Why the density has not the sign of ``sign`` on Q, or None: exact,
         every cell whose interior meets Q's interior is checked, alpha
         column by alpha column.  Those cells are a contiguous block of
-        rows and columns, read as a view."""
+        rows and columns, read as a view; the first column with a wrong
+        cell, then its first wrong cell, come from argmax, so only a mask
+        of the block is made, not a list of every wrong cell."""
         a, b = self.alpha_edges, self.beta_edges
         cols = np.flatnonzero((a[1:] > 0.0) & (a[:-1] < q.alpha2))
         rows = np.flatnonzero((b[1:] > q.beta2) & (b[:-1] < 0.0))
         if len(cols) == 0 or len(rows) == 0:
             return None
         i, j = cols[0], rows[0]
-        bad = np.argwhere(sign * self.values[j:rows[-1] + 1, i:cols[-1] + 1].T < 0.0)
-        if len(bad) == 0:
+        cells = self.values[j:rows[-1] + 1, i:cols[-1] + 1]
+        bad = cells < 0.0 if sign > 0.0 else cells > 0.0
+        bad_cols = bad.any(axis=0)
+        k = int(bad_cols.argmax())
+        if not bad_cols[k]:
             return None
-        i, j = i + bad[0, 0], j + bad[0, 1]
+        i, j = i + k, j + int(bad[:, k].argmax())
         wrong = "negative" if sign > 0.0 else "positive"
         return "weighting is %s on Q in the cell [%g, %g] x [%g, %g]" % (
             wrong, a[i], a[i + 1], b[j], b[j + 1]
@@ -385,8 +390,15 @@ class GaussianWeighting:
         every entry is the same float as a per-point sum of the same terms.
         A component whose profile or segments are all zero is left out:
         entries start at +0.0 and a sum never becomes -0.0, so adding +-0.0
-        changes nothing.  ``SCAN_BLOCK_ROWS`` lines at a time go through one
-        reused product buffer, which bounds the scan's memory.
+        changes nothing.
+
+        With one component left, every entry is 0.0 + p * s for a profile
+        value p and a segment s.  The real product is bilinear, so its
+        extremes over the lines and cuts lie at an extreme p and an extreme
+        s; rounding is monotone, so the extreme entries are the rounded
+        products at those four corners, and 0.0 + turns a -0.0 into +0.0 as
+        the matrix sum does.  With more, ``SCAN_BLOCK_ROWS`` lines at a time
+        go through one reused product buffer, which bounds the scan's memory.
         """
         n = operator.index(resolution) if hasattr(resolution, "__index__") else 0
         if n < 2:
@@ -406,6 +418,11 @@ class GaussianWeighting:
                 segment = _segments_between(along, cuts)
                 if segment.any():
                     factors.append((profile, segment))
+        if len(factors) == 1:
+            profile, segment = factors[0]
+            corners = [0.0 + float(p) * float(s) for p in (profile.min(), profile.max())
+                       for s in (segment.min(), segment.max())]
+            return min(corners), max(corners)
         product = np.empty((min(SCAN_BLOCK_ROWS, n), len(cuts)))
         lo, hi = math.inf, -math.inf
         for start in range(0, n, SCAN_BLOCK_ROWS):

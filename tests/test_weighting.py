@@ -522,6 +522,55 @@ def random_gaussian_field(rng):
     return GaussianWeighting(comps)
 
 
+def random_single_lobe_field(rng):
+    """One lobe of either sign, amplitude 1e-300 to 1e2, whose box may
+    straddle alpha = 0 or beta = 0; a third of the lobes have their centre
+    30 to 38 sigmas below the box along one axis, so the profile underflows
+    to +-0.0 on the far lines there."""
+    a_hi, b_lo = float(rng.uniform(0.05, 1.2)), float(rng.uniform(-1.2, -0.05))
+    box = Box(a_hi - float(rng.uniform(0.1, 1.2)), a_hi, b_lo, b_lo + float(rng.uniform(0.1, 1.2)))
+    centre = [float(rng.uniform(box.alpha_lo, box.alpha_hi)),
+              float(rng.uniform(box.beta_lo, box.beta_hi))]
+    sigma = [float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8))]
+    if rng.random() < 1 / 3:
+        k = int(rng.integers(2))
+        sigma[k] = 0.02
+        centre[k] = (box.alpha_lo, box.beta_lo)[k] - float(rng.uniform(30.0, 38.0)) * 0.02
+    amplitude = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-300.0, 2.0))
+    return GaussianWeighting([GaussianComponent(amplitude, *centre, *sigma, box)])
+
+
+def two_lobe_field():
+    """Two overlapping lobes of opposite sign on [0, 1] x [-1, 0], both
+    meeting every scan, so the scan sums two components."""
+    return GaussianWeighting([
+        GaussianComponent(1.5, 0.1, -0.5, 0.3, 0.4, Box(0.0, 0.6, -1.0, 0.0)),
+        GaussianComponent(-0.7, 0.9, -0.2, 0.2, 0.3, Box(0.4, 1.0, -1.0, 0.0)),
+    ])
+
+
+@pytest.fixture
+def outer_calls(monkeypatch):
+    """The shapes of the profile rows of every ``np.multiply.outer`` call
+    that ``weighting`` makes, in a list."""
+    calls = []
+
+    class Multiply:
+        @staticmethod
+        def outer(rows, *args, **kwargs):
+            calls.append(rows.shape)
+            return np.multiply.outer(rows, *args, **kwargs)
+
+    class Numpy:
+        multiply = Multiply
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(weighting, "np", Numpy())
+    return calls
+
+
 class TestScanMatchesPointReference:
     """The array scan gives the bounds of a point-by-point line-integral scan:
     bit-equal for Gaussian sums, within 1e-12 relative for grids."""
@@ -712,18 +761,20 @@ def test_grid_scan_peak_memory_is_below_the_values():
     assert peak <= mu.values.nbytes
 
 
-def test_gaussian_scan_peak_memory_is_bounded():
-    """The Gaussian scan holds ``SCAN_BLOCK_ROWS`` lines of entries at a
-    time: at resolution 2048 on the butterfly its traced peak stays under
-    8 MB, where the whole lines x cuts matrix alone would take 33.6 MB."""
-    mu, q = make_butterfly()
+def test_gaussian_scan_peak_memory_is_bounded(outer_calls):
+    """The blocked scan of a sum holds ``SCAN_BLOCK_ROWS`` lines of entries
+    at a time: at resolution 2048 on two lobes that meet every scan its
+    traced peak stays under 8 MB, where the whole lines x cuts matrix alone
+    would take 33.6 MB."""
+    mu = two_lobe_field()
     tracemalloc.start()
     try:
-        sector_bounds(mu, q, 2048)
+        sector_bounds(mu, Q_UNIT, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+    assert len(outer_calls) == 2 * 2 * 2048 // weighting.SCAN_BLOCK_ROWS  # scans x lobes x blocks
 
 
 @pytest.mark.parametrize("resolution", [0, 1, -1, 2.5, 2.0, True, "4", None])
@@ -787,11 +838,12 @@ def test_gaussian_abs_mass_is_the_reference_sum(seed):
     assert mu.abs_mass().hex() == want.hex()
 
 
-def test_zero_blocks_are_skipped_and_the_rest_added():
+def test_zero_blocks_are_skipped_and_the_rest_added(outer_calls):
     """Across 80 lines, lobe 0 is nonzero only on the first block of
     ``SCAN_BLOCK_ROWS`` lines and lobe 1 only on the last, so the middle
-    block adds only zeros; the scan's extrema are still bit-equal to those
-    of a per-point sum, and each lobe reaches one of them."""
+    block adds only zeros; both lobes meet the scan, so it takes the blocked
+    loop, two outer products per block, and its extrema are still bit-equal
+    to those of a per-point sum, and each lobe reaches one of them."""
     lobes = [
         GaussianComponent(1.5, 0.1, -0.5, 0.3, 0.4, Box(0.0, 0.2, -1.0, 0.0)),
         GaussianComponent(-0.7, 0.9, -0.2, 0.2, 0.3, Box(0.85, 1.0, -1.0, 0.0)),
@@ -799,10 +851,45 @@ def test_zero_blocks_are_skipped_and_the_rest_added():
     mu = GaussianWeighting(lobes)
     assert weighting.SCAN_BLOCK_ROWS == 32
     got = mu.line_integral_extrema("beta", 0.0, 1.0, -1.0, 80)
+    assert outer_calls == [(32,), (32,), (32,), (32,), (16,), (16,)]
     want = _point_extrema(mu, "beta", 0.0, 1.0, -1.0, 80)
     assert [x.hex() for x in got] == [x.hex() for x in want]
     lo, hi = got
     assert lo < 0.0 < hi
+
+
+class TestSingleLobeCorners:
+    """A scan that meets one lobe reads its extrema off the four corner
+    products of the extreme profile value and the extreme segment."""
+
+    def test_the_butterfly_scans_make_no_outer_product(self, outer_calls):
+        mu, q = make_butterfly()
+        sector_bounds(mu, q, 512)
+        for q in (q, QRegion(0.5, -0.6)):
+            assert sector_bounds(mu, q, 40).to_dict() == point_sector_bounds(mu, q, 40)
+        assert outer_calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_single_lobes_are_bit_equal(self, outer_calls, seed):
+        """Either sign, boxes on either side of both axes, profiles that
+        underflow on some lines, and Q regions that cut the scans short:
+        every bound is the point reference's, float for float."""
+        rng = np.random.default_rng([48, seed])
+        underflows = 0
+        for _ in range(20):
+            mu = random_single_lobe_field(rng)
+            (c,) = mu.components
+            b = c.box
+            for line, centre, sigma in ((b.alpha_hi, c.center_alpha, c.sigma_alpha),
+                                        (b.beta_hi, c.center_beta, c.sigma_beta)):
+                underflows += c.amplitude * math.exp(-0.5 * ((line - centre) / sigma) ** 2) == 0.0
+            q = QRegion(float(rng.uniform(0.05, 1.3)), float(rng.uniform(-1.3, -0.05)))
+            resolution = int(rng.integers(2, 40))
+            got = sector_bounds(mu, q, resolution).to_dict()
+            want = point_sector_bounds(mu, q, resolution)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        assert outer_calls == []
+        assert underflows > 0
 
 
 @pytest.mark.parametrize(
@@ -904,6 +991,27 @@ class TestCheckNonnegative:
                     (wrong,) + cell
                 )
         assert found > 0
+
+    def test_a_grid_wrong_on_all_of_q_lists_no_cells(self):
+        """On a 600 x 600 grid < 0 on every cell, the check for >= 0 names
+        the first cell of Q from a mask of Q's cells: its traced peak stays
+        under a quarter of the grid's values, where a list of every wrong
+        cell's indices would take twice them."""
+        values = -np.random.default_rng(49).uniform(0.1, 1.0, (600, 600))
+        mu = GridWeighting(Box(-0.25, 1.0, -1.0, 0.25), values)
+        tracemalloc.start()
+        try:
+            got = mu.sign_violation(Q_UNIT, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a, b = mu.alpha_edges, mu.beta_edges
+        i, j = np.flatnonzero(a[1:] > 0.0)[0], np.flatnonzero(b[1:] > -1.0)[0]
+        assert got == "weighting is negative on Q in the cell [%g, %g] x [%g, %g]" % (
+            a[i], a[i + 1], b[j], b[j + 1]
+        )
+        assert peak <= values.nbytes / 4
+        assert mu.sign_violation(Q_UNIT, -1.0) is None
 
     def test_cells_that_only_touch_q_are_not_checked(self):
         # one positive cell, [0, 1] x [-1, 0], in a ring of negative ones

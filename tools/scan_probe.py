@@ -3,13 +3,16 @@
 Usage: ``python3 tools/scan_probe.py [N [RESOLUTION]]`` (default N = 2000,
 RESOLUTION = 4096)
 
-First scans the butterfly preset at ``RESOLUTION`` lines and cuts, and
+First scans two Gaussian fields at ``RESOLUTION`` lines and cuts: the
+butterfly preset, whose every scan meets one lobe and reads its extrema
+off four corner products, and two overlapping lobes on [0, 1] x [-1, 0]
+that both meet every scan, which the blocked loop sums.  For each it
 prints the scan's wall time, the process's peak resident set
 (``ru_maxrss``) after it, and the scan's own traced peak (``tracemalloc``,
-from a second, traced run).  The Gaussian scan takes ``SCAN_BLOCK_ROWS``
+from a second, traced run).  The blocked loop takes ``SCAN_BLOCK_ROWS``
 lines at a time, so its traced peak stays far below the whole lines x cuts
-matrix, which the line also prints.  It runs first because the peak RSS only
-grows, and the grid's values would hide it.
+matrix, which the line also prints.  These run first because the peak RSS
+only grows, and the grid's values would hide it.
 
 Then builds a seeded N x N grid on the benchmark workloads' box, with Q the
 quadrant part, and prints the peak RSS after the build and after
@@ -31,7 +34,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from preisach_remnant import Box, GridWeighting, QRegion, make_butterfly, sector_bounds  # noqa: E402
+from preisach_remnant import (  # noqa: E402
+    Box,
+    GaussianComponent,
+    GaussianWeighting,
+    GridWeighting,
+    QRegion,
+    make_butterfly,
+    sector_bounds,
+)
 
 
 def peak_rss_mb():
@@ -48,17 +59,22 @@ def main(argv):
     n = int(argv[0]) if argv else 2000
     resolution = int(argv[1]) if len(argv) > 1 else 4096
 
-    mu, q = make_butterfly()
-    print("peak RSS before the butterfly scan: %.1f MB" % peak_rss_mb())
-    elapsed = timed_ms(sector_bounds, mu, q, resolution)
-    print("butterfly sector_bounds at resolution %d: %.1f ms, peak RSS %.1f MB"
-          % (resolution, elapsed, peak_rss_mb()))
-    tracemalloc.start()
-    sector_bounds(mu, q, resolution)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    print("butterfly scan traced peak: %.2f MB (whole lines x cuts matrix: %.1f MB)"
-          % (peak / 1e6, resolution * (resolution + 2) * 8 / 1e6))
+    two_lobes = GaussianWeighting([
+        GaussianComponent(1.5, 0.1, -0.5, 0.3, 0.4, Box(0.0, 0.6, -1.0, 0.0)),
+        GaussianComponent(-0.7, 0.9, -0.2, 0.2, 0.3, Box(0.4, 1.0, -1.0, 0.0)),
+    ])
+    print("peak RSS before the Gaussian scans: %.1f MB" % peak_rss_mb())
+    fields = [("butterfly", make_butterfly()), ("two-lobe", (two_lobes, QRegion(1.0, -1.0)))]
+    for name, (mu, q) in fields:
+        elapsed = timed_ms(sector_bounds, mu, q, resolution)
+        print("%s sector_bounds at resolution %d: %.1f ms, peak RSS %.1f MB"
+              % (name, resolution, elapsed, peak_rss_mb()))
+        tracemalloc.start()
+        sector_bounds(mu, q, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print("%s scan traced peak: %.2f MB (whole lines x cuts matrix: %.1f MB)"
+              % (name, peak / 1e6, resolution * (resolution + 2) * 8 / 1e6))
 
     values = np.random.default_rng(2000).normal(size=(n, n))
     mu = GridWeighting(Box(-0.25, 1.0, -1.0, 0.25), values)
