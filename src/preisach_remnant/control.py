@@ -182,13 +182,18 @@ def premised_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
 def max_gain(bounds: SectorBounds) -> float:
     """Supremum of admissible adaptation gains: 2 over the steepest Q slope.
     A density of one sign on Q leaves the two Q bounds of the other sign at
-    0.0, so the slopes of that sign decide."""
+    0.0, so the slopes of that sign decide.  A slope so small that 2 over it
+    overflows is subnormal, so it is not known to full relative precision
+    and gives no cap."""
     d = max(
         bounds.gamma2_plus_q, bounds.gamma1_minus_q, -bounds.gamma2_minus_q, -bounds.gamma1_plus_q
     )
     if d <= 0.0:
         raise DegenerateBoundsError("sector bounds vanish on Q")
-    return 2.0 / d
+    cap = 2.0 / d
+    if cap == math.inf:
+        raise DegenerateBoundsError("gain cap 2/%r overflows" % d)
+    return cap
 
 
 @dataclass(frozen=True)

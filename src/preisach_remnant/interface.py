@@ -121,18 +121,6 @@ def _chain(corners):
     return node
 
 
-def _survivor(node, v: float, rising: bool):
-    """First node, from ``node`` toward the tail, that a monotone sweep to v
-    leaves standing; None when the sweep wipes them all."""
-    if rising:
-        while node is not None and node[0][0] <= v:
-            node = node[1]
-    else:
-        while node is not None and node[0][1] >= v:
-            node = node[1]
-    return node
-
-
 class MemoryInterface:
     """Canonical staircase memory curve plus the support box it is clamped to.
 
@@ -213,28 +201,6 @@ class MemoryInterface:
         ``ramp_slabs``)."""
         return self.ramp_slabs((float(v),), 0)[3]
 
-    def _canonical_push(self, v: float) -> "MemoryInterface":
-        """Push to v that canonicalises the whole staircase.
-
-        An increase switches every relay with alpha < v to +1 and wipes the
-        dominated corners; a decrease is the mirror image.  A push within
-        the merge tolerance of the current value returns this interface.
-        """
-        v0 = self.current_value
-        if abs(v - v0) <= self.support_box.merge_tol:
-            return self
-        rising = v > v0
-        node = _survivor(self.head, v, rising)
-        surv = []
-        while node is not None:
-            surv.append(node[0])
-            node = node[1]
-        head = [(v, v)]
-        if surv:
-            head.append((v, surv[0][1]) if rising else (surv[0][0], v))
-        corners = _canonical_corners(head + surv, self.support_box)
-        return MemoryInterface(_chain(corners), self.support_box, corners)
-
     def ramp_slabs(self, values, start: int):
         """Walk the pushes of values[start], values[start + 1], ... one
         after another, for as long as they sweep on in one direction, each
@@ -247,8 +213,9 @@ class MemoryInterface:
         after the last walked push.  A push that wipes every corner has no
         survivor (None), and its points are those of the whole curve it
         leaves, (v, v) and (v, min(beta_lo, v)).  When nothing is walked,
-        the interface is this one pushed to values[start] through
-        ``_canonical_push``.
+        the interface is this one pushed to values[start]: this one itself
+        for a push within the merge tolerance, else the canonicalised new
+        head, seam corner and survivors.
 
         The seam rule links the head of a push to v to its survivor (a_s,
         b_s) when b_s < v < a_s by more than the merge tolerance: the new
@@ -256,55 +223,62 @@ class MemoryInterface:
         survivor nor line up with it, so canonicalising would return them
         plus the survivors.  Linking also keeps the clamps of the box, which
         needs the value the walk starts from in [beta_lo, alpha_hi]: then
-        every corner lies in the box, so a value that passes the seam rule
-        lies in it too, and only the start is put to the box check.
+        every corner lies in the box, and so does every value that passes
+        the seam rule.  A push that wipes every corner keeps no clamp, so it
+        is walked from any start.
 
         Each push wipes the two nodes the one before it built, and the
         survivors of this interface it walks past were wiped by that push
         too.  So every head is also the head of this interface pushed to
         its value directly, and links to a node of this interface; only
-        the last one is built.  Once a push wipes every corner, so does
-        every later push of the walk, and the curve it leaves depends on
-        its value alone: a walk that ends wiped canonicalises only that.
+        the last one is built, in O(1) when it links.  Once a push wipes
+        every corner, so does every later push of the walk, and the curve
+        it leaves depends on its value alone.
         """
         box = self.support_box
         tol = box.merge_tol
         v0 = self.current_value
+        in_box = box.beta_lo <= v0 <= box.alpha_hi
         node = self.head
         alphas, betas, survivors = [], [], []
         rising = values[start] > v0
         walked = False
-        if box.beta_lo <= v0 <= box.alpha_hi:
-            for i in range(start, len(values)):
-                v = values[i]
-                # _survivor inline: one test of the direction per sample
-                if rising:
-                    if v - v0 <= tol:
-                        break
-                    while node is not None and node[0][0] <= v:
-                        node = node[1]
-                elif v0 - v <= tol:
+        for i in range(start, len(values)):
+            v = values[i]
+            # one test of the direction per sample
+            if rising:
+                if v - v0 <= tol:
                     break
-                else:
-                    while node is not None and node[0][1] >= v:
-                        node = node[1]
-                if node is None:
-                    a, b = v, min(box.beta_lo, v)
-                else:
-                    a, b = node[0]
-                    if not (a - v > tol and v - b > tol):
-                        break
-                if walked:  # the sample before is not the last
-                    alphas += (v0, v0) if rising else (a_s, a_s)
-                    betas += (v0, b_s)
-                    survivors.append(last)
-                walked, last, v0 = True, node, v
-                a_s, b_s = a, b
+                while node is not None and node[0][0] <= v:
+                    node = node[1]
+            elif v0 - v <= tol:
+                break
+            else:
+                while node is not None and node[0][1] >= v:
+                    node = node[1]
+            if node is None:
+                a, b = v, min(box.beta_lo, v)
+            else:
+                a, b = node[0]
+                if not (in_box and a - v > tol and v - b > tol):
+                    break
+            if walked:  # the sample before is not the last
+                alphas += (v0, v0) if rising else (a_s, a_s)
+                betas += (v0, b_s)
+                survivors.append(last)
+            walked, last, v0 = True, node, v
+            a_s, b_s = a, b
         if not walked:
-            return alphas, betas, survivors, self._canonical_push(values[start])
-        if last is None:
-            return alphas, betas, survivors, MemoryInterface.from_corners(((v0, v0),), box)
-        depth = last[2]
+            if node is self.head:  # a push within the merge tolerance
+                return alphas, betas, survivors, self
+            last, v0, a_s, b_s = node, v, a, b
         seam = (v0, b_s) if rising else (a_s, v0)
-        head = ((v0, v0), (seam, last, depth + 1), depth + 2)
-        return alphas, betas, survivors, MemoryInterface(head, box)
+        if walked and last is not None:
+            depth = last[2]
+            head = ((v0, v0), (seam, last, depth + 1), depth + 2)
+            return alphas, betas, survivors, MemoryInterface(head, box)
+        corners = [(v0, v0)]
+        if last is not None:
+            corners.append(seam)
+            corners += MemoryInterface(last, box).corners
+        return alphas, betas, survivors, MemoryInterface.from_corners(corners, box)

@@ -90,6 +90,27 @@ class TestBounds:
         )
         assert run("bounds", cfg, tmp_path / "out") == EXIT_DEGENERATE
 
+    @pytest.mark.parametrize("command", ["bounds", "control"])
+    @pytest.mark.parametrize(
+        "weighting",
+        [
+            {"preset": "uniform", "value": 1e-310},
+            {"preset": "butterfly", "scale": 1e-310},
+            {"preset": "butterfly", "scale": 1e-320},
+        ],
+        ids=["uniform_1e-310", "butterfly_1e-310", "butterfly_1e-320"],
+    )
+    def test_gain_cap_that_overflows_is_degenerate(self, tmp_path, capsys, command, weighting):
+        """A field so weak that 2 over its steepest Q slope overflows has
+        no gain cap: both commands exit 3, and no artifact holds an
+        infinite cap."""
+        changes = {"weighting": weighting, "controller.lambda": "auto"}
+        cfg = write_config(tmp_path, "c.json", with_changes(changes))
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == EXIT_DEGENERATE
+        assert "overflows" in capsys.readouterr().err
+        assert not any("Infinity" in p.read_text() for p in out.rglob("*") if p.is_file())
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("bounds", str(tmp_path / "nope.json")) == EXIT_CONFIG
 

@@ -454,6 +454,15 @@ class TestMaxGain:
         with pytest.raises(DegenerateBoundsError):
             max_gain(b)
 
+    @pytest.mark.parametrize("d", [1e-310, 5e-324, -1e-310], ids=["1e-310", "5e-324", "negative"])
+    def test_a_cap_that_overflows_is_degenerate(self, d):
+        """2 over a subnormal slope that overflows is no cap; the slope
+        1.25e-308, subnormal too, still gives the finite 1.6e308."""
+        b = SectorBounds(0.0, 0.0, 0.0, 0.0, max(d, 0.0), 0.0, 0.0, min(d, 0.0))
+        with pytest.raises(DegenerateBoundsError, match="overflows"):
+            max_gain(b)
+        assert max_gain(SectorBounds(0.0, 0.0, 0.0, 0.0, 1.25e-308, 0.0, 0.0, 0.0)) == pytest.approx(1.6e308)
+
     @staticmethod
     def one_sign_fields():
         """(field, q, sign): seeded grids >= 0 and <= 0 on Q, the butterfly
@@ -662,41 +671,35 @@ class TestDenseResponse:
 
     def test_ramps_are_read_in_batches_and_the_rest_sample_by_sample(self, monkeypatch):
         """Samples that wipe every corner are read in their ramp's batch
-        with no survivor, and a ramp that ends wiped builds its last state
-        from its last value alone; only samples that start past the box are
-        pushed through the full canonicalisation, and every output is the
-        float of a push and a read per sample."""
+        with no survivor; a ramp that ends wiped builds its last state from
+        its last value alone, and a sample that starts no ramp, such as one
+        that falls back into the box from past it, is canonicalised whole.
+        Both are built by ``from_corners``, and every output is the float
+        of a push and a read per sample."""
         mu, iface = uniform_scene()
         amplitudes = [0.75, -0.5, 1.25, 0.0, 0.5, 0.5, -0.25]
         _, u = render_signal(amplitudes, 1.0, 0.1)
         expected = per_sample_reads(mu, iface, u)
 
-        batched, pushed, built = [], [], []
+        batched, built = [], []
         read_slabs = OutputReader.read_slabs
-        push, from_corners = MemoryInterface._canonical_push, MemoryInterface.from_corners.__func__
+        from_corners = MemoryInterface.from_corners.__func__
 
         def spy_read_slabs(reader, survivors, e):
             batched.extend(survivors)
             return read_slabs(reader, survivors, e)
-
-        def spy_push(iface, v):
-            out = push(iface, v)
-            if out is not iface:
-                pushed.append(v)
-            return out
 
         def spy_from_corners(cls, corners, box):
             built.append(corners[0][0])
             return from_corners(cls, corners, box)
 
         monkeypatch.setattr(OutputReader, "read_slabs", spy_read_slabs)
-        monkeypatch.setattr(MemoryInterface, "_canonical_push", spy_push)
         monkeypatch.setattr(MemoryInterface, "from_corners", classmethod(spy_from_corners))
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.1)
         assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
         values = u.tolist()
-        assert pushed == [values[values.index(1.25) + 1]]  # the fall from past the box
-        assert built == [0.75, 1.25]  # the rises from the virgin state and past the box
+        fall = values[values.index(1.25) + 1]  # the fall from past the box
+        assert built == [0.75, 1.25, fall]  # and the rises from the virgin state and past the box
         assert batched[:4] == [None] * 4  # the first pulse wipes every corner
         assert batched.count(None) == 6
         assert len(batched) > len(u) // 2

@@ -198,6 +198,14 @@ class TestPushExtremum:
         assert (alphas, betas, survivors) == ([], [], [])
         assert pushed.corners == expected
 
+    def test_fall_from_alpha_hi_links_to_its_survivor(self):
+        """A start on the box's top edge keeps every clamp, so a fall from
+        it links the new head to the survivor node it already has."""
+        iface = MemoryInterface.virgin(Box(-0.5, 1.0, -1.0, 0.5)).push_extremum(1.0)
+        pushed = iface.push_extremum(0.5)
+        assert pushed.corners == ((0.5, 0.5), (1.0, 0.5), (1.0, -1.0))
+        assert pushed.head[1][1] is iface.head[1]
+
     def test_module_level_wrapper(self):
         """The function form of a push is the method called on the class."""
         iface = MemoryInterface.push_extremum(MemoryInterface.virgin(UNIT_BOX), 0.5)

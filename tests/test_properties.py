@@ -316,19 +316,24 @@ def wipes_every_corner(iface, v):
 # alpha_hi; a fall that links four times, then wipes every corner below beta_lo
 @example(ops=[("nest", 0.5)] * 4, rising=True, steps=[0.1, 0.1, 0.2, 0.3, 0.3])
 @example(ops=[("nest", 0.5)] * 4, rising=False, steps=[0.1, 0.3, 0.3, 0.3, 0.3, 0.3])
+# from 1.5, past alpha_hi: a fall that wipes every corner below beta_lo and
+# is walked on; a fall back into the box, which links nothing and is not walked
+@example(ops=[("nest", 0.5)] * 4 + [1.5], rising=False, steps=[2.75, 0.25, 0.25])
+@example(ops=[("nest", 0.5)] * 4 + [1.5], rising=False, steps=[1.0, 0.25])
 def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
     """The walk takes the samples that, pushed one after another, each move
-    the input and either link a new head to the chain before or wipe every
-    corner, from a start in the box; it stops at a no-op, at a push that
-    does neither (the seam rule fails) or, taking nothing, at a start
-    outside the box.  For every walked sample but the last, the slab points
-    and survivor are, bit for bit, those of the head that the pushes one
-    after another build, and that pushing its value directly builds; a
-    sample that wipes every corner has no survivor and the points (v, v),
-    (v, min(beta_lo, v)) of the whole curve it leaves.  The interface
-    returned is that of the last walked push, or the full canonicalisation
-    of the first push when nothing is walked.  Steps of a few merge
-    tolerances and values past the box on either side are drawn."""
+    the input and either wipe every corner, from any start, or link a new
+    head to the chain before, from a start in the box; it stops at a
+    no-op or at a push that does neither (the seam rule fails, or the
+    start lies outside the box).  For every walked sample but the last,
+    the slab points and survivor are, bit for bit, those of the head that
+    the pushes one after another build, and that pushing its value
+    directly builds; a sample that wipes every corner has no survivor and
+    the points (v, v), (v, min(beta_lo, v)) of the whole curve it leaves.
+    The interface returned is that of the last walked push, or the full
+    canonicalisation of the first push when nothing is walked.  Steps of a
+    few merge tolerances and values past the box on either side are
+    drawn."""
     iface = MemoryInterface.virgin(BOX)
     for v in input_values(ops):
         iface = iface.push_extremum(v)
@@ -340,10 +345,11 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
 
     chained, walked = iface, 0
     in_box = BOX.beta_lo <= iface.current_value <= BOX.alpha_hi
-    for k, v in enumerate(values[1:] if in_box else ()):
+    for k, v in enumerate(values[1:]):
         nxt = chained.push_extremum(v)
         wiped = wipes_every_corner(chained, v)
-        if nxt is chained or not (wiped or chain_ids(nxt) & chain_ids(chained)):
+        links = in_box and chain_ids(nxt) & chain_ids(chained)
+        if nxt is chained or not (wiped or links):
             break
         assert reference_push(chained, v) == reference_push(iface, v)
         assert wiped == wipes_every_corner(iface, v)

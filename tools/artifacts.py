@@ -5,9 +5,10 @@ Usage: ``python3 tools/artifacts.py TREE OUT``
 
 Generates the inputs of the three workloads of ``perfbench/workloads.py`` at
 seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, one butterfly
-``simulate`` of growing pulses in ``OUT/butterfly-wipes``, one
-``oracle-check`` of negative pulses in ``OUT/oracle-down`` and a ``bounds``
-and a ``control`` of a density <= 0 on Q in ``OUT/negative-grid``, runs every command
+``simulate`` of growing pulses in ``OUT/butterfly-wipes``, one seeded-grid
+``simulate`` of growing pulses in ``OUT/grid-wipes``, one ``oracle-check``
+of negative pulses in ``OUT/oracle-down`` and a ``bounds`` and a
+``control`` of a density <= 0 on Q in ``OUT/negative-grid``, runs every command
 of one pass of each against ``TREE/src``, which writes its ``--out`` directory
 beside them, and writes the exit codes to ``OUT/exit-codes.json``.  The
 inputs come from this checkout's generator, whichever tree runs them, and
@@ -48,6 +49,13 @@ SEEDS = (1, 7)
 #: go past the box on both sides
 WIPES = "butterfly-wipes"
 WIPES_AMPLITUDES = [0.3, -0.35, 0.6, -0.7, 1.2, -1.3]
+
+#: a simulate on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0]
+#: whose pulses grow in the same way; the last four go past the box on both
+#: sides, so the last two start past it: the rise from below beta_lo wipes
+#: every corner at every sample, the fall from above alpha_hi links
+GRID_WIPES = "grid-wipes"
+GRID_WIPES_AMPLITUDES = WIPES_AMPLITUDES + [1.4, -1.5]
 
 #: an oracle-check on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0]
 #: from a history that rose to the top of the box: the target lies below its
@@ -155,6 +163,12 @@ def main(argv):
         json.dump({"weighting": {"preset": "butterfly"}, "amplitudes": WIPES_AMPLITUDES}, fh, indent=1)
     names.append(os.path.join(WIPES, "simulate"))
     argvs.append(["simulate", "--config", os.path.join(WIPES, "config.json"), "--out", names[-1]])
+    write_grid_case(
+        GRID_WIPES, 1.0 + np.random.default_rng(26).uniform(0.0, 0.5, (100, 100)),
+        {"amplitudes": GRID_WIPES_AMPLITUDES},
+    )
+    names.append(os.path.join(GRID_WIPES, "simulate"))
+    argvs.append(["simulate", "--config", os.path.join(GRID_WIPES, "config.json"), "--out", names[-1]])
     config = {
         "initial_interface": {"extrema": [1.0]},
         "controller": {"gamma_d": -0.5, "lambda": 0.3, "w0": 0.0},
