@@ -10,6 +10,7 @@ below twice the inverse of the worst sector slope.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,18 +183,19 @@ def premised_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
 def max_gain(bounds: SectorBounds) -> float:
     """Supremum of admissible adaptation gains: 2 over the steepest Q slope.
     A density of one sign on Q leaves the two Q bounds of the other sign at
-    0.0, so the slopes of that sign decide.  A slope so small that 2 over it
-    overflows is subnormal, so it is not known to full relative precision
-    and gives no cap."""
+    0.0, so the slopes of that sign decide.  A subnormal slope gives no
+    cap: it is not known to full relative precision, and below 2 / max
+    float 2 over it overflows; 2 over a normal slope never does."""
     d = max(
         bounds.gamma2_plus_q, bounds.gamma1_minus_q, -bounds.gamma2_minus_q, -bounds.gamma1_plus_q
     )
     if d <= 0.0:
         raise DegenerateBoundsError("sector bounds vanish on Q")
-    cap = 2.0 / d
-    if cap == math.inf:
-        raise DegenerateBoundsError("gain cap 2/%r overflows" % d)
-    return cap
+    if d < sys.float_info.min:
+        raise DegenerateBoundsError(
+            "gain cap 2/%r overflows or loses precision: the slope is subnormal" % d
+        )
+    return 2.0 / d
 
 
 @dataclass(frozen=True)

@@ -70,13 +70,21 @@ def _segments_between(constants, cuts):
     """Integral of one component's profile over [max(min(0.0, t), lo),
     min(max(0.0, t), hi)] for every cut t where that is not empty, else 0:
     the clamps keep the tie rule of Python's min and max (a cut of -0.0
-    gives +0.0), so each element is the float of the scalar expression."""
+    gives +0.0), so each element is the float of the scalar expression.
+    The end clamped at zero is one float for every cut on the same side of
+    zero, so its erf is taken once per side."""
     lo, hi, mid, _, scale, _, k = constants
-    below, above = np.where(cuts < 0.0, cuts, 0.0), np.where(cuts > 0.0, cuts, 0.0)
-    start, stop = np.where(lo > below, lo, below), np.where(hi < above, hi, above)
     out = np.zeros(len(cuts))
-    on = stop > start
-    out[on] = k * (_erf((stop[on] - mid) / scale) - _erf((start[on] - mid) / scale))
+    # cuts below zero: [max(t, lo), min(0.0, hi)]
+    start, stop = np.where(lo > cuts, lo, cuts), hi if hi < 0.0 else 0.0
+    on = (cuts < 0.0) & (stop > start)
+    if on.any():
+        out[on] = k * (math.erf((stop - mid) / scale) - _erf((start[on] - mid) / scale))
+    # cuts above zero: [max(0.0, lo), min(t, hi)]
+    start, stop = lo if lo > 0.0 else 0.0, np.where(hi < cuts, hi, cuts)
+    on = (cuts > 0.0) & (stop > start)
+    if on.any():
+        out[on] = k * (_erf((stop[on] - mid) / scale) - math.erf((start - mid) / scale))
     return out
 
 
@@ -390,7 +398,12 @@ class GaussianWeighting:
         every entry is the same float as a per-point sum of the same terms.
         A component whose profile or segments are all zero is left out:
         entries start at +0.0 and a sum never becomes -0.0, so adding +-0.0
-        changes nothing.
+        changes nothing.  A box that holds no line, or whose range along the
+        scan ends at or outside the cuts' range, is left out before any exp
+        or erf: its profile or its segments are all +0.0.  The cuts' range
+        is that of the cuts themselves, since in the subnormal range
+        ``linspace`` can step past its ends.  The profile takes exp at the
+        lines inside the box only, and is +0.0 elsewhere.
 
         With one component left, every entry is 0.0 + p * s for a profile
         value p and a segment s.  The real product is bilinear, so its
@@ -406,14 +419,20 @@ class GaussianWeighting:
         cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
         lines = np.linspace(line_lo, line_hi, n)
         cuts = np.append(np.linspace(cut_lo, cut_hi, n), (cut_lo, cut_hi))
+        reach_lo, reach_hi = float(cuts.min()), float(cuts.max())
         factors = []
         for amp, *constants in self._erf_terms:
             # the lines run across ``axis`` and the cuts along it
             across, along = constants if axis == "beta" else constants[::-1]
+            if along[0] >= reach_hi or along[1] <= reach_lo:
+                continue
             l_lo, l_hi, l_mid, l_sig = across[:4]
-            z = (lines - l_mid) / l_sig
             inside = (l_lo <= lines) & (lines <= l_hi)
-            profile = np.where(inside, amp * _exp(-0.5 * z * z), 0.0)
+            if not inside.any():
+                continue
+            z = (lines[inside] - l_mid) / l_sig
+            profile = np.zeros(n)
+            profile[inside] = amp * _exp(-0.5 * z * z)
             if profile.any():
                 segment = _segments_between(along, cuts)
                 if segment.any():

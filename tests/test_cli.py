@@ -97,19 +97,22 @@ class TestBounds:
             {"preset": "uniform", "value": 1e-310},
             {"preset": "butterfly", "scale": 1e-310},
             {"preset": "butterfly", "scale": 1e-320},
+            {"preset": "butterfly", "scale": 3e-309},
         ],
-        ids=["uniform_1e-310", "butterfly_1e-310", "butterfly_1e-320"],
+        ids=["uniform_1e-310", "butterfly_1e-310", "butterfly_1e-320", "butterfly_3e-309"],
     )
     def test_gain_cap_that_overflows_is_degenerate(self, tmp_path, capsys, command, weighting):
-        """A field so weak that 2 over its steepest Q slope overflows has
-        no gain cap: both commands exit 3, and no artifact holds an
-        infinite cap."""
+        """A field so weak that its steepest Q slope is subnormal has no
+        gain cap, whether 2 over the slope overflows (1e-310, 1e-320) or
+        not (the butterfly at 3e-309, whose slope is 1.69e-308): both
+        commands exit 3, and no artifact holds a cap."""
         changes = {"weighting": weighting, "controller.lambda": "auto"}
         cfg = write_config(tmp_path, "c.json", with_changes(changes))
         out = tmp_path / "out"
         assert run(command, cfg, out) == EXIT_DEGENERATE
         assert "overflows" in capsys.readouterr().err
-        assert not any("Infinity" in p.read_text() for p in out.rglob("*") if p.is_file())
+        written = [p.read_text() for p in out.rglob("*") if p.is_file()]
+        assert not any("Infinity" in text or "max_gain" in text for text in written)
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("bounds", str(tmp_path / "nope.json")) == EXIT_CONFIG

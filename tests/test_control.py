@@ -1,6 +1,7 @@
 """Pulse trains, remnant evaluation, admissibility and the controller."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -456,12 +457,17 @@ class TestMaxGain:
 
     @pytest.mark.parametrize("d", [1e-310, 5e-324, -1e-310], ids=["1e-310", "5e-324", "negative"])
     def test_a_cap_that_overflows_is_degenerate(self, d):
-        """2 over a subnormal slope that overflows is no cap; the slope
-        1.25e-308, subnormal too, still gives the finite 1.6e308."""
+        """2 over a subnormal slope that overflows is no cap; nor is 2 over
+        the subnormal 1.25e-308, finite but not known to full precision.
+        The smallest normal slope gives a finite cap."""
         b = SectorBounds(0.0, 0.0, 0.0, 0.0, max(d, 0.0), 0.0, 0.0, min(d, 0.0))
         with pytest.raises(DegenerateBoundsError, match="overflows"):
             max_gain(b)
-        assert max_gain(SectorBounds(0.0, 0.0, 0.0, 0.0, 1.25e-308, 0.0, 0.0, 0.0)) == pytest.approx(1.6e308)
+        for slope in (1.25e-308, math.nextafter(sys.float_info.min, 0.0)):
+            with pytest.raises(DegenerateBoundsError, match="subnormal"):
+                max_gain(SectorBounds(0.0, 0.0, 0.0, 0.0, slope, 0.0, 0.0, 0.0))
+        normal = SectorBounds(0.0, 0.0, 0.0, 0.0, sys.float_info.min, 0.0, 0.0, 0.0)
+        assert max_gain(normal) == 2.0 / sys.float_info.min < math.inf
 
     @staticmethod
     def one_sign_fields():

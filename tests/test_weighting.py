@@ -1,5 +1,6 @@
 """Density fields, staircase integration and sector-bound constants."""
 
+import collections
 import math
 import tracemalloc
 
@@ -890,6 +891,90 @@ class TestSingleLobeCorners:
             assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
         assert outer_calls == []
         assert underflows > 0
+
+
+def counted_calls(monkeypatch, fn, *args):
+    """(``fn(*args)``, the exp and erf calls it made): ``exp`` and ``erf``
+    count the elements that ``weighting._exp`` and ``weighting._erf`` map,
+    ``scalar_erf`` the other ``math.erf`` calls of ``weighting``."""
+    calls = collections.Counter()
+    exp, erf = weighting._exp, weighting._erf
+
+    class Math:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def erf(x):
+            calls["scalar_erf"] += 1
+            return math.erf(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weighting, "math", Math())
+        patch.setattr(weighting, "_exp", lambda x: calls.update(exp=len(x)) or exp(x))
+        patch.setattr(weighting, "_erf", lambda x: calls.update(erf=len(x)) or erf(x))
+        out = fn(*args)
+    calls["scalar_erf"] -= calls["erf"]  # _erf maps math.erf too
+    return out, dict(calls)
+
+
+class TestScanCallsOnlyWhereALobeReaches:
+    """The Gaussian scan calls exp and erf only for lobes that meet both its
+    lines and its cuts, exp only at the lines inside the lobe's box, and erf
+    once per side of zero for the end clamped there."""
+
+    def test_butterfly_calls_at_resolution_512(self, monkeypatch):
+        """Each of the butterfly's two distinct scans meets the positive lobe
+        on all 512 lines and on 512 of its 514 cuts (the cut at zero, given
+        twice, is empty); one negative lobe's box holds no line, the other's
+        misses the cuts.  So exp maps 2 x 512 lines and erf 2 x 512 cut
+        ends, plus one scalar erf per scan for the end fixed at zero.
+        Mapping exp over every line of every lobe and erf over both ends of
+        every cut made 3,072 and 2,048 calls."""
+        mu, q = make_butterfly()
+        _, calls = counted_calls(monkeypatch, sector_bounds, mu, q, 512)
+        assert calls == {"exp": 1024, "erf": 1024, "scalar_erf": 2}
+
+    def test_lobes_that_miss_the_scan_make_no_call(self, monkeypatch, outer_calls):
+        """The two lobes of ``two_lobe_field`` meet every scan, so the scan
+        sums them in blocks.  Beside them go the butterfly's negative lobes:
+        in each scan one box holds no line and the other misses the cuts.
+        The four-lobe field's bounds are the point reference's, float for
+        float, and it makes the two-lobe field's calls, no more."""
+        support = Box(-0.7, 1.0, -1.0, 0.5)
+        two = GaussianWeighting(two_lobe_field().components, support)
+        four = GaussianWeighting(two.components + make_butterfly()[0].components[1:], support)
+        for q in (Q_UNIT, QRegion(0.5, -0.6)):
+            got, calls = counted_calls(monkeypatch, sector_bounds, four, q, 40)
+            want = {k: v.hex() for k, v in point_sector_bounds(four, q, 40).items()}
+            assert {k: v.hex() for k, v in got.to_dict().items()} == want
+            assert (got, calls) == counted_calls(monkeypatch, sector_bounds, two, q, 40)
+            assert min(calls.values()) > 0
+        assert outer_calls
+
+    def test_exp_maps_only_the_lines_inside_a_box(self, monkeypatch):
+        """Across 40 lines on [0, 1], the two lobes of ``two_lobe_field``
+        hold those up to 0.6 and those from 0.4: exp maps just these."""
+        mu = two_lobe_field()
+        _, calls = counted_calls(monkeypatch, mu.line_integral_extrema, "beta", 0.0, 1.0, -1.0, 40)
+        lines = np.linspace(0.0, 1.0, 40)
+        assert calls["exp"] == np.sum(lines <= 0.6) + np.sum(lines >= 0.4) < 2 * 40
+
+    def test_cuts_that_step_past_zero_are_scanned(self):
+        """In the subnormal range ``linspace`` can step past its end: at
+        resolution 40 from -s to 0, with s 100 times the smallest subnormal,
+        some cuts lie above zero.  They meet a negative lobe whose box starts
+        at beta = 0, so the lobe is scanned, and the scan's lower bound is
+        the point reference's negative one."""
+        s = 100 * 5e-324
+        mu = GaussianWeighting([
+            GaussianComponent(-1.0, 0.5 * s, 0.2 * s, 0.3 * s, 0.3 * s, Box(0.0, s, 0.0, s)),
+            GaussianComponent(1.0, 0.5 * s, -0.5 * s, 0.3 * s, 0.3 * s, Box(0.0, s, -s, 0.0)),
+        ])
+        assert np.linspace(-s, 0.0, 40).max() > 0.0
+        got = mu.line_integral_extrema("beta", 0.0, s, -s, 40)
+        assert [x.hex() for x in got] == [x.hex() for x in _point_extrema(mu, "beta", 0.0, s, -s, 40)]
+        assert got[0] < 0.0
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,13 @@ Generates the inputs of the three workloads of ``perfbench/workloads.py`` at
 seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, one butterfly
 ``simulate`` of growing pulses in ``OUT/butterfly-wipes``, one seeded-grid
 ``simulate`` of growing pulses in ``OUT/grid-wipes``, one ``oracle-check``
-of negative pulses in ``OUT/oracle-down`` and a ``bounds`` and a
-``control`` of a density <= 0 on Q in ``OUT/negative-grid``, runs every command
-of one pass of each against ``TREE/src``, which writes its ``--out`` directory
-beside them, and writes the exit codes to ``OUT/exit-codes.json``.  The
-inputs come from this checkout's generator, whichever tree runs them, and
-every path is relative to ``OUT``.  So two trees that give the same answers
+of negative pulses in ``OUT/oracle-down``, a ``bounds`` and a ``control``
+of a density <= 0 on Q in ``OUT/negative-grid`` and a ``bounds`` and a
+``control`` of the butterfly on a smaller Q in ``OUT/butterfly-small-q``,
+runs every command of one pass of each against ``TREE/src``, which writes
+its ``--out`` directory beside them, and writes the exit codes to
+``OUT/exit-codes.json``.  The inputs come from this checkout's generator,
+whichever tree runs them, and every path is relative to ``OUT``.  So two trees that give the same answers
 leave byte-identical directories::
 
     python3 tools/artifacts.py ../parent ../artifacts-parent
@@ -69,6 +70,18 @@ DOWN = "oracle-down"
 #: [0, 1] x [-1, 0], with the gain cap and the sign of the step that a
 #: density <= 0 on Q gives
 NEGATIVE = "negative-grid"
+
+#: bounds and control of the butterfly on Q = [0, 0.5] x [-0.6, 0], from
+#: an interface admissible there: its four distinct sector scans each skip
+#: a negative lobe whose box holds none of the Q scans' lines or misses the
+#: general scans' cuts
+SMALL_Q = "butterfly-small-q"
+SMALL_Q_CONFIG = {
+    "weighting": {"preset": "butterfly"},
+    "q": {"alpha2": 0.5, "beta2": -0.6},
+    "initial_interface": {"extrema": [1.0, -0.6]},
+    "controller": {"gamma_d": 0.2},
+}
 
 #: runs each argv of a JSON list through the CLI under the src directory
 #: given second, and prints the exit codes as JSON; the CLI's own printing
@@ -180,9 +193,13 @@ def main(argv):
                   "--oracle-n", "600"])
     config = {"controller": {"gamma_d": 0.4}}
     write_grid_case(NEGATIVE, -1.0 - np.random.default_rng(24).uniform(0.0, 0.5, (100, 100)), config)
-    for command in ("bounds", "control"):
-        names.append(os.path.join(NEGATIVE, command))
-        argvs.append([command, "--config", os.path.join(NEGATIVE, "config.json"), "--out", names[-1]])
+    os.makedirs(SMALL_Q, exist_ok=True)
+    with open(os.path.join(SMALL_Q, "config.json"), "w") as fh:
+        json.dump(SMALL_Q_CONFIG, fh, indent=1)
+    for case in (NEGATIVE, SMALL_Q):
+        for command in ("bounds", "control"):
+            names.append(os.path.join(case, command))
+            argvs.append([command, "--config", os.path.join(case, "config.json"), "--out", names[-1]])
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argvs), src],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

@@ -7,11 +7,12 @@ First scans two Gaussian fields at ``RESOLUTION`` lines and cuts: the
 butterfly preset, whose every scan meets one lobe and reads its extrema
 off four corner products, and two overlapping lobes on [0, 1] x [-1, 0]
 that both meet every scan, which the blocked loop sums.  For each it
-prints the scan's wall time, the process's peak resident set
-(``ru_maxrss``) after it, and the scan's own traced peak (``tracemalloc``,
-from a second, traced run).  The blocked loop takes ``SCAN_BLOCK_ROWS``
-lines at a time, so its traced peak stays far below the whole lines x cuts
-matrix, which the line also prints.  These run first because the peak RSS
+prints the scan's wall time, its ``math.exp`` and ``math.erf`` calls
+(counted in a second run, array maps and scalar calls alike), the
+process's peak resident set (``ru_maxrss``) after it, and the scan's own
+traced peak (``tracemalloc``, from a third, traced run).  The blocked
+loop takes ``SCAN_BLOCK_ROWS`` lines at a time, so its traced peak stays
+far below the whole lines x cuts matrix, which the line also prints.  These run first because the peak RSS
 only grows, and the grid's values would hide it.
 
 Then builds a seeded N x N grid on the benchmark workloads' box, with Q the
@@ -23,6 +24,8 @@ this checkout's ``src`` and needs only numpy.
 
 from __future__ import annotations
 
+import collections
+import math
 import os
 import resource
 import sys
@@ -34,6 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
+from preisach_remnant import weighting  # noqa: E402
 from preisach_remnant import (  # noqa: E402
     Box,
     GaussianComponent,
@@ -55,6 +59,26 @@ def timed_ms(fn, *args):
     return (time.perf_counter() - start) * 1e3
 
 
+def transcendental_calls(fn, *args):
+    """The ``math.exp`` and ``math.erf`` calls that ``weighting`` makes
+    while running ``fn(*args)``, as a Counter."""
+    calls = collections.Counter()
+
+    class Math:
+        def __getattr__(self, name):
+            real = getattr(math, name)
+            if name not in ("exp", "erf"):
+                return real
+            return lambda x: calls.update((name,)) or real(x)
+
+    weighting.math = Math()
+    try:
+        fn(*args)
+    finally:
+        weighting.math = math
+    return calls
+
+
 def main(argv):
     n = int(argv[0]) if argv else 2000
     resolution = int(argv[1]) if len(argv) > 1 else 4096
@@ -67,8 +91,10 @@ def main(argv):
     fields = [("butterfly", make_butterfly()), ("two-lobe", (two_lobes, QRegion(1.0, -1.0)))]
     for name, (mu, q) in fields:
         elapsed = timed_ms(sector_bounds, mu, q, resolution)
-        print("%s sector_bounds at resolution %d: %.1f ms, peak RSS %.1f MB"
-              % (name, resolution, elapsed, peak_rss_mb()))
+        calls = transcendental_calls(sector_bounds, mu, q, resolution)
+        print("%s sector_bounds at resolution %d: %.1f ms, %d exp and %d erf calls,"
+              " peak RSS %.1f MB"
+              % (name, resolution, elapsed, calls["exp"], calls["erf"], peak_rss_mb()))
         tracemalloc.start()
         sector_bounds(mu, q, resolution)
         peak = tracemalloc.get_traced_memory()[1]
