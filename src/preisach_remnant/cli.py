@@ -21,6 +21,7 @@ from .control import (
     pulse_remnants,
     remnant_extrema,
     run_controller,
+    sampled_remnants,
 )
 from .errors import ConfigurationError, DegenerateBoundsError
 from .interface import MemoryInterface
@@ -183,14 +184,16 @@ def _dump_json(obj, out_dir, name):
     return text
 
 
-def _write_signal(cfg, amplitudes, out):
-    """``signal.csv`` (t,u,y) of the pulse train, formatted by one ``%``
-    over the interleaved samples: the ``%r`` of each float, as per row."""
-    t, u, y = dense_response(cfg.mu, cfg.iface, amplitudes, cfg.tau, cfg.sample_step)
-    flat = np.column_stack((t, u, y)).ravel().tolist()
+def _write_signal(out, t, u, y):
+    """``signal.csv`` (t,u,y) of a dense response, y a list, formatted by
+    one ``%`` over the samples interleaved by slice assignment: the ``%r``
+    of each float, as per row."""
+    flat = [None] * (3 * len(y))
+    flat[0::3] = t.tolist()
+    flat[1::3] = u.tolist()
+    flat[2::3] = y
     with open(os.path.join(out, "signal.csv"), "w") as fh:
         fh.write("t,u,y\n" + ("%r,%r,%r\n" * len(y)) % tuple(flat))
-    return y
 
 
 def _controlled(cfg, args):
@@ -219,7 +222,8 @@ def cmd_control(cfg, args) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     trace.write_csv(os.path.join(out, "trace.csv"))
-    _write_signal(cfg, trace.amplitudes, out)
+    t, u, y = dense_response(cfg.mu, cfg.iface, trace.amplitudes, cfg.tau, cfg.sample_step)
+    _write_signal(out, t, u, y)
     summary = {
         "converged": trace.converged,
         "pulses": len(trace.records),
@@ -236,14 +240,20 @@ def cmd_control(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
+    """``remnants.csv`` from the dense response where it samples every
+    pulse's end state (``sampled_remnants``), else from ``pulse_remnants``;
+    ``signal.csv`` and ``summary.json``."""
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
+    t, u, y = dense_response(cfg.mu, cfg.iface, cfg.amplitudes, cfg.tau, cfg.sample_step)
+    remnants = sampled_remnants(cfg.mu, cfg.iface, cfg.amplitudes, u, y)
+    if remnants is None:
+        remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
     rows = "%d,%r,%r\n" * len(remnants)
     fields = [x for k, w in enumerate(cfg.amplitudes) for x in (k, w, remnants[k])]
     with open(os.path.join(out, "remnants.csv"), "w") as fh:
         fh.write("k,w_k,gamma_k\n" + rows % tuple(fields))
-    y = _write_signal(cfg, cfg.amplitudes, out)
+    _write_signal(out, t, u, y)
     summary = {"pulses": len(cfg.amplitudes), "final_output": float(y[-1])}
     print(_dump_json(summary, out, "summary.json"))
     return EXIT_OK

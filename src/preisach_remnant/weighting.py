@@ -400,10 +400,10 @@ class GaussianWeighting:
         entries start at +0.0 and a sum never becomes -0.0, so adding +-0.0
         changes nothing.  A box that holds no line, or whose range along the
         scan ends at or outside the cuts' range, is left out before any exp
-        or erf: its profile or its segments are all +0.0.  The cuts' range
-        is that of the cuts themselves, since in the subnormal range
-        ``linspace`` can step past its ends.  The profile takes exp at the
-        lines inside the box only, and is +0.0 elsewhere.
+        or erf: its profile or its segments are all +0.0.  In the subnormal
+        range ``linspace`` can step past its ends, so the cuts are clipped
+        to [cut_lo, cut_hi], the range the bound covers.  The profile takes
+        exp at the lines inside the box only, and is +0.0 elsewhere.
 
         With one component left, every entry is 0.0 + p * s for a profile
         value p and a segment s.  The real product is bilinear, so its
@@ -418,13 +418,14 @@ class GaussianWeighting:
             raise ConfigurationError("resolution must be an integer >= 2, not %r" % (resolution,))
         cut_lo, cut_hi = min(0.0, cut_end), max(0.0, cut_end)
         lines = np.linspace(line_lo, line_hi, n)
-        cuts = np.append(np.linspace(cut_lo, cut_hi, n), (cut_lo, cut_hi))
-        reach_lo, reach_hi = float(cuts.min()), float(cuts.max())
+        cuts = np.linspace(cut_lo, cut_hi, n)
+        np.clip(cuts, cut_lo, cut_hi, out=cuts)  # subnormal steps can pass the ends
+        cuts = np.append(cuts, (cut_lo, cut_hi))
         factors = []
         for amp, *constants in self._erf_terms:
             # the lines run across ``axis`` and the cuts along it
             across, along = constants if axis == "beta" else constants[::-1]
-            if along[0] >= reach_hi or along[1] <= reach_lo:
+            if along[0] >= cut_hi or along[1] <= cut_lo:
                 continue
             l_lo, l_hi, l_mid, l_sig = across[:4]
             inside = (l_lo <= lines) & (lines <= l_hi)
@@ -548,8 +549,14 @@ class OutputReader:
         self.mu = mu
         self._seen = []  # per depth: (node, expansion of its terms to the tail)
 
-    def below(self, iface: MemoryInterface) -> float:
-        """Mass of mu below the memory curve of ``iface``."""
+    def below(self, iface: MemoryInterface, e=None) -> float:
+        """Mass of mu below the memory curve of ``iface``.  With ``e`` an
+        iterator, the curve's head and seam corner must be its only nodes
+        the reader has not seen, linked to a node of the last curve read
+        (a linked push, ``MemoryInterface.ramp_slabs``), and E at the head
+        slab's two points is pulled from ``e`` rather than evaluated: the
+        points this read would evaluate, E(v, v) and E(v, b_s) after a rise,
+        E(a_s, v) and E(a_s, b_s) after a fall."""
         if not iface.support_box.contains(self.mu.support_box):
             raise ConfigurationError(
                 "interface support box does not contain the weighting support"
@@ -577,7 +584,12 @@ class OutputReader:
             elif nxt[0][1] != b:
                 alphas += (a, a)
                 betas += (b, nxt[0][1])
-        e = self.mu.everett(alphas, betas) if alphas else ()  # a repeated read adds no point
+        if e is None:
+            e = self.mu.everett(alphas, betas) if alphas else ()  # a repeated read adds no point
+        elif node is not None and len(new) == len(alphas) == 2:
+            e = [next(e), next(e)]
+        else:
+            raise ValueError("head and seam are not linked to the last curve read")
         # the nodes from the tail side in, each one's terms from the end of e
         expansion = seen[-1][1] if seen else []
         end = len(e)
@@ -596,9 +608,10 @@ class OutputReader:
             seen.append((node, expansion))
         return math.fsum(expansion)
 
-    def read(self, iface: MemoryInterface) -> float:
-        """Output of ``iface``: mass below the curve minus mass above it."""
-        return 2.0 * self.below(iface) - self.mu.total_mass
+    def read(self, iface: MemoryInterface, e=None) -> float:
+        """Output of ``iface``: mass below the curve minus mass above it
+        (``e``: see ``below``)."""
+        return 2.0 * self.below(iface, e) - self.mu.total_mass
 
     def read_slabs(self, survivors, e) -> list:
         """Outputs of the curves whose heads link to ``survivors``, nodes

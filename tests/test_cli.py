@@ -320,7 +320,7 @@ class TestCsvWriters:
         u = np.array(AWKWARD[::-1] * 3)
         y = np.roll(t, 5)
         monkeypatch.setattr(cli, "pulse_remnants", lambda mu, iface, amps: list(remnants))
-        monkeypatch.setattr(cli, "dense_response", lambda mu, iface, amps, tau, step: (t, u, y))
+        monkeypatch.setattr(cli, "dense_response", lambda mu, iface, amps, tau, step: (t, u, y.tolist()))
         cfg = write_config(tmp_path, "c.json", dict(deadbeat_config(), amplitudes=amplitudes))
         out = tmp_path / "out"
         assert run("simulate", cfg, out) == EXIT_OK

@@ -1,5 +1,6 @@
 """Pulse trains, remnant evaluation, admissibility and the controller."""
 
+import json
 import math
 import sys
 
@@ -12,6 +13,8 @@ from preisach_remnant import (
     ConfigurationError,
     ControllerConfig,
     DegenerateBoundsError,
+    GaussianComponent,
+    GaussianWeighting,
     GridWeighting,
     MemoryInterface,
     QRegion,
@@ -33,6 +36,8 @@ from preisach_remnant import (
     uniform_field,
     validate_initial_interface,
 )
+from preisach_remnant import cli
+from preisach_remnant.control import sampled_remnants
 from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader, rect_mass
@@ -649,7 +654,8 @@ class TestIncrementalReads:
             for v in u.tolist():
                 cur = cur.push_extremum(v)
                 expected.append(evaluate_output(mu, cur))
-            assert y.tolist() == expected
+            assert y == expected
+            assert all(type(x) is float for x in y)  # as the CSV writer takes them
 
 
 def per_sample_reads(mu, iface, u):
@@ -702,7 +708,7 @@ class TestDenseResponse:
         monkeypatch.setattr(OutputReader, "read_slabs", spy_read_slabs)
         monkeypatch.setattr(MemoryInterface, "from_corners", classmethod(spy_from_corners))
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.1)
-        assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+        assert [x.hex() for x in y] == [x.hex() for x in expected]
         values = u.tolist()
         fall = values[values.index(1.25) + 1]  # the fall from past the box
         assert built == [0.75, 1.25, fall]  # and the rises from the virgin state and past the box
@@ -734,7 +740,7 @@ class TestDenseResponse:
 
         monkeypatch.setattr(OutputReader, "read_slabs", spy)
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
-        assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+        assert [x.hex() for x in y] == [x.hex() for x in expected]
         assert sum(1 for r in ramps if r and not r[0] and r[-1]) == 3  # pulses 3 to 5
 
     @pytest.mark.parametrize("field", ["grid", "butterfly"])
@@ -756,9 +762,135 @@ class TestDenseResponse:
 
         monkeypatch.setattr(type(mu), "everett_array", spy)
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
-        assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+        assert [x.hex() for x in y] == [x.hex() for x in expected]
         assert len(calls) == 1
         assert calls[0] > len(u)  # two points per batched head
+
+    def test_a_zero_pulse_is_read_once(self, monkeypatch):
+        """The samples of a zero pulse leave the state as it is, so each
+        takes the output before it: a train of zero pulses is read once, at
+        its first sample, and a zero pulse inside a train adds no read."""
+        mu, iface = uniform_scene()
+        amplitudes = [0.5, 0.0, -0.25]
+        _, u = render_signal(amplitudes, 1.0, 1.0 / 16)
+        expected = per_sample_reads(mu, iface, u)
+        virgin = evaluate_output(mu, iface)
+        reads = []
+        below = OutputReader.below
+        monkeypatch.setattr(OutputReader, "below", lambda r, i, e=None: reads.append(i) or below(r, i, e))
+        _, u, y = dense_response(mu, iface, [0.0, 0.0, 0.0], 1.0, 1.0 / 16)
+        assert len(reads) == 1
+        assert y == [virgin] * len(u) == [virgin] * 49
+        del reads[:]
+        _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
+        assert [x.hex() for x in y] == [x.hex() for x in expected]
+        # the first sample, the peak, the end of the fall to 0, the trough
+        # and the end of the rise back
+        assert len(reads) == 5
+
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    def test_a_linked_ramp_end_makes_no_scalar_everett_call(self, field, monkeypatch):
+        """From a history whose corners every ramp links to, each ramp's
+        last push links too, so E at its head slab comes from the train's
+        one array call: the scalar E is called once, for the read of the
+        first sample's state."""
+        mu = random_grid_field(np.random.default_rng(7)) if field == "grid" else make_butterfly()[0]
+        box = mu.support_box
+        a, b = box.alpha_hi, box.beta_lo
+        iface = MemoryInterface.from_extrema(box, [0.9 * a, 0.9 * b])
+        amplitudes = [0.5 * a, 0.4 * b, 0.3 * a]
+        _, u = render_signal(amplitudes, 1.0, 1.0 / 16)
+        expected = per_sample_reads(mu, iface, u)
+
+        calls = []
+        everett = type(mu).everett
+
+        def spy(mu, alphas, betas):
+            calls.append(len(alphas))
+            return everett(mu, alphas, betas)
+
+        monkeypatch.setattr(type(mu), "everett", spy)
+        _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
+        assert [x.hex() for x in y] == [x.hex() for x in expected]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("samples_per_pulse", [1, 2, 7, 16, 50, 2.5])
+    def test_simulate_pushes_the_pulses_at_odd_or_non_integer_samples_only(
+        self, samples_per_pulse, tmp_path, capsys, monkeypatch
+    ):
+        """At an even number of samples per pulse the dense response samples
+        each pulse's peak and end, and ``simulate`` takes its remnants from
+        it; at an odd or non-integer number it pushes and reads the pulses.
+        ``remnants.csv`` holds the floats of ``pulse_remnants`` either way."""
+        amplitudes = [0.75, -0.5, 0.25, 0.0, -0.125, 0.125]
+        mu, iface = uniform_scene()
+        rows = "".join("%d,%r,%r\n" % row for row in zip(
+            range(len(amplitudes)), amplitudes, pulse_remnants(mu, iface, amplitudes)
+        ))
+        calls = []
+        monkeypatch.setattr(cli, "pulse_remnants", lambda *a: calls.append(a) or pulse_remnants(*a))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "weighting": {"preset": "uniform"},
+            "amplitudes": amplitudes,
+            "signal_samples_per_pulse": samples_per_pulse,
+        }))
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "remnants.csv").read_text() == "k,w_k,gamma_k\n" + rows
+        assert len(calls) == (samples_per_pulse % 2 != 0)
+
+    def test_an_interface_off_zero_takes_its_pulses_pushed(self):
+        """An initial input of 8e-10 passes as a zero crossing (within the
+        input tolerance), but the train's first sample pushes it to zero,
+        which a lobe at the origin feels: the sampled outputs are not the
+        remnants, so none are taken from them."""
+        box = Box(-1.0, 1.0, -1.0, 1.0)
+        mu = GaussianWeighting([
+            GaussianComponent(1e18, 5e-10, 2.5e-10, 3e-10, 3e-10, Box(0.0, 1e-9, 0.0, 1e-9)),
+            GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, Box(0.0, 1.0, -1.0, 0.0)),
+        ], box)
+        iface = MemoryInterface.from_corners([(8e-10, 8e-10)], box)
+        amplitudes = [0.0, 0.5, -0.5]
+        _, u, y = dense_response(mu, iface, amplitudes, 1.0, 0.5)
+        assert y[2] != pulse_remnants(mu, iface, amplitudes)[0]
+        assert sampled_remnants(mu, iface, amplitudes, u, y) is None
+
+    #: a sampled pulse of 0.5 at 4 samples, then each way it can leave the
+    #: proof of ``sampled_remnants``: per case the field's value, the
+    #: interface's corners, the amplitudes and the samples
+    PULSE = [0.0, 0.25, 0.5, 0.25, 0.0]
+    NOT_REACHED = {
+        "peak missed": (1.0, None, [0.5], [0.0, 0.25, 0.4, 0.25, 0.0]),
+        "start off zero": (1.0, None, [0.5], [1e-17, 0.25, 0.5, 0.25, 0.0]),
+        "end off zero": (1.0, None, [0.5], [0.0, 0.25, 0.5, 0.25, 1e-17]),
+        "rise not monotone": (1.0, None, [0.5], [0.0, 0.3, 0.2, 0.5, 0.25, 0.1, 0.0]),
+        "fall not monotone": (1.0, None, [0.5], [0.0, 0.25, 0.5, 0.2, 0.3, 0.1, 0.0]),
+        "peak within tolerance": (1.0, None, [0.5], [0.0, 0.5 - 1e-13, 0.5, 0.25, 0.0]),
+        "end within tolerance": (1.0, None, [0.5], [0.0, 0.25, 0.5, 1e-13, 0.0]),
+        "zero pulse that moves": (1.0, None, [0.0, 0.5], [0.0, 1e-13, 0.0, 0.0] + PULSE),
+        "past the box": (1.0, None, [1.5], [0.0, 0.75, 1.5, 0.75, 0.0]),
+        "samples that do not split": (1.0, None, [0.5, 0.5], [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]),
+        "one sample per pulse": (1.0, None, [0.5, 0.5], [0.0, 0.0, 0.0]),
+        "zero total mass": (0.0, None, [0.5], PULSE),
+        "corners that share no coordinate": (
+            1.0, [(0.0, 0.0), (0.0, -0.3), (0.1 + 5e-13, -0.3 - 5e-13), (0.1 + 1e-12, -1.0)], [0.5], PULSE
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_REACHED))
+    def test_sampled_remnants_refuse_where_the_proof_does_not_reach(self, case):
+        """``sampled_remnants`` checks the samples it is given, not the way
+        they were rendered: each case leaves the proof one way and is
+        refused, while the pulse they vary is read off its end sample."""
+        value, corners, amplitudes, u = self.NOT_REACHED[case]
+        mu = uniform_field(Q_UNIT, value=value)
+        iface = MemoryInterface.virgin(UNIT_BOX)
+        y = [float(i) for i in range(len(self.PULSE))]
+        assert sampled_remnants(uniform_field(Q_UNIT), iface, [0.5], np.array(self.PULSE), y) == [4.0]
+        if corners is not None:
+            iface = MemoryInterface.from_corners(corners, UNIT_BOX)
+        y = [float(i) for i in range(len(u))]
+        assert sampled_remnants(mu, iface, amplitudes, np.array(u), y) is None
 
     def test_rate_independence_of_boundary_outputs(self):
         mu, iface = uniform_scene()

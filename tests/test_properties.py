@@ -34,6 +34,7 @@ from preisach_remnant import (
     uniform_field,
     validate_initial_interface,
 )
+from preisach_remnant.control import sampled_remnants
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
 from preisach_remnant.weighting import OutputReader, _grow, rect_mass
 
@@ -371,6 +372,35 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
         assert last.corners == reference_push(iface, values[1])
 
 
+@PROPERTY
+@given(ops=histories(), rising=st.booleans(), steps=st.lists(ramp_step, min_size=1, max_size=30))
+# from 0.0625: steps of 0.6 merge tolerances, so only every other push moves
+# the input, and the last sample does not
+@example(ops=[("nest", 0.5)] * 4, rising=True, steps=[0.1] + [0.6 * VERTEX_MERGE_TOL] * 5)
+# from 1.5, past alpha_hi: a fall back into the box and on down past beta_lo
+@example(ops=[("nest", 0.5)] * 4 + [1.5], rising=False, steps=[0.25, 0.5, 0.25, 1.0, 0.25])
+def test_a_sampled_monotone_ramp_ends_in_a_direct_push(ops, rising, steps):
+    """Pushing the samples of a monotone ramp one after another ends in the
+    state of one push, from the ramp's start, to the last sample that moved
+    the input by more than the merge tolerance: the wiping-out property,
+    tolerance included.  ``simulate`` reads its remnants off the sampled
+    output on this ground (``control.sampled_remnants``).  Steps of a few
+    merge tolerances and values past the box on either side are drawn."""
+    iface = MemoryInterface.virgin(BOX)
+    for v in input_values(ops):
+        iface = iface.push_extremum(v)
+    sampled, moved, v = iface, None, iface.current_value
+    for step in steps:
+        v += step if rising else -step
+        pushed = sampled.push_extremum(v)
+        if pushed is not sampled:
+            sampled, moved = pushed, v
+    if moved is None:
+        assert sampled is iface
+    else:
+        assert sampled.head == iface.push_extremum(moved).head
+
+
 def chain_ids(iface):
     """Identities of the nodes of an interface's chain."""
     node, ids = iface.head, set()
@@ -410,7 +440,53 @@ def test_dense_response_equals_per_sample_reads(case):
     mu, iface, amplitudes, samples_per_pulse = case
     _, u, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / samples_per_pulse)
     expected = per_sample_response(mu, iface, u.tolist())
-    assert [x.hex() for x in y.tolist()] == [x.hex() for x in expected]
+    assert [x.hex() for x in y] == [x.hex() for x in expected]
+
+
+@st.composite
+def remnant_trains(draw):
+    """A field, an initial interface at zero input and a pulse train for
+    ``simulate``: amplitudes in the box, zero pulses and repeats of earlier
+    amplitudes within a few merge tolerances, and in half the trains one
+    amplitude past the box."""
+    mu = draw(st.one_of(grids(), gaussian_sums()))
+    box = mu.support_box
+    iface = MemoryInterface.virgin(box)
+    if draw(st.booleans()):
+        iface = history_on(box, draw(histories())).push_extremum(0.0)
+    in_box = st.floats(*sorted((box.beta_lo, box.alpha_hi)))
+    amplitudes = []
+    for op in draw(st.lists(st.one_of(in_box, in_box, st.just(0.0), repeat), min_size=1, max_size=12)):
+        if isinstance(op, tuple):
+            index, shift = op
+            op = amplitudes[index % len(amplitudes)] if amplitudes else 0.0
+            op += 2 * shift * box.merge_tol
+        amplitudes.append(op)
+    if draw(st.booleans()):
+        past = draw(st.sampled_from([box.alpha_hi + 0.25, box.beta_lo - 0.25]))
+        amplitudes.insert(draw(st.integers(0, len(amplitudes))), past)
+    return mu, iface, amplitudes
+
+
+@pytest.mark.parametrize(
+    "samples_per_pulse, tau", [(1, 1.0), (2, 1.0), (5, 1.0), (8, 1.0), (16, 1.0), (2.5, 1.0), (10, 0.3)]
+)
+@PROPERTY
+@given(case=remnant_trains())
+# the sampled outputs stand in for every remnant, at both zeros: the second
+# pulse ends at -0.0, where the next one starts
+@example(case=(uniform_field(QRegion(1.0, -1.0)), MemoryInterface.virgin(Box(0.0, 1.0, -1.0, 0.0)),
+               [0.5, 0.25, -0.5, 0.0, -0.25]))
+def test_sampled_remnants_are_pulse_remnants(samples_per_pulse, tau, case):
+    """``simulate`` writes the remnants of ``sampled_remnants`` where it
+    gives them, else those of ``pulse_remnants``: ``remnants.csv`` holds
+    the floats of ``pulse_remnants`` either way.  At tau = 0.3 the samples
+    miss the peaks by an ulp."""
+    mu, iface, amplitudes = case
+    _, u, y = dense_response(mu, iface, amplitudes, tau, tau / samples_per_pulse)
+    got = sampled_remnants(mu, iface, amplitudes, u, y)
+    if got is not None:
+        assert hexes(got) == hexes(pulse_remnants(mu, iface, amplitudes))
 
 
 # -- exact expansions ------------------------------------------------------------
@@ -633,7 +709,7 @@ def answers(mu, q, values, samples_per_pulse):
         corners += [x for corner in iface.corners for x in corner]
         outputs.append(reader.read(iface))
     outputs += pulse_remnants(mu, virgin, values)
-    outputs += dense_response(mu, virgin, values, 1.0, 1.0 / samples_per_pulse)[2].tolist()
+    outputs += dense_response(mu, virgin, values, 1.0, 1.0 / samples_per_pulse)[2]
     outputs += remnant_extrema(mu, virgin, q)
     return corners, outputs, list(sector_bounds(mu, q).to_dict().values())
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preisach_remnant import weighting
-from preisach_remnant.control import _sign_on_q
+from preisach_remnant.control import _linked_slab, _sign_on_q
 from preisach_remnant import (
     Box,
     ConfigurationError,
@@ -348,6 +348,28 @@ class TestReadSlabs:
         with pytest.raises(ValueError):
             reader.read_slabs([iface.head[1], stranger], [0.0] * 4)
 
+    def test_a_linked_end_takes_its_two_values_of_e(self):
+        """A state one linked push past the last curve read takes E at its
+        head slab from an iterator: the float of a plain read, with the
+        iterator left after the two values.  A state with a third new node,
+        or one whose start the reader has not read, is refused."""
+        mu = random_grid_field(np.random.default_rng(52))
+        iface = nested_history(mu.support_box, 4)
+        v = 0.5 * iface.current_value
+        _, _, _, linked = iface.ramp_slabs([iface.current_value, v], 1)
+        slab = _linked_slab(iface, linked)
+        reader = OutputReader(mu)
+        reader.read(iface)
+        e = iter(mu.everett_array(*slab).tolist() + ["next"])
+        assert reader.read(linked, e).hex() == OutputReader(mu).read(linked).hex()
+        assert list(e) == ["next"]
+        further = linked.push_extremum(v - 0.25 * (v - iface.current_value))
+        reader.read(iface)
+        with pytest.raises(ValueError):
+            reader.read(further, iter([0.0] * 6))
+        with pytest.raises(ValueError):
+            OutputReader(mu).read(linked, iter([0.0] * 2))
+
 
 class TestSectorBounds:
     def test_uniform_closed_forms(self):
@@ -479,7 +501,7 @@ def _point_extrema(mu, axis, line_lo, line_hi, cut_end, resolution):
         cuts = list(np.unique(np.clip(cut_edges, cut_lo, cut_hi)))
     else:
         lines = np.linspace(line_lo, line_hi, resolution)
-        cuts = list(np.linspace(cut_lo, cut_hi, resolution))
+        cuts = list(np.clip(np.linspace(cut_lo, cut_hi, resolution), cut_lo, cut_hi))
     cuts += [x for x in (cut_lo, cut_hi) if x not in cuts]
     if len(lines) == 0:
         return 0.0, 0.0
@@ -960,21 +982,35 @@ class TestScanCallsOnlyWhereALobeReaches:
         lines = np.linspace(0.0, 1.0, 40)
         assert calls["exp"] == np.sum(lines <= 0.6) + np.sum(lines >= 0.4) < 2 * 40
 
-    def test_cuts_that_step_past_zero_are_scanned(self):
-        """In the subnormal range ``linspace`` can step past its end: at
-        resolution 40 from -s to 0, with s 100 times the smallest subnormal,
-        some cuts lie above zero.  They meet a negative lobe whose box starts
-        at beta = 0, so the lobe is scanned, and the scan's lower bound is
-        the point reference's negative one."""
-        s = 100 * 5e-324
-        mu = GaussianWeighting([
-            GaussianComponent(-1.0, 0.5 * s, 0.2 * s, 0.3 * s, 0.3 * s, Box(0.0, s, 0.0, s)),
-            GaussianComponent(1.0, 0.5 * s, -0.5 * s, 0.3 * s, 0.3 * s, Box(0.0, s, -s, 0.0)),
-        ])
-        assert np.linspace(-s, 0.0, 40).max() > 0.0
-        got = mu.line_integral_extrema("beta", 0.0, s, -s, 40)
-        assert [x.hex() for x in got] == [x.hex() for x in _point_extrema(mu, "beta", 0.0, s, -s, 40)]
-        assert got[0] < 0.0
+    @pytest.mark.parametrize("s, n", [(100 * 5e-324, 40), (1e-320, 512)])
+    def test_cuts_that_step_past_zero_are_clipped(self, s, n, monkeypatch):
+        """In the subnormal range ``linspace`` can step past its end: from
+        -s to 0, at s 100 times the smallest subnormal and resolution 40 or
+        at s = 1e-320 and 512, some cuts lie above zero.  The scan clips
+        them to zero, so a negative lobe whose box starts at beta = 0 lies
+        outside the cut range: it is skipped before any exp or erf, and the
+        bounds are those of the positive lobe alone, as the point reference
+        gives them.  Moved one subnormal below zero, the lobe is scanned,
+        and only over [-5e-324, 0]: its share above zero, which the cuts
+        past zero would add, does not count."""
+        def field(negative_lo):
+            return GaussianWeighting([
+                GaussianComponent(-1.0, 0.5 * s, 0.2 * s, 0.3 * s, 0.3 * s, Box(0.0, s, negative_lo, s)),
+                GaussianComponent(1.0, 0.5 * s, -0.5 * s, 0.3 * s, 0.3 * s, Box(0.0, s, -s, 0.0)),
+            ])
+
+        mu = field(0.0)
+        positive = GaussianWeighting(mu.components[1:], mu.support_box)
+        assert np.linspace(-s, 0.0, n).max() > 0.0
+        got, calls = counted_calls(monkeypatch, mu.line_integral_extrema, "beta", 0.0, s, -s, n)
+        args = "beta", 0.0, s, -s, n
+        assert (got, calls) == counted_calls(monkeypatch, positive.line_integral_extrema, *args)
+        assert [x.hex() for x in got] == [x.hex() for x in _point_extrema(mu, *args)]
+        assert got[0] == 0.0 < got[1]
+        mu = field(-5e-324)
+        got = mu.line_integral_extrema(*args)
+        assert [x.hex() for x in got] == [x.hex() for x in _point_extrema(mu, *args)]
+        assert got[0] > -13 * 5e-324  # the unclipped cuts reach -0x0.000000000000dp-1022
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,17 @@ seeds 1 and 7 (full size) in ``OUT/WORKLOAD-SEED``, one butterfly
 ``simulate`` of growing pulses in ``OUT/butterfly-wipes``, one seeded-grid
 ``simulate`` of growing pulses in ``OUT/grid-wipes``, one ``oracle-check``
 of negative pulses in ``OUT/oracle-down``, a ``bounds`` and a ``control``
-of a density <= 0 on Q in ``OUT/negative-grid`` and a ``bounds`` and a
+of a density <= 0 on Q in ``OUT/negative-grid``, a ``bounds`` and a
 ``control`` of the butterfly on a smaller Q in ``OUT/butterfly-small-q``,
-runs every command of one pass of each against ``TREE/src``, which writes
-its ``--out`` directory beside them, and writes the exit codes to
-``OUT/exit-codes.json``.  The inputs come from this checkout's generator,
-whichever tree runs them, and every path is relative to ``OUT``.  So two trees that give the same answers
-leave byte-identical directories::
+two seeded-grid ``simulate`` runs of nested pulses, at 7 and 2.5 samples
+per pulse, in ``OUT/grid-nested-7`` and ``OUT/grid-nested-2.5``, and a
+seeded-grid ``control`` from the default ``w0`` of 0 in
+``OUT/grid-control-w0``, runs every command of one pass of each against
+``TREE/src``, which writes its ``--out`` directory beside them, and
+writes the exit codes to ``OUT/exit-codes.json``.  The inputs come from
+this checkout's generator, whichever tree runs them, and every path is
+relative to ``OUT``.  So two trees that give the same answers leave
+byte-identical directories::
 
     python3 tools/artifacts.py ../parent ../artifacts-parent
     python3 tools/artifacts.py . ../artifacts-head
@@ -70,6 +74,20 @@ DOWN = "oracle-down"
 #: [0, 1] x [-1, 0], with the gain cap and the sign of the step that a
 #: density <= 0 on Q gives
 NEGATIVE = "negative-grid"
+
+#: simulates on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0] of
+#: alternating pulses that nest inside the one before, at an odd number of
+#: samples per pulse, whose peaks are not sampled, and at a non-integer
+#: one, where every other pulse end falls between samples too: their
+#: remnants are pushed and read pulse by pulse, not taken from the output
+NESTED = "grid-nested"
+NESTED_AMPLITUDES = [0.9, -0.85, 0.7, -0.6, 0.55, -0.5, 0.3, -0.25, 0.2, -0.1]
+NESTED_SAMPLES = (7, 2.5)
+
+#: control on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0] from
+#: the default w0 of 0: a first pulse of zero, whose samples leave the
+#: state as it is
+CONTROL_W0 = "grid-control-w0"
 
 #: bounds and control of the butterfly on Q = [0, 0.5] x [-0.6, 0], from
 #: an interface admissible there: its four distinct sector scans each skip
@@ -193,6 +211,15 @@ def main(argv):
                   "--oracle-n", "600"])
     config = {"controller": {"gamma_d": 0.4}}
     write_grid_case(NEGATIVE, -1.0 - np.random.default_rng(24).uniform(0.0, 0.5, (100, 100)), config)
+    values = 1.0 + np.random.default_rng(28).uniform(0.0, 0.5, (100, 100))
+    for spp in NESTED_SAMPLES:
+        case = "%s-%r" % (NESTED, spp)
+        write_grid_case(case, values, {"amplitudes": NESTED_AMPLITUDES, "signal_samples_per_pulse": spp})
+        names.append(os.path.join(case, "simulate"))
+        argvs.append(["simulate", "--config", os.path.join(case, "config.json"), "--out", names[-1]])
+    write_grid_case(CONTROL_W0, values, {"controller": {"gamma_d": 0.3}})
+    names.append(os.path.join(CONTROL_W0, "control"))
+    argvs.append(["control", "--config", os.path.join(CONTROL_W0, "config.json"), "--out", names[-1]])
     os.makedirs(SMALL_Q, exist_ok=True)
     with open(os.path.join(SMALL_Q, "config.json"), "w") as fh:
         json.dump(SMALL_Q_CONFIG, fh, indent=1)
