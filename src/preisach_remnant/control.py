@@ -295,78 +295,55 @@ def run_controller(
     return ControlTrace(records, converged, g_max, g_min, tol_e, iface)
 
 
-def _linked_slab(start: MemoryInterface, end: MemoryInterface):
-    """The two points of E of ``end``'s head slab, (a, v) and (a, b_s) for
-    a seam corner (a, b) and a survivor (a_s, b_s), when its head and seam
-    link to a node of ``start``: the last push of a ramp that links
-    (``ramp_slabs``).  None for any other end: one that wipes every corner
-    (its seam is the tail) or whose nodes are all new (a canonicalised push),
-    told apart by the identity of the node the seam links to."""
-    seam = end.head[1]
-    if seam is None or seam[1] is None:
-        return None
-    survivor, node = seam[1], start.head
-    while node is not None and node[2] > survivor[2]:
-        node = node[1]
-    if node is not survivor:
-        return None
-    a = seam[0][0]
-    return (a, a), (end.current_value, survivor[0][1])
-
-
 def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_step: float):
     """Sampled input and output time series (t, u, y) for a pulse train:
     t and u arrays, y the list of floats the reads give, which the CSV
     writer takes as it is.
 
     Along a monotone ramp every push links a new head to survivors of the
-    state at the ramp's start, or wipes every corner, so only the ramp's
-    last state is read; the other outputs of the ramp combine the
-    expansions the reader holds for that start with the ramp's slab terms.
+    state at the ramp's start, or wipes every corner, so the outputs of the
+    ramp combine the expansions the reader holds for that start with the
+    ramp's slab terms; only a last state that wiped every corner is read.
     A sample that starts no such ramp is pushed and read on its own, and a
     sample within the merge tolerance of the input before it, which leaves
     the state as it is, takes the output before it.
 
     The first pass walks each ramp once (``ramp_slabs``) and reads nothing:
-    it keeps the slab points of every sample but the ramp's last, the
-    survivor each of their heads links to and the state that ends the
-    ramp, and the slab points of that state's head too where its last push
-    links (``_linked_slab``).  E is then evaluated at all the slab points
-    in one array call, and the second pass reads the ramps in order, each
-    ramp's outputs right after the read of its start; a linked last state
-    is read with its two values of E from the array.  E at a point does not
-    depend on when it is evaluated, so every output is the float of a push
-    and a read per sample.
+    it keeps the slab points of every sample the ramp walks, the survivor
+    each of their heads links to and the state that ends the ramp.  E is
+    then evaluated at all the slab points in one array call, and the
+    second pass reads the ramps in order (``read_slabs``), each from the
+    state that ends the ramp before, which the reader keeps.  E at a point
+    does not depend on when it is evaluated, so every output is the float
+    of a push and a read per sample.
     """
     t, u = render_signal(amplitudes, tau, sample_step)
     values = u.tolist()
     iface = iface0.push_extremum(values[0])
-    # per ramp: the survivors of the heads before its last sample, its last
-    # state, whether that state's head links (E at its slab in the array)
-    # and the samples after it that leave that state as it is
-    ramps = [[[], iface, False, 0]]
+    # per ramp: the survivors of the heads of its samples (none for a sample
+    # read in full), its last state and the samples after it that leave that
+    # state as it is
+    ramps = [[[], iface, 0]]
     alphas, betas = [], []
     i = 1
     while i < len(values):
         start = iface
         a, b, survivors, iface = start.ramp_slabs(values, i)
-        i += len(survivors) + 1
+        i += len(survivors) or 1
         if iface is start:  # a push within the merge tolerance
-            ramps[-1][3] += 1
+            ramps[-1][2] += 1
             continue
         alphas += a
         betas += b
-        slab = _linked_slab(start, iface)
-        if slab:
-            alphas += slab[0]
-            betas += slab[1]
-        ramps.append([survivors, iface, slab is not None, 0])
+        ramps.append([survivors, iface, 0])
     e = iter(mu.everett_array(alphas, betas).tolist())  # each ramp reads on from the last
     reader = OutputReader(mu)
     y = []
-    for survivors, iface, linked, repeats in ramps:
-        y += reader.read_slabs(survivors, e)
-        y.append(reader.read(iface, e if linked else None))
+    for survivors, iface, repeats in ramps:
+        if survivors:
+            y += reader.read_slabs(survivors, e, iface)
+        else:
+            y.append(reader.read(iface))
         y += y[-1:] * repeats
     return t, u, y
 

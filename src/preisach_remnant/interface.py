@@ -63,8 +63,9 @@ def _canonical_corners(corners, box: Box):
 
     The first corner must lie on the diagonal.  Corners deeper than the
     support box are clamped to it, near-duplicates (within the box's
-    ``merge_tol``) are merged, collinear middle corners are dropped and
-    the tail down to the box floor is materialized.
+    ``merge_tol``) are merged, collinear middle corners are dropped (a
+    corner lined up with them only then lines up with the corner kept,
+    ``_line_up``) and the tail down to the box floor is materialized.
     """
     if not corners:
         raise ConfigurationError("empty corner list")
@@ -86,9 +87,11 @@ def _canonical_corners(corners, box: Box):
 
     tol = box.merge_tol
     out = [pts[0]]
-    for p in pts[1:]:
+    for prev, p in zip(pts, pts[1:]):
         q = out[-1]
-        if abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol:
+        if abs(p[0] - q[0]) > tol and abs(p[1] - q[1]) > tol:
+            p = _line_up(p, q, prev, tol)
+        elif abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol:
             continue
         if len(out) > 1:
             r = out[-2]
@@ -97,7 +100,8 @@ def _canonical_corners(corners, box: Box):
             ) or (
                 abs(r[1] - q[1]) <= tol and abs(q[1] - p[1]) <= tol
             ):
-                out[-1] = p  # q is the middle of three on one alpha or beta line
+                # q is the middle of three on one alpha or beta line
+                out[-1] = _line_up(p, r, q, tol)
                 continue
         out.append(p)
 
@@ -111,6 +115,20 @@ def _canonical_corners(corners, box: Box):
                 % (a1, b1, a2, b2)
             )
     return tuple(out)
+
+
+def _line_up(p, q, dropped, tol):
+    """Corner p, which follows ``dropped`` in the list, as the next after q,
+    the last corner kept: where p shares neither coordinate with q within
+    ``tol`` but one with ``dropped`` (merged into q or lined up with it), p
+    takes q's value of that coordinate.  Any other p is returned as it is,
+    so only a list that would be refused canonicalises otherwise."""
+    if abs(p[0] - q[0]) > tol and abs(p[1] - q[1]) > tol:
+        if abs(p[0] - dropped[0]) <= tol:
+            return (q[0], p[1])
+        if abs(p[1] - dropped[1]) <= tol:
+            return (p[0], q[1])
+    return p
 
 
 def _chain(corners):
@@ -206,16 +224,17 @@ class MemoryInterface:
         after another, for as long as they sweep on in one direction, each
         by more than the merge tolerance, and each either links a new head
         to the survivors or wipes every corner.  Returns (alphas, betas,
-        survivors, interface): for every walked push but the last, the two
-        points of E of the one slab its head adds to its survivor (below the
-        diagonal corner down to the seam after a rise, below the seam down
-        to the survivor after a fall) and that survivor; then the interface
-        after the last walked push.  A push that wipes every corner has no
+        survivors, interface): for every walked push, the two points of E
+        of the one slab its head adds to its survivor (below the diagonal
+        corner down to the seam after a rise, below the seam down to the
+        survivor after a fall) and that survivor; then the interface after
+        the last walked push.  A push that wipes every corner has no
         survivor (None), and its points are those of the whole curve it
         leaves, (v, v) and (v, min(beta_lo, v)).  When nothing is walked,
-        the interface is this one pushed to values[start]: this one itself
-        for a push within the merge tolerance, else the canonicalised new
-        head, seam corner and survivors.
+        the lists are empty and the interface is this one pushed to
+        values[start]: this one itself for a push within the merge
+        tolerance, else the canonicalised new head, seam corner and
+        survivors.
 
         The seam rule links the head of a push to v to its survivor (a_s,
         b_s) when b_s < v < a_s by more than the merge tolerance: the new
@@ -242,7 +261,6 @@ class MemoryInterface:
         node = self.head
         alphas, betas, survivors = [], [], []
         rising = values[start] > v0
-        walked = False
         for i in range(start, len(values)):
             v = values[i]
             # one test of the direction per sample
@@ -262,23 +280,21 @@ class MemoryInterface:
                 a, b = node[0]
                 if not (in_box and a - v > tol and v - b > tol):
                     break
-            if walked:  # the sample before is not the last
-                alphas += (v0, v0) if rising else (a_s, a_s)
-                betas += (v0, b_s)
-                survivors.append(last)
-            walked, last, v0 = True, node, v
-            a_s, b_s = a, b
-        if not walked:
+            alphas += (v, v) if rising else (a, a)
+            betas += (v, b)
+            survivors.append(node)
+            v0 = v
+        if not survivors:
             if node is self.head:  # a push within the merge tolerance
                 return alphas, betas, survivors, self
-            last, v0, a_s, b_s = node, v, a, b
-        seam = (v0, b_s) if rising else (a_s, v0)
-        if walked and last is not None:
-            depth = last[2]
-            head = ((v0, v0), (seam, last, depth + 1), depth + 2)
+            corners = [(v, v), (v, b) if rising else (a, v)]
+            corners += MemoryInterface(node, box).corners
+        elif survivors[-1] is None:
+            corners = [(v0, v0)]
+        else:
+            last = survivors[-1]
+            # the seam of the last walked push: (v, b_s) after a rise, (a_s, v) after a fall
+            seam = (v0, betas[-1]) if rising else (alphas[-1], v0)
+            head = ((v0, v0), (seam, last, last[2] + 1), last[2] + 2)
             return alphas, betas, survivors, MemoryInterface(head, box)
-        corners = [(v0, v0)]
-        if last is not None:
-            corners.append(seam)
-            corners += MemoryInterface(last, box).corners
         return alphas, betas, survivors, MemoryInterface.from_corners(corners, box)

@@ -549,14 +549,8 @@ class OutputReader:
         self.mu = mu
         self._seen = []  # per depth: (node, expansion of its terms to the tail)
 
-    def below(self, iface: MemoryInterface, e=None) -> float:
-        """Mass of mu below the memory curve of ``iface``.  With ``e`` an
-        iterator, the curve's head and seam corner must be its only nodes
-        the reader has not seen, linked to a node of the last curve read
-        (a linked push, ``MemoryInterface.ramp_slabs``), and E at the head
-        slab's two points is pulled from ``e`` rather than evaluated: the
-        points this read would evaluate, E(v, v) and E(v, b_s) after a rise,
-        E(a_s, v) and E(a_s, b_s) after a fall."""
+    def below(self, iface: MemoryInterface) -> float:
+        """Mass of mu below the memory curve of ``iface``."""
         if not iface.support_box.contains(self.mu.support_box):
             raise ConfigurationError(
                 "interface support box does not contain the weighting support"
@@ -584,12 +578,7 @@ class OutputReader:
             elif nxt[0][1] != b:
                 alphas += (a, a)
                 betas += (b, nxt[0][1])
-        if e is None:
-            e = self.mu.everett(alphas, betas) if alphas else ()  # a repeated read adds no point
-        elif node is not None and len(new) == len(alphas) == 2:
-            e = [next(e), next(e)]
-        else:
-            raise ValueError("head and seam are not linked to the last curve read")
+        e = self.mu.everett(alphas, betas) if alphas else ()  # a repeated read adds no point
         # the nodes from the tail side in, each one's terms from the end of e
         expansion = seen[-1][1] if seen else []
         end = len(e)
@@ -608,25 +597,28 @@ class OutputReader:
             seen.append((node, expansion))
         return math.fsum(expansion)
 
-    def read(self, iface: MemoryInterface, e=None) -> float:
-        """Output of ``iface``: mass below the curve minus mass above it
-        (``e``: see ``below``)."""
-        return 2.0 * self.below(iface, e) - self.mu.total_mass
+    def read(self, iface: MemoryInterface) -> float:
+        """Output of ``iface``: mass below the curve minus mass above it."""
+        return 2.0 * self.below(iface) - self.mu.total_mass
 
-    def read_slabs(self, survivors, e) -> list:
-        """Outputs of the curves whose heads link to ``survivors``, nodes
-        of the last curve read, with ``e`` the values of E at the heads'
-        slab points (``MemoryInterface.ramp_slabs``), two per head.  From an
-        iterator, ``e`` is consumed as far as the heads go, so a caller can
-        pass the points of a whole train ramp after ramp.
+    def read_slabs(self, survivors, e, end: MemoryInterface) -> list:
+        """Outputs of the pushes, one or more, of a ramp from the last
+        curve read, whose heads link to ``survivors``, with ``e`` the values
+        of E at the heads' slab points (``MemoryInterface.ramp_slabs``), two
+        per head; then the reader keeps ``end``, the state after the last
+        push.  From an iterator, ``e`` is consumed as far as the heads go,
+        so a caller can pass the points of a whole train ramp after ramp.
 
         ``math.fsum`` of the survivor's expansion and the slab's two terms
         rounds their exact sum correctly, so every output is the float
-        ``read`` gives; the reader keeps none of these curves.  The heads
-        of a ramp that link to one survivor come in a run, which looks it
-        up once and fills the slab's two terms into one list.  A head with
-        no survivor (None) is the whole curve (v, v), (v, b), whose full
-        read sums to E(v, v).
+        ``read`` gives.  The heads of a ramp that link to one survivor come
+        in a run, which looks it up once and fills the slab's two terms
+        into one list.  A head with no survivor (None) is the whole curve
+        (v, v), (v, b), whose full read sums to E(v, v).  An ``end`` that
+        wiped every corner is read in full; one whose seam links to the
+        last survivor takes its expansion grown by the last slab's terms,
+        at the seam and the head after a fall, at the head only after a
+        rise, where the seam shares the head's alpha.
         """
         seen, total, fsum = self._seen, self.mu.total_mass, math.fsum
         e = iter(e)
@@ -637,13 +629,22 @@ class OutputReader:
                 out.append(2.0 * e1 - total)
                 continue
             if survivor is not last:  # a run of heads on one survivor shares its terms
-                node, expansion = seen[survivor[2]]
+                node, expansion = seen[survivor[2]] if survivor[2] < len(seen) else (None, None)
                 if node is not survivor:
                     raise ValueError("head is not linked to the last curve read")
                 last, terms = survivor, expansion + [0.0, 0.0]
             terms[-2] = e1
             terms[-1] = -e2
             out.append(2.0 * fsum(terms) - total)
+        head, seam = end.head, end.head[1]
+        if survivor is None:
+            self.below(end)
+        elif seam is None or seam[1] is not survivor:
+            raise ValueError("ramp end is not linked to the last survivor")
+        else:
+            grown = _grow(expansion, (e1, -e2))
+            del seen[survivor[2] + 1:]
+            seen += ((seam, expansion if seam[0][0] == head[0][0] else grown), (head, grown))
         return out
 
 

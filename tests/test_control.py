@@ -697,9 +697,9 @@ class TestDenseResponse:
         read_slabs = OutputReader.read_slabs
         from_corners = MemoryInterface.from_corners.__func__
 
-        def spy_read_slabs(reader, survivors, e):
+        def spy_read_slabs(reader, survivors, e, end):
             batched.extend(survivors)
-            return read_slabs(reader, survivors, e)
+            return read_slabs(reader, survivors, e, end)
 
         def spy_from_corners(cls, corners, box):
             built.append(corners[0][0])
@@ -712,8 +712,8 @@ class TestDenseResponse:
         values = u.tolist()
         fall = values[values.index(1.25) + 1]  # the fall from past the box
         assert built == [0.75, 1.25, fall]  # and the rises from the virgin state and past the box
-        assert batched[:4] == [None] * 4  # the first pulse wipes every corner
-        assert batched.count(None) == 6
+        assert batched[:5] == [None] * 5  # the rise of the first pulse wipes every corner
+        assert batched.count(None) == 8
         assert len(batched) > len(u) // 2
 
     @pytest.mark.parametrize("field", ["grid", "butterfly"])
@@ -734,9 +734,9 @@ class TestDenseResponse:
         ramps = []
         read_slabs = OutputReader.read_slabs
 
-        def spy(reader, survivors, e):
+        def spy(reader, survivors, e, end):
             ramps.append([s is None for s in survivors])
-            return read_slabs(reader, survivors, e)
+            return read_slabs(reader, survivors, e, end)
 
         monkeypatch.setattr(OutputReader, "read_slabs", spy)
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
@@ -777,16 +777,17 @@ class TestDenseResponse:
         virgin = evaluate_output(mu, iface)
         reads = []
         below = OutputReader.below
-        monkeypatch.setattr(OutputReader, "below", lambda r, i, e=None: reads.append(i) or below(r, i, e))
+        monkeypatch.setattr(OutputReader, "below", lambda r, i: reads.append(i) or below(r, i))
         _, u, y = dense_response(mu, iface, [0.0, 0.0, 0.0], 1.0, 1.0 / 16)
         assert len(reads) == 1
         assert y == [virgin] * len(u) == [virgin] * 49
         del reads[:]
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
         assert [x.hex() for x in y] == [x.hex() for x in expected]
-        # the first sample, the peak, the end of the fall to 0, the trough
-        # and the end of the rise back
-        assert len(reads) == 5
+        # the first sample and the peak, whose rise from the virgin state
+        # wipes every corner; the other ramps end linked, and the reader
+        # keeps their ends without a read
+        assert len(reads) == 2
 
     @pytest.mark.parametrize("field", ["grid", "butterfly"])
     def test_a_linked_ramp_end_makes_no_scalar_everett_call(self, field, monkeypatch):

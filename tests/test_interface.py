@@ -206,6 +206,28 @@ class TestPushExtremum:
         assert pushed.corners == ((0.5, 0.5), (1.0, 0.5), (1.0, -1.0))
         assert pushed.head[1][1] is iface.head[1]
 
+    def test_a_push_onto_corners_that_merge_in_a_chain(self):
+        """Corners that share their coordinates within the merge tolerance
+        only: a fall to within it of (0, -0.3) merges that corner into the
+        seam, and the corner after it, which lines up with the merged one
+        but lies two tolerances below the seam, is lined up with the seam."""
+        corners = [(0.0, 0.0), (0.0, -0.3), (0.1000000000005, -0.3000000000005), (0.100000000001, -1.0)]
+        iface = MemoryInterface.from_corners(corners, UNIT_BOX)
+        for v in (-0.1, -0.2, -0.3):
+            iface.push_extremum(v)
+        pushed = iface.push_extremum(-0.299999999999)
+        assert pushed.corners == (
+            (-0.299999999999, -0.299999999999), (0.1000000000005, -0.299999999999), (0.100000000001, -1.0)
+        )
+
+    def test_corners_that_line_up_in_a_chain(self):
+        """The third corner merges into the second, and the fourth lines up
+        with the first two on alpha within the tolerance, one step at a
+        time, but 1.5 tolerances off the first: the second corner goes, and
+        the fourth is lined up with the first."""
+        corners = [(1e-13, 1e-13), (7e-13, -1.4e-12), (1.6e-12, -1.4e-12), (1.6e-12, -1.0)]
+        assert MemoryInterface.from_corners(corners, UNIT_BOX).corners == ((1e-13, 1e-13), (1e-13, -1.0))
+
     def test_module_level_wrapper(self):
         """The function form of a push is the method called on the class."""
         iface = MemoryInterface.push_extremum(MemoryInterface.virgin(UNIT_BOX), 0.5)

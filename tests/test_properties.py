@@ -126,6 +126,36 @@ def test_a_push_exactly_one_tolerance_inside_its_survivor_canonicalises(values):
         assert iface.corners == expected
 
 
+#: a shift within the merge tolerance, and one of a few tolerances
+jitter = st.sampled_from([-0.4, -0.2, 0.0, 0.2, 0.4]).map(lambda k: k * VERTEX_MERGE_TOL)
+near = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]).map(lambda k: k * VERTEX_MERGE_TOL)
+
+
+@PROPERTY
+@given(ops=histories(), data=st.data())
+def test_pushes_onto_jittered_corners_never_raise(ops, data):
+    """A history's corners, each two in a row made to share the coordinate
+    they share within the merge tolerance, then each coordinate moved by up
+    to 0.4 tolerances, so that they share it within the tolerance only:
+    ``from_corners`` takes the list, and pushes to values anywhere or
+    within a few tolerances of a corner's coordinate, where corners merge
+    in chains, never raise."""
+    iface = MemoryInterface.virgin(BOX)
+    for v in input_values(ops):
+        iface = iface.push_extremum(v)
+    exact = [iface.corners[0]]
+    for a, b in iface.corners[1:]:
+        a1, b1 = exact[-1]
+        exact.append((a1, b) if abs(a - a1) <= VERTEX_MERGE_TOL else (a, b1))
+    iface = MemoryInterface.from_corners([(a + data.draw(jitter), b + data.draw(jitter)) for a, b in exact], BOX)
+    for _ in range(data.draw(st.integers(1, 12))):
+        if data.draw(st.booleans()):
+            v = data.draw(anywhere)
+        else:
+            v = data.draw(st.sampled_from(iface.corners))[data.draw(st.integers(0, 1))] + data.draw(near)
+        iface = iface.push_extremum(v)
+
+
 # -- fields -----------------------------------------------------------------------
 
 
@@ -326,9 +356,9 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
     the input and either wipe every corner, from any start, or link a new
     head to the chain before, from a start in the box; it stops at a
     no-op or at a push that does neither (the seam rule fails, or the
-    start lies outside the box).  For every walked sample but the last,
-    the slab points and survivor are, bit for bit, those of the head that
-    the pushes one after another build, and that pushing its value
+    start lies outside the box).  For every walked sample, the last one
+    too, the slab points and survivor are, bit for bit, those of the head
+    that the pushes one after another build, and that pushing its value
     directly builds; a sample that wipes every corner has no survivor and
     the points (v, v), (v, min(beta_lo, v)) of the whole curve it leaves.
     The interface returned is that of the last walked push, or the full
@@ -356,8 +386,6 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
         assert wiped == wipes_every_corner(iface, v)
         chained, walked = nxt, walked + 1
         assert iface.push_extremum(v).head == chained.head
-        if k == len(survivors):
-            continue
         if wiped:
             a, b, survivor = [v, v], [v, min(BOX.beta_lo, v)], None
         else:
@@ -365,7 +393,7 @@ def test_ramp_slabs_are_those_of_single_pushes(ops, rising, steps):
         assert hexes(alphas[2 * k:2 * k + 2]) == hexes(a)
         assert hexes(betas[2 * k:2 * k + 2]) == hexes(b)
         assert survivors[k] is survivor
-    assert len(survivors) == max(walked - 1, 0)
+    assert len(survivors) == walked
     if walked:
         assert last.head == chained.head
     else:

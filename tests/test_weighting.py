@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preisach_remnant import weighting
-from preisach_remnant.control import _linked_slab, _sign_on_q
+from preisach_remnant.control import _sign_on_q
 from preisach_remnant import (
     Box,
     ConfigurationError,
@@ -312,6 +312,13 @@ class TestTailTerm:
         assert 0 < slivers < 20
 
 
+def slab_field(field):
+    """A seeded positive 20 x 20 grid on [-1, 1]^2, or the butterfly."""
+    if field == "grid":
+        return GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), np.random.default_rng(50).uniform(0.0, 1.0, (20, 20)))
+    return make_butterfly()[0]
+
+
 class TestReadSlabs:
     @pytest.mark.parametrize("field", ["grid", "butterfly"])
     def test_a_ramp_from_a_list_or_a_shared_iterator(self, field):
@@ -319,56 +326,86 @@ class TestReadSlabs:
         a list of their slab points or from an iterator that goes on past
         them: the same floats as a push and a read per sample, and the
         iterator left at the points after the ramp's."""
-        if field == "grid":
-            values = np.random.default_rng(50).uniform(0.0, 1.0, (20, 20))
-            mu = GridWeighting(Box(-1.0, 1.0, -1.0, 1.0), values)
-        else:
-            mu = make_butterfly()[0]
+        mu = slab_field(field)
         iface = nested_history(mu.support_box, 6)  # its last push falls to -0.77
-        # a rise past 0.81, the last maximum, to 1.03, which wipes every corner
+        # a rise past 0.81 and 0.88, the last two maxima, to 1.03, which
+        # wipes every corner
         values = [iface.current_value + 0.2 * k for k in range(10)]
-        alphas, betas, survivors, _ = iface.ramp_slabs(values, 1)
-        assert len(survivors) == 8 and len({id(s) for s in survivors}) == 2
+        alphas, betas, survivors, end = iface.ramp_slabs(values, 1)
+        assert len(survivors) == 9 and len({id(s) for s in survivors}) == 3
+        assert survivors[-1] is None
         reader = OutputReader(mu)
         reader.read(iface)
         e = mu.everett_array(alphas, betas).tolist()
-        expected = [OutputReader(mu).read(iface.push_extremum(v)) for v in values[1:len(survivors) + 1]]
-        assert [x.hex() for x in reader.read_slabs(survivors, e)] == [x.hex() for x in expected]
+        expected = [OutputReader(mu).read(iface.push_extremum(v)) for v in values[1:]]
+        assert [x.hex() for x in reader.read_slabs(survivors, e, end)] == [x.hex() for x in expected]
+        reader.read(iface)
         rest = iter(e + ["next"])
-        got = reader.read_slabs(survivors, rest)
+        got = reader.read_slabs(survivors, rest, end)
         assert [x.hex() for x in got] == [x.hex() for x in expected]
         assert list(rest) == ["next"]
 
-    def test_a_head_off_the_last_curve_read_is_refused(self):
+    @pytest.mark.parametrize("field", ["grid", "butterfly"])
+    @pytest.mark.parametrize(
+        "ramps",
+        [
+            [[-0.5, -0.2, 0.1, 0.4, 0.6], [0.3, 0.0, -0.3, -0.6], [-0.2, 0.2]],
+            [[0.0, 0.5, 0.9, 0.98], [0.5, 0.0, -0.5]],
+        ],
+        ids=["rise_fall_rise_linked", "wipe_then_linked"],
+    )
+    def test_the_reader_keeps_the_ramp_end(self, field, ramps):
+        """Ramps from -0.77 read back to back through ``read_slabs`` alone:
+        a rise, a fall and a rise, each ending linked to the seam of the
+        ramp before, or a rise that wipes every corner at 0.98 and a fall
+        linked to its tail.  Every output, and a read of the last state, is
+        the float of a fresh read per sample."""
+        mu = slab_field(field)
+        iface = nested_history(mu.support_box, 6)
+        reader = OutputReader(mu)
+        reader.read(iface)
+        got, expected = [], []
+        for values in ramps:
+            alphas, betas, survivors, end = iface.ramp_slabs([iface.current_value] + values, 1)
+            assert len(survivors) == len(values)
+            got += reader.read_slabs(survivors, mu.everett_array(alphas, betas).tolist(), end)
+            for v in values:
+                iface = iface.push_extremum(v)
+                expected.append(OutputReader(mu).read(iface))
+            assert iface.head == end.head
+            iface = end
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert reader.read(iface).hex() == expected[-1].hex()
+
+    def test_an_end_not_linked_to_the_last_survivor_is_refused(self):
+        """The end of a linked ramp with its corners built anew, so its seam
+        links to no survivor of the ramp, is refused, and the reader keeps
+        the curve it read last."""
+        mu = random_grid_field(np.random.default_rng(52))
+        iface = nested_history(mu.support_box, 4)
+        values = [iface.current_value, 0.5 * iface.current_value]
+        alphas, betas, survivors, end = iface.ramp_slabs(values, 1)
+        assert survivors[-1] is not None
+        reader = OutputReader(mu)
+        reader.read(iface)
+        stranger = MemoryInterface.from_corners(end.corners, end.support_box)
+        with pytest.raises(ValueError):
+            reader.read_slabs(survivors, mu.everett_array(alphas, betas).tolist(), stranger)
+        assert reader.read_slabs(survivors, mu.everett_array(alphas, betas).tolist(), end) == [
+            OutputReader(mu).read(end)
+        ]
+
+    @pytest.mark.parametrize("pushes", [4, 8])
+    def test_a_head_off_the_last_curve_read_is_refused(self, pushes):
+        """A survivor of another chain, at a depth the reader holds or
+        deeper than any it holds, is refused."""
         mu = random_grid_field(np.random.default_rng(51))
         iface = nested_history(mu.support_box, 4)
         reader = OutputReader(mu)
         reader.read(iface)
-        stranger = nested_history(mu.support_box, 4).head[1]
+        stranger = nested_history(mu.support_box, pushes).head[1]
         with pytest.raises(ValueError):
-            reader.read_slabs([iface.head[1], stranger], [0.0] * 4)
-
-    def test_a_linked_end_takes_its_two_values_of_e(self):
-        """A state one linked push past the last curve read takes E at its
-        head slab from an iterator: the float of a plain read, with the
-        iterator left after the two values.  A state with a third new node,
-        or one whose start the reader has not read, is refused."""
-        mu = random_grid_field(np.random.default_rng(52))
-        iface = nested_history(mu.support_box, 4)
-        v = 0.5 * iface.current_value
-        _, _, _, linked = iface.ramp_slabs([iface.current_value, v], 1)
-        slab = _linked_slab(iface, linked)
-        reader = OutputReader(mu)
-        reader.read(iface)
-        e = iter(mu.everett_array(*slab).tolist() + ["next"])
-        assert reader.read(linked, e).hex() == OutputReader(mu).read(linked).hex()
-        assert list(e) == ["next"]
-        further = linked.push_extremum(v - 0.25 * (v - iface.current_value))
-        reader.read(iface)
-        with pytest.raises(ValueError):
-            reader.read(further, iter([0.0] * 6))
-        with pytest.raises(ValueError):
-            OutputReader(mu).read(linked, iter([0.0] * 2))
+            reader.read_slabs([iface.head[1], stranger], [0.0] * 4, iface)
 
 
 class TestSectorBounds:
