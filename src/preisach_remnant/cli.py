@@ -9,7 +9,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .control import (
 )
 from .errors import ConfigurationError, DegenerateBoundsError
 from .interface import MemoryInterface
-from .oracle import DEFAULT_SAMPLES_PER_PULSE, oracle_pulse_remnants
+from .oracle import oracle_pulse_remnants
 from .presets import butterfly_preset, interface_from_spec, known_keys, number, numbers
 from .weighting import GridWeighting, QRegion, SectorBounds, uniform_field
 
@@ -140,7 +140,7 @@ def load_config(path) -> Config:
             raise ConfigurationError("sweep.values repeats %r" % (value,))
     tau = number(cfg.get("tau", 1.0), "tau", "positive")
     spp = number(cfg.get("signal_samples_per_pulse", 50), "signal_samples_per_pulse", "positive")
-    oracle_spp = cfg.get("oracle_samples_per_pulse", DEFAULT_SAMPLES_PER_PULSE)
+    oracle_spp = cfg.get("oracle_samples_per_pulse", 1000)
     tolerance = c.get("tolerance")  # null or absent: 1e-6 of the remnant range
     if tolerance is not None:
         tolerance = number(tolerance, "controller.tolerance", "nonnegative")
@@ -184,16 +184,17 @@ def _dump_json(obj, out_dir, name):
     return text
 
 
-def _write_signal(out, t, u, y):
-    """``signal.csv`` (t,u,y) of a dense response, y a list, formatted by
-    one ``%`` over the samples interleaved by slice assignment: the ``%r``
-    of each float, as per row."""
-    flat = [None] * (3 * len(y))
-    flat[0::3] = t.tolist()
-    flat[1::3] = u.tolist()
-    flat[2::3] = y
-    with open(os.path.join(out, "signal.csv"), "w") as fh:
-        fh.write("t,u,y\n" + ("%r,%r,%r\n" * len(y)) % tuple(flat))
+def _write_csv(path, header, row, *columns):
+    """The CSV at ``path``: its ``header`` line, then a ``row`` format per
+    element of the equally long ``columns`` (lists or tuples of plain
+    Python numbers), formatted by one ``%`` over the columns interleaved by
+    slice assignment: the bytes of a ``%`` per row."""
+    n, k = len(columns[0]), len(columns)
+    flat = [None] * (k * n)
+    for i, column in enumerate(columns):
+        flat[i::k] = column
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + (row * n) % tuple(flat))
 
 
 def _controlled(cfg, args):
@@ -211,7 +212,7 @@ def cmd_bounds(cfg, args) -> int:
     c = cfg.controller
     bounds = premised_bounds(cfg.mu, c.q, args.resolution)
     g_max, g_min = remnant_extrema(cfg.mu, cfg.iface, c.q)
-    report = bounds.to_dict()
+    report = asdict(bounds)
     report.update(gamma_max=g_max, gamma_min=g_min, max_gain=max_gain(bounds))
     print(_dump_json(report, args.out, "bounds.json"))
     return EXIT_OK
@@ -221,9 +222,12 @@ def cmd_control(cfg, args) -> int:
     trace, lam = _controlled(cfg, args)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    trace.write_csv(os.path.join(out, "trace.csv"))
+    _write_csv(
+        os.path.join(out, "trace.csv"), "k,w_k,gamma_k,e_k,clamped", "%d,%r,%r,%r,%d\n",
+        *([getattr(r, key) for r in trace.records] for key in ("k", "w", "gamma", "e", "clamped")),
+    )
     t, u, y = dense_response(cfg.mu, cfg.iface, trace.amplitudes, cfg.tau, cfg.sample_step)
-    _write_signal(out, t, u, y)
+    _write_csv(os.path.join(out, "signal.csv"), "t,u,y", "%r,%r,%r\n", t.tolist(), u.tolist(), y)
     summary = {
         "converged": trace.converged,
         "pulses": len(trace.records),
@@ -249,11 +253,11 @@ def cmd_simulate(cfg, args) -> int:
     remnants = sampled_remnants(cfg.mu, cfg.iface, cfg.amplitudes, u, y)
     if remnants is None:
         remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
-    rows = "%d,%r,%r\n" * len(remnants)
-    fields = [x for k, w in enumerate(cfg.amplitudes) for x in (k, w, remnants[k])]
-    with open(os.path.join(out, "remnants.csv"), "w") as fh:
-        fh.write("k,w_k,gamma_k\n" + rows % tuple(fields))
-    _write_signal(out, t, u, y)
+    _write_csv(
+        os.path.join(out, "remnants.csv"), "k,w_k,gamma_k", "%d,%r,%r\n",
+        range(len(remnants)), cfg.amplitudes, remnants,
+    )
+    _write_csv(os.path.join(out, "signal.csv"), "t,u,y", "%r,%r,%r\n", t.tolist(), u.tolist(), y)
     summary = {"pulses": len(cfg.amplitudes), "final_output": float(y[-1])}
     print(_dump_json(summary, out, "summary.json"))
     return EXIT_OK

@@ -233,13 +233,6 @@ class ControlTrace:
     def amplitudes(self):
         return [r.w for r in self.records]
 
-    def write_csv(self, path):
-        """One row per pulse, all formatted by one ``%``."""
-        rows = "%d,%r,%r,%r,%d\n" * len(self.records)
-        fields = [x for r in self.records for x in (r.k, r.w, r.gamma, r.e, r.clamped)]
-        with open(path, "w") as fh:
-            fh.write("k,w_k,gamma_k,e_k,clamped\n" + rows % tuple(fields))
-
 
 def run_controller(
     mu,

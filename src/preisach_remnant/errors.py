@@ -10,7 +10,8 @@ class EmptyIntersectionError(ConfigurationError):
 
 
 class DegenerateBoundsError(ValueError):
-    """Sector bounds vanish on Q; the remnant is not controllable there."""
+    """Sector bounds that give no gain cap: they vanish on Q, or a slope is
+    subnormal or overflows."""
 
 
 class AdmissibilityError(ConfigurationError):

@@ -13,9 +13,6 @@ import numpy as np
 
 from .interface import MemoryInterface
 
-#: default dense sampling per pulse for oracle replays
-DEFAULT_SAMPLES_PER_PULSE = 1000
-
 #: most relays summed in one product buffer by ``RelayGrid.output``
 OUTPUT_BLOCK = 1 << 15
 
@@ -131,7 +128,7 @@ class RelayGrid:
 
 
 def oracle_pulse_remnants(mu, init: MemoryInterface, amplitudes, n: int,
-                          samples_per_pulse: int = DEFAULT_SAMPLES_PER_PULSE):
+                          samples_per_pulse: int):
     """Per-pulse remnants of a pulse train on the relay lattice.
 
     Each half-pulse is monotone, so any sample density yields the same

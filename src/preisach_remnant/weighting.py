@@ -17,15 +17,14 @@ quadrant alpha >= 0 >= beta.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyIntersectionError
+from .errors import ConfigurationError, DegenerateBoundsError, EmptyIntersectionError
 from .interface import Box, MemoryInterface
 
 _SQRT2 = math.sqrt(2.0)
@@ -100,20 +99,6 @@ def _erf(x):
     return np.fromiter(map(math.erf, x), float, len(x))
 
 
-def _on_axes(lattice_eval):
-    """``eval(alphas, betas)`` from a method that takes the two axes as
-    1-D float arrays and gives the density at every (alphas[r], betas[c]),
-    a row per alpha and a column per beta; two scalars give a float."""
-
-    @functools.wraps(lattice_eval)
-    def on_axes(self, alphas, betas):
-        axes = (np.atleast_1d(np.asarray(x, float)) for x in (alphas, betas))
-        out = lattice_eval(self, *axes)
-        return float(out[0, 0]) if np.ndim(alphas) == np.ndim(betas) == 0 else out
-
-    return on_axes
-
-
 def _cell_fractions(edges, x):
     """(cell index, fraction of the cell below the point) of every
     coordinate in ``x`` clamped to the edges; the last cell holds the top
@@ -155,11 +140,11 @@ class GridWeighting:
         self.total_mass = self.everett([box.alpha_hi], [box.beta_hi])[0]
         _require_finite_mass(self, "grid weighting")
 
-    @_on_axes
     def eval(self, alphas, betas):
-        """Cell value at every (alphas[r], betas[c]), 0 outside the support:
-        each axis finds its cells once, and two gathers of whole rows and
-        columns of the values give the lattice."""
+        """Cell value at every (alphas[r], betas[c]) of two 1-D float
+        arrays, a row per alpha and a column per beta, 0 outside the
+        support: each axis finds its cells once, and two gathers of whole
+        rows and columns of the values give the lattice."""
         a, b = self.alpha_edges, self.beta_edges
         (i, _), (j, _) = _cell_fractions(a, alphas), _cell_fractions(b, betas)
         out = self.values.T.take(i, axis=0).take(j, axis=1)
@@ -220,7 +205,9 @@ class GridWeighting:
         the far cut and zero, and one cumulative sum of the terms downward
         from zero gives the integral to every edge and to the far cut.  The
         cut at 0 gives 0, which enters the extrema as +0.0 ahead of every
-        term, so a zero bound is +0.0.
+        term, so a zero bound is +0.0.  A term or sum that overflows gives
+        an infinite extremum, and one where +inf meets -inf gives NaN for
+        both; ``sector_bounds`` refuses either.
         """
         if axis == "beta":
             line_edges, edges, cells = self.alpha_edges, self.beta_edges, self.values
@@ -236,10 +223,13 @@ class GridWeighting:
         m = int(np.clip(np.searchsorted(edges, cut_end, side="right") - 1, 0, len(edges) - 2))
         top = min(int(np.searchsorted(edges, 0.0)), len(edges) - 1)
         widths = np.minimum(edges[m + 1:top + 1], 0.0) - np.maximum(edges[m:top], cut_end)
-        terms = cells[m:top] * np.clip(widths, 0.0, None)[:, None]
-        np.cumsum(terms[::-1], axis=0, out=terms[::-1])
-        lo, hi = min(0.0, terms.min(initial=0.0)), max(0.0, terms.max(initial=0.0))
-        return float(lo), float(hi)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
+            terms = cells[m:top] * np.clip(widths, 0.0, None)[:, None]
+            np.cumsum(terms[::-1], axis=0, out=terms[::-1])
+        lo, hi = terms.min(initial=0.0), terms.max(initial=0.0)
+        if math.isnan(lo):  # Python's min and max below would drop the NaN
+            return math.nan, math.nan
+        return float(min(0.0, lo)), float(max(0.0, hi))
 
     def sign_violation(self, q, sign):
         """Why the density has not the sign of ``sign`` on Q, or None: exact,
@@ -342,10 +332,10 @@ class GaussianWeighting:
         self.total_mass = self.everett([support_box.alpha_hi], [support_box.beta_hi])[0]
         _require_finite_mass(self, "Gaussian weighting")
 
-    @_on_axes
     def eval(self, alphas, betas):
-        """Sum of the lobes at every (alphas[r], betas[c]), each 0 outside
-        its box, added into one lattice in component order."""
+        """Sum of the lobes at every (alphas[r], betas[c]) of two 1-D float
+        arrays, each lobe 0 outside its box, added into one lattice in
+        component order."""
         alpha, beta = np.broadcast_arrays(alphas[:, None], betas[None, :])
         out = np.zeros(alpha.shape)
         for c in self.components:
@@ -412,6 +402,9 @@ class GaussianWeighting:
         products at those four corners, and 0.0 + turns a -0.0 into +0.0 as
         the matrix sum does.  With more, ``SCAN_BLOCK_ROWS`` lines at a time
         go through one reused product buffer, which bounds the scan's memory.
+        A product or sum that overflows gives an infinite extremum, and one
+        where +inf meets -inf gives NaN for both; ``sector_bounds`` refuses
+        either.
         """
         n = operator.index(resolution) if hasattr(resolution, "__index__") else 0
         if n < 2:
@@ -445,12 +438,16 @@ class GaussianWeighting:
             return min(corners), max(corners)
         product = np.empty((min(SCAN_BLOCK_ROWS, n), len(cuts)))
         lo, hi = math.inf, -math.inf
-        for start in range(0, n, SCAN_BLOCK_ROWS):
-            rows = slice(start, min(start + SCAN_BLOCK_ROWS, n))
-            block = np.zeros((rows.stop - start, len(cuts)))
-            for profile, segment in factors:
-                block += np.multiply.outer(profile[rows], segment, out=product[:len(block)])
-            lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
+            for start in range(0, n, SCAN_BLOCK_ROWS):
+                rows = slice(start, min(start + SCAN_BLOCK_ROWS, n))
+                block = np.zeros((rows.stop - start, len(cuts)))
+                for profile, segment in factors:
+                    block += np.multiply.outer(profile[rows], segment, out=product[:len(block)])
+                b_lo, b_hi = float(block.min()), float(block.max())
+                if math.isnan(b_lo):  # Python's min and max below would drop the NaN
+                    return math.nan, math.nan
+                lo, hi = min(lo, b_lo), max(hi, b_hi)
         return lo, hi
 
     def sign_violation(self, q, sign):
@@ -480,13 +477,15 @@ class GaussianWeighting:
 
 
 def _require_finite_mass(mu, kind: str):
-    """Refuse a field whose total or absolute mass overflows: every output
-    is read against the one and every tolerance scales with the other."""
+    """Refuse a field whose total or twice its absolute mass overflows:
+    every output is read as twice the mass below the curve minus the total,
+    and every tolerance scales with the absolute mass."""
     with np.errstate(over="ignore"):  # an overflow is what is refused
         abs_mass = mu.abs_mass()
-    if not (math.isfinite(mu.total_mass) and math.isfinite(abs_mass)):
+    if not (math.isfinite(mu.total_mass) and math.isfinite(2.0 * abs_mass)):
         raise ConfigurationError(
-            "%s mass is not finite: total %r, absolute %r" % (kind, mu.total_mass, abs_mass)
+            "%s mass is not finite, or twice it overflows: total %r, absolute %r"
+            % (kind, mu.total_mass, abs_mass)
         )
 
 
@@ -678,9 +677,6 @@ class SectorBounds:
     gamma1_plus_q: float
     gamma2_minus_q: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     """Sector-bound constants for the remnant response of ``mu``.
@@ -688,7 +684,9 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     The general bounds scan the whole support inside the quadrant
     alpha >= 0 >= beta; the Q-restricted variants scan only Q.  Grid fields
     are resolved exactly at their own lattice; the resolution controls the
-    scan density for analytic fields (``line_integral_extrema``).
+    scan density for analytic fields (``line_integral_extrema``).  A bound
+    is twice a line integral, which can overflow on a field of finite mass:
+    a non-finite bound gives no gain cap and is refused.
     """
     box = mu.support_box
     if box.alpha_hi < 0.0 or box.beta_lo > 0.0:
@@ -711,7 +709,7 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     extrema = {s: mu.line_integral_extrema(*s, resolution) for s in dict.fromkeys(scans)}
     (f_lo, f_hi), (g_lo, g_hi), (fq_lo, fq_hi), (gq_lo, gq_hi) = map(extrema.get, scans)
 
-    return SectorBounds(
+    bounds = SectorBounds(
         gamma1_plus=2.0 * f_lo,
         gamma2_plus=2.0 * f_hi,
         gamma1_minus=2.0 * g_hi,
@@ -721,6 +719,10 @@ def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
         gamma1_plus_q=2.0 * fq_lo,
         gamma2_minus_q=2.0 * gq_lo,
     )
+    for name, value in vars(bounds).items():
+        if not math.isfinite(value):
+            raise DegenerateBoundsError("sector bound %s is %r: a slope overflows" % (name, value))
+    return bounds
 
 
 def make_butterfly(scale: float = 1.0):

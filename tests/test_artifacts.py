@@ -56,3 +56,22 @@ def test_the_list_must_name_exactly_the_moved_files(trees, capsys):
     assert artifacts.compare(old, new, str(listing)) == 1
     assert artifacts.compare(old, old, str(listing)) == 1
     assert "listed, did not move: exit-codes.json" in capsys.readouterr().out
+
+
+def test_the_files_with_numbers_that_are_not_finite(tmp_path):
+    """Every JSON and CSV number is parsed: NaN, infinities and a JSON
+    number that overflows are found, and a key or header that holds "nan"
+    or "inf" is not a number."""
+    root = tree(tmp_path, {
+        "fine.json": b'{"final_remnant": -0.0, "inf_count": 1e308, "pulses": 3}\n',
+        "fine.csv": b"k,final_remnant,info\n0,5e-324,nan_x\n1,-1e+22,inf_x\n",
+        "notes.txt": b"NaN\n",
+        "a/nan.json": b'{"final_output": NaN}\n',
+        "a/inf.json": b"[1.0, -Infinity]\n",
+        "a/overflow.json": b"[1e400]\n",
+        "b/nan.csv": b"t,u,y\n0.0,0.0,nan\n",
+        "b/inf.csv": b"k,w_k,gamma_k\n0,0.5,-inf\n",
+        "b/word.csv": b"x\n1.0\nInfinity\n",
+    })
+    bad = ["a/inf.json", "a/nan.json", "a/overflow.json", "b/inf.csv", "b/nan.csv", "b/word.csv"]
+    assert artifacts.non_finite(root) == [os.path.normpath(p) for p in bad]

@@ -330,16 +330,19 @@ class TestCsvWriters:
         assert (out / "signal.csv").read_text() == "t,u,y\n" + "".join(rows)
         assert "-0.0," in rows[1] and "5e-324" in rows[2] and "1e+22" in rows[9]
 
-    def test_trace_is_the_per_row_format(self, tmp_path):
+    def test_trace_is_the_per_row_format(self, tmp_path, capsys, monkeypatch):
         records = [
             PulseRecord(k, w, AWKWARD[-1 - k], AWKWARD[k // 2], bool(k % 3))
             for k, w in enumerate(AWKWARD)
         ]
         trace = ControlTrace(records, False, 1.0, -1.0, 1e-6, None)
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        monkeypatch.setattr(cli, "_controlled", lambda cfg, args: (trace, 0.5))
+        monkeypatch.setattr(cli, "dense_response", lambda *a: (np.zeros(1), np.zeros(1), [0.0]))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.json", deadbeat_config())
+        assert run("control", cfg, out) == cli.EXIT_NO_CONVERGENCE
         rows = ["%d,%r,%r,%r,%d\n" % (r.k, r.w, r.gamma, r.e, int(r.clamped)) for r in records]
-        assert path.read_text() == "k,w_k,gamma_k,e_k,clamped\n" + "".join(rows)
+        assert (out / "trace.csv").read_text() == "k,w_k,gamma_k,e_k,clamped\n" + "".join(rows)
         assert rows[1].startswith("1,-0.0,") and rows[3].startswith("3,-5e-324,")
 
     def test_empty_plans_write_the_header_alone(self, tmp_path, capsys):
@@ -649,8 +652,14 @@ HUGE_BUTTERFLY = {"weighting": {"preset": "butterfly", "scale": 1e308}, "amplitu
 HUGE_GRID = "0.0,1.0,-1.0,0.0,2,2\n1e308,1e308\n1e308,1e308\n"
 
 
+#: a uniform field whose absolute mass, 1e308, is finite, but twice it,
+#: which every output read takes, is not
+DOUBLE_OVERFLOW = {"weighting": {"preset": "uniform", "value": 1e308}, "amplitudes": [1.0],
+                   "controller": {"gamma_d": 0.0}}
+
+
 @pytest.mark.parametrize("command", ["bounds", "simulate"])
-@pytest.mark.parametrize("field", ["butterfly", "grid"])
+@pytest.mark.parametrize("field", ["butterfly", "grid", "twice_uniform"])
 def test_field_whose_mass_overflows_exits_2(tmp_path, capsys, command, field):
     if field == "grid":
         grid = tmp_path / "huge.csv"
@@ -658,12 +667,27 @@ def test_field_whose_mass_overflows_exits_2(tmp_path, capsys, command, field):
         cfg = {"weighting": {"grid_csv": str(grid)}, "q": {"alpha2": 1.0, "beta2": -1.0},
                "amplitudes": [0.5]}
     else:
-        cfg = HUGE_BUTTERFLY
+        cfg = HUGE_BUTTERFLY if field == "butterfly" else DOUBLE_OVERFLOW
     out = tmp_path / "out"
     assert run(command, write_config(tmp_path, "c.json", cfg), out) == EXIT_CONFIG
-    kind = "grid" if field == "grid" else "Gaussian"
+    kind = "Gaussian" if field == "butterfly" else "grid"
     assert capsys.readouterr().err.startswith("config error: %s weighting mass is not finite" % kind)
     assert not out.exists()
+
+
+#: the same value on Q = [0, 1e-10] x [-1, 0]: the mass is 1e298, but the
+#: sector bounds, twice a line integral across beta of 1e308, overflow
+THIN_STRIP = dict(DOUBLE_OVERFLOW, q={"alpha2": 1e-10, "beta2": -1.0})
+
+
+@pytest.mark.parametrize("command", ["bounds", "control", "oracle-check", "sweep"])
+def test_sector_bounds_that_overflow_exit_3(tmp_path, capsys, command):
+    cfg = dict(THIN_STRIP, sweep={"param": "gamma_d", "values": [0.0]})
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, "c.json", cfg), out) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate bounds: sector bound gamma2_plus is inf")
+    assert list(out.rglob("*")) == []  # the directory --out names, and nothing in it
 
 
 @pytest.mark.parametrize("command", ["bounds", "simulate"])

@@ -607,15 +607,22 @@ class TestController:
         cfg = ControllerConfig(broken["gamma_d"], broken["lam"], broken["w0"], Q_UNIT)
         assert run_controller(broken["mu"], broken["iface"], cfg).converged
 
-    def test_trace_csv_round_trip(self, tmp_path):
+    def test_trace_csv_round_trip(self, tmp_path, capsys):
+        """``control`` writes ``trace.csv`` as a header and one row per
+        record of the controller's trace."""
         mu, iface = uniform_scene()
         cfg = ControllerConfig(gamma_d=0.5, lam=0.5, w0=0.0, q=Q_UNIT)
         trace = run_controller(mu, iface, cfg)
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "weighting": {"preset": "uniform"},
+            "controller": {"gamma_d": 0.5, "lambda": 0.5, "w0": 0.0},
+        }))
+        assert cli.main(["control", "--config", str(config), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "k,w_k,gamma_k,e_k,clamped"
-        assert len(lines) == 1 + len(trace.records)
+        rows = ["%d,%r,%r,%r,%d" % (r.k, r.w, r.gamma, r.e, r.clamped) for r in trace.records]
+        assert lines[1:] == rows
 
 
 def incremental_scenes():

@@ -6,6 +6,7 @@ non-expansion on random grids below the gain cap."""
 
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -739,7 +740,7 @@ def answers(mu, q, values, samples_per_pulse):
     outputs += pulse_remnants(mu, virgin, values)
     outputs += dense_response(mu, virgin, values, 1.0, 1.0 / samples_per_pulse)[2]
     outputs += remnant_extrema(mu, virgin, q)
-    return corners, outputs, list(sector_bounds(mu, q).to_dict().values())
+    return corners, outputs, list(asdict(sector_bounds(mu, q)).values())
 
 
 def assert_scaled(k, base, scaled, output_scale):

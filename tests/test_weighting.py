@@ -3,6 +3,7 @@
 import collections
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from preisach_remnant.control import _sign_on_q
 from preisach_remnant import (
     Box,
     ConfigurationError,
+    DegenerateBoundsError,
     EmptyIntersectionError,
     GaussianComponent,
     GaussianWeighting,
@@ -50,26 +52,31 @@ def excursion(box, *values):
     return iface
 
 
+def density_at(mu, a, b):
+    """The density at one point: ``eval`` of one-element axes."""
+    return float(mu.eval(np.array([a]), np.array([b]))[0, 0])
+
+
 class TestEval:
     def test_uniform_cell_lookup(self):
         mu = uniform_field(Q_UNIT)
-        assert mu.eval(0.5, -0.5) == 1.0
+        assert density_at(mu, 0.5, -0.5) == 1.0
 
     def test_zero_outside_support(self):
         mu = uniform_field(Q_UNIT)
-        assert mu.eval(2.0, -0.5) == 0.0
+        assert density_at(mu, 2.0, -0.5) == 0.0
 
     def test_gaussian_peak_value(self):
         g = GaussianWeighting(
             [GaussianComponent(1.0, 0.4, -0.4, 0.2, 0.2, UNIT_BOX)]
         )
-        assert g.eval(0.4, -0.4) == pytest.approx(1.0)
+        assert density_at(g, 0.4, -0.4) == pytest.approx(1.0)
 
     def test_two_axes_give_the_scalar_value_at_every_pair(self):
-        """eval(alphas, betas) holds at [r, c] the float of the scalar
-        eval(alphas[r], betas[c]), and of a lookup without numpy, for grids
-        and the butterfly, at signed zeros, cell edges, points outside the
-        box, NaN and infinities."""
+        """eval(alphas, betas) holds at [r, c] the float of a lookup of
+        (alphas[r], betas[c]) without numpy, for grids and the butterfly,
+        at signed zeros, cell edges, points outside the box, NaN and
+        infinities."""
         rng = np.random.default_rng(81)
         fields = [random_grid_field(rng) for _ in range(6)]
         fields += [uniform_field(Q_UNIT), make_butterfly()[0]]
@@ -94,9 +101,7 @@ class TestEval:
             lattice = mu.eval(alphas, betas)
             assert lattice.shape == (len(alphas), len(betas))
             got = [[x.hex() for x in row] for row in lattice.tolist()]
-            assert got == [[mu.eval(float(a), float(b)).hex() for b in betas] for a in alphas]
             assert got == [[point_density(mu, a, b).hex() for b in betas] for a in alphas]
-        assert all(type(mu.eval(0.5, -0.5)) is float for mu in fields)
 
     def test_grid_rejects_non_finite_values(self):
         with pytest.raises(ConfigurationError):
@@ -107,8 +112,9 @@ class TestEval:
         [
             (UNIT_BOX, [[1e308, 1e308], [1e308, 1e308]]),  # total and absolute overflow
             (Box(0.0, 2.0, -2.0, 0.0), [[1e308, -1e308], [-1e308, 1e308]]),  # total 0
+            (UNIT_BOX, [[1e308]]),  # total and absolute 1e308: an output read doubles it
         ],
-        ids=["total", "absolute"],
+        ids=["total", "absolute", "twice_absolute"],
     )
     def test_grid_rejects_a_mass_that_overflows(self, box, values):
         # every cell is finite, but a sum of them is not
@@ -456,13 +462,13 @@ class TestSectorBounds:
 class TestButterfly:
     def test_positive_at_q_center(self):
         mu, q = make_butterfly()
-        assert mu.eval(q.alpha2 / 2.0, q.beta2 / 2.0) > 0.0
+        assert density_at(mu, q.alpha2 / 2.0, q.beta2 / 2.0) > 0.0
 
     def test_nonnegative_on_q_lattice(self):
         mu, q = make_butterfly()
         alphas = np.linspace(0.0, q.alpha2, 100)
         betas = np.linspace(q.beta2, 0.0, 100)
-        assert min(mu.eval(float(a), float(b)) for a in alphas for b in betas) >= 0.0
+        assert mu.eval(alphas, betas).min() >= 0.0
 
     def test_q_bounds_are_positive(self):
         mu, q = make_butterfly()
@@ -472,8 +478,8 @@ class TestButterfly:
 
     def test_has_negative_mass_outside_q(self):
         mu, _ = make_butterfly()
-        assert mu.eval(-0.3, -0.87) < 0.0
-        assert mu.eval(0.8, 0.25) < 0.0
+        assert density_at(mu, -0.3, -0.87) < 0.0
+        assert density_at(mu, 0.8, 0.25) < 0.0
 
     def test_scaling_moves_the_support(self):
         mu, q = make_butterfly()
@@ -558,10 +564,10 @@ def point_sector_bounds(mu, q, resolution=512):
     g_lo, g_hi = _point_extrema(mu, "alpha", b_lo, min(0.0, box.beta_hi), a_hi, resolution)
     fq_lo, fq_hi = _point_extrema(mu, "beta", a_lo, qa_hi, qb_lo, resolution)
     gq_lo, gq_hi = _point_extrema(mu, "alpha", qb_lo, 0.0, qa_hi, resolution)
-    return SectorBounds(
+    return asdict(SectorBounds(
         2.0 * f_lo, 2.0 * f_hi, 2.0 * g_hi, 2.0 * g_lo,
         2.0 * fq_hi, 2.0 * gq_hi, 2.0 * fq_lo, 2.0 * gq_lo,
-    ).to_dict()
+    ))
 
 
 def random_gaussian_field(rng):
@@ -637,7 +643,7 @@ class TestScanMatchesPointReference:
 
     def test_butterfly_is_bit_equal(self):
         mu, q = make_butterfly()
-        assert sector_bounds(mu, q, 64).to_dict() == point_sector_bounds(mu, q, 64)
+        assert asdict(sector_bounds(mu, q, 64)) == point_sector_bounds(mu, q, 64)
 
     def test_overlapping_gaussians_with_clipping_q_are_bit_equal(self):
         rng = np.random.default_rng(41)
@@ -645,11 +651,11 @@ class TestScanMatchesPointReference:
             mu = random_gaussian_field(rng)
             box = mu.support_box
             q = QRegion(0.6 * box.alpha_hi, 0.6 * box.beta_lo)  # cuts the scan short
-            assert sector_bounds(mu, q, 40).to_dict() == point_sector_bounds(mu, q, 40)
+            assert asdict(sector_bounds(mu, q, 40)) == point_sector_bounds(mu, q, 40)
 
     @staticmethod
     def assert_close(mu, q):
-        got = sector_bounds(mu, q).to_dict()
+        got = asdict(sector_bounds(mu, q))
         for key, want in point_sector_bounds(mu, q).items():
             assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
@@ -667,7 +673,59 @@ class TestScanMatchesPointReference:
     def test_all_zero_grid(self):
         mu = GridWeighting(Box(-0.3, 1.0, -1.0, 0.4), np.zeros((4, 3)))
         self.assert_close(mu, QRegion(0.7, -0.45))
-        assert set(sector_bounds(mu, Q_UNIT).to_dict().values()) == {0.0}
+        assert set(asdict(sector_bounds(mu, Q_UNIT)).values()) == {0.0}
+
+
+THIN_Q = QRegion(1e-10, -1.0)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        uniform_field(THIN_Q, 1e308),
+        GaussianWeighting([
+            GaussianComponent(1.5e308, 5e-11, -0.5, 1e-11, 1.0, Box(0.0, 1e-10, -1.0, 0.0)),
+        ]),
+    ],
+    ids=["grid", "gaussian"],
+)
+def test_a_bound_that_overflows_is_refused(mu):
+    """A bound is twice a line integral, which overflows here though the
+    mass, about 1e-10 of it, does not."""
+    assert mu.abs_mass() < 1e299
+    with pytest.raises(DegenerateBoundsError, match="sector bound gamma2_plus is inf"):
+        sector_bounds(mu, THIN_Q, 64)
+
+
+@pytest.mark.parametrize(
+    "mu, resolution",
+    [
+        # each cell term, 1e308 times a width of 2, overflows, and their
+        # sum down the line is +inf + -inf
+        (GridWeighting(Box(0.0, 1e-10, -4.0, 0.0), [[-1e308], [1e308]]), 64),
+        # each lobe's term overflows on the lines near its centre, and on
+        # the cuts past -4 they meet; the blocks of lines far from the
+        # centres stay finite
+        (GaussianWeighting([
+            GaussianComponent(1.5e308, 5e-11, -2.0, 1e-11, 2.0, Box(0.0, 1e-10, -4.0, 0.0)),
+            GaussianComponent(-1.5e308, 5e-11, -6.0, 1e-11, 2.0, Box(0.0, 1e-10, -8.0, -4.0)),
+        ]), 512),
+    ],
+    ids=["grid", "gaussian"],
+)
+def test_a_scan_where_infinities_meet_is_refused(mu, resolution):
+    """+inf + -inf is NaN, which the extrema must not drop for the finite
+    entries around it; the Q scans, 0.01 deep, stay finite."""
+    box = mu.support_box
+    lo, hi = mu.line_integral_extrema("beta", 0.0, box.alpha_hi, box.beta_lo, resolution)
+    assert math.isnan(lo) and math.isnan(hi)
+    with pytest.raises(DegenerateBoundsError, match="sector bound gamma1_plus is nan"):
+        sector_bounds(mu, QRegion(1e-10, -0.01), resolution)
+
+
+def test_bounds_just_below_the_overflow_are_kept():
+    bounds = asdict(sector_bounds(uniform_field(THIN_Q, 5e307), THIN_Q))
+    assert bounds["gamma2_plus"] == 1e308 and all(map(math.isfinite, bounds.values()))
 
 
 # -- frozen reference: the blocked grid scan the lattice scan replaced --------
@@ -743,10 +801,10 @@ def frozen_grid_sector_bounds(mu, q):
     g_lo, g_hi = _frozen_cumulative_extrema(mu, "alpha", b_lo, min(0.0, box.beta_hi), a_hi)
     fq_lo, fq_hi = _frozen_cumulative_extrema(mu, "beta", a_lo, qa_hi, qb_lo)
     gq_lo, gq_hi = _frozen_cumulative_extrema(mu, "alpha", qb_lo, 0.0, qa_hi)
-    return SectorBounds(
+    return asdict(SectorBounds(
         2.0 * f_lo, 2.0 * f_hi, 2.0 * g_hi, 2.0 * g_lo,
         2.0 * fq_hi, 2.0 * gq_hi, 2.0 * fq_lo, 2.0 * gq_lo,
-    ).to_dict()
+    ))
 
 
 def zero_sign_case(rng, k):
@@ -795,7 +853,7 @@ def test_lattice_scan_is_the_frozen_blocked_scan():
     nonzero = negative_zeros = 0
     for k in range(600):
         mu, q = zero_sign_case(rng, k)
-        got = sector_bounds(mu, q).to_dict()
+        got = asdict(sector_bounds(mu, q))
         for key, want in frozen_grid_sector_bounds(mu, q).items():
             if want != 0.0:
                 nonzero += 1
@@ -926,7 +984,7 @@ class TestSingleLobeCorners:
         mu, q = make_butterfly()
         sector_bounds(mu, q, 512)
         for q in (q, QRegion(0.5, -0.6)):
-            assert sector_bounds(mu, q, 40).to_dict() == point_sector_bounds(mu, q, 40)
+            assert asdict(sector_bounds(mu, q, 40)) == point_sector_bounds(mu, q, 40)
         assert outer_calls == []
 
     @pytest.mark.parametrize("seed", range(3))
@@ -945,7 +1003,7 @@ class TestSingleLobeCorners:
                 underflows += c.amplitude * math.exp(-0.5 * ((line - centre) / sigma) ** 2) == 0.0
             q = QRegion(float(rng.uniform(0.05, 1.3)), float(rng.uniform(-1.3, -0.05)))
             resolution = int(rng.integers(2, 40))
-            got = sector_bounds(mu, q, resolution).to_dict()
+            got = asdict(sector_bounds(mu, q, resolution))
             want = point_sector_bounds(mu, q, resolution)
             assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
         assert outer_calls == []
@@ -1006,7 +1064,7 @@ class TestScanCallsOnlyWhereALobeReaches:
         for q in (Q_UNIT, QRegion(0.5, -0.6)):
             got, calls = counted_calls(monkeypatch, sector_bounds, four, q, 40)
             want = {k: v.hex() for k, v in point_sector_bounds(four, q, 40).items()}
-            assert {k: v.hex() for k, v in got.to_dict().items()} == want
+            assert {k: v.hex() for k, v in asdict(got).items()} == want
             assert (got, calls) == counted_calls(monkeypatch, sector_bounds, two, q, 40)
             assert min(calls.values()) > 0
         assert outer_calls
@@ -1068,7 +1126,7 @@ def test_each_distinct_scan_runs_once(monkeypatch, scene, scans):
     monkeypatch.setattr(
         type(mu), "line_integral_extrema", lambda *a: calls.append(a[1:5]) or real(*a)
     )
-    got = sector_bounds(mu, q, 40).to_dict()
+    got = asdict(sector_bounds(mu, q, 40))
     assert len(calls) == len(set(calls)) == scans
     want = point_sector_bounds(mu, q, 40)
     if isinstance(mu, GridWeighting):
@@ -1092,7 +1150,7 @@ class TestCheckNonnegative:
             for j in range(mu.n_beta):
                 b_lo, b_hi = max(b[j], q.beta2), min(b[j + 1], 0.0)
                 if a_lo < a_hi and b_lo < b_hi:
-                    if sign * mu.eval(0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)) < 0.0:
+                    if sign * density_at(mu, 0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)) < 0.0:
                         return a[i], a[i + 1], b[j], b[j + 1]
         return None
 

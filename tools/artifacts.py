@@ -15,9 +15,10 @@ per pulse, in ``OUT/grid-nested-7`` and ``OUT/grid-nested-2.5``, and a
 seeded-grid ``control`` from the default ``w0`` of 0 in
 ``OUT/grid-control-w0``, runs every command of one pass of each against
 ``TREE/src``, which writes its ``--out`` directory beside them, and
-writes the exit codes to ``OUT/exit-codes.json``.  The inputs come from
-this checkout's generator, whichever tree runs them, and every path is
-relative to ``OUT``.  So two trees that give the same answers leave
+writes the exit codes to ``OUT/exit-codes.json``.  It fails when any JSON
+or CSV file under ``OUT`` holds a number that is not finite.  The inputs
+come from this checkout's generator, whichever tree runs them, and every
+path is relative to ``OUT``.  So two trees that give the same answers leave
 byte-identical directories::
 
     python3 tools/artifacts.py ../parent ../artifacts-parent
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +159,42 @@ def compare(old, new, list_path):
     return 0 if ok else 1
 
 
+def _finite(text):
+    """The float of a JSON number or constant, refused unless finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("%s is not finite" % text)
+    return x
+
+
+def non_finite(root):
+    """The JSON and CSV files under ``root`` that hold a number that is not
+    finite: a JSON ``NaN``, ``Infinity`` or number that overflows (a JSON
+    file that does not parse is listed too), or a CSV field that parses as
+    a float that is not finite.  Fields are parsed, not searched:
+    ``final_remnant`` holds "nan" and is not a number."""
+    bad = []
+    for path in sorted(files_under(root)):
+        if path.endswith(".json"):
+            with open(os.path.join(root, path)) as fh:
+                try:
+                    json.load(fh, parse_float=_finite, parse_constant=_finite)
+                except ValueError:
+                    bad.append(path)
+        elif path.endswith(".csv"):
+            with open(os.path.join(root, path)) as fh:
+                fields = fh.read().replace("\n", ",").split(",")
+            for field in fields:
+                try:
+                    x = float(field)
+                except ValueError:
+                    continue
+                if not math.isfinite(x):
+                    bad.append(path)
+                    break
+    return bad
+
+
 def write_grid_case(name, values, config):
     """Write ``name/grid.csv``, the 100 x 100 grid ``values`` over
     [0, 1] x [-1, 0], and ``name/config.json``, ``config`` on that grid
@@ -237,6 +275,9 @@ def main(argv):
     with open("exit-codes.json", "w") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    bad = non_finite(out)
+    if bad:
+        sys.exit("numbers that are not finite in %d files: %s" % (len(bad), ", ".join(bad)))
     print("%d commands of %s, artifacts under %s" % (len(codes), tree, out))
 
 
