@@ -179,6 +179,7 @@ def load_config(path) -> Config:
 def _dump_json(obj, out_dir, name):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text + "\n")
     return text
@@ -193,6 +194,7 @@ def _write_csv(path, header, row, *columns):
     flat = [None] * (k * n)
     for i, column in enumerate(columns):
         flat[i::k] = column
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n" + (row * n) % tuple(flat))
 
@@ -221,7 +223,6 @@ def cmd_bounds(cfg, args) -> int:
 def cmd_control(cfg, args) -> int:
     trace, lam = _controlled(cfg, args)
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     _write_csv(
         os.path.join(out, "trace.csv"), "k,w_k,gamma_k,e_k,clamped", "%d,%r,%r,%r,%d\n",
         *([getattr(r, key) for r in trace.records] for key in ("k", "w", "gamma", "e", "clamped")),
@@ -248,7 +249,6 @@ def cmd_simulate(cfg, args) -> int:
     pulse's end state (``sampled_remnants``), else from ``pulse_remnants``;
     ``signal.csv`` and ``summary.json``."""
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     t, u, y = dense_response(cfg.mu, cfg.iface, cfg.amplitudes, cfg.tau, cfg.sample_step)
     remnants = sampled_remnants(cfg.mu, cfg.iface, cfg.amplitudes, u, y)
     if remnants is None:
@@ -284,7 +284,6 @@ def cmd_sweep(cfg, args) -> int:
         raise ConfigurationError("sweep needs a sweep section with param and values")
     field = "lam" if param == "lambda" else param  # the ControllerConfig field it sets
     out = args.out or "sweep_out"
-    os.makedirs(out, exist_ok=True)
     # a swept key only sets the controller: the runs share field, interface and bounds
     c = cfg.controller
     shared = replace(cfg, bounds=premised_bounds(cfg.mu, c.q, args.resolution))
@@ -339,8 +338,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
         handler = {
             "bounds": cmd_bounds,
             "control": cmd_control,

@@ -69,14 +69,17 @@ def remnant(mu, iface: MemoryInterface, w: float):
 
 
 def pulse_remnants(mu, iface: MemoryInterface, amplitudes):
-    """Remnant after each pulse of a train: the values of chained
-    ``remnant`` calls, read incrementally."""
-    reader = OutputReader(mu)
-    out = []
+    """Remnant after each pulse of a train, as chained ``remnant`` calls give
+    it: every second output of ``_respond`` over ``apply_pulse``'s pushes."""
+    values = []
     for w in amplitudes:
-        iface = apply_pulse(iface, w)
-        out.append(reader.read(iface))
-    return out
+        if w == 0.0:  # no push: the input it starts from, which may lie off zero within tolerance
+            values += [values[-1] if values else iface.current_value] * 2
+        else:
+            values += (float(w), 0.0)
+    if values:  # apply_pulse checks each pulse; a train of none checks nothing
+        _require_zero_crossing(iface)
+    return _respond(mu, iface, values)[1::2]
 
 
 def last_input_extrema(iface: MemoryInterface):
@@ -289,36 +292,33 @@ def run_controller(
 
 
 def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_step: float):
-    """Sampled input and output time series (t, u, y) for a pulse train:
-    t and u arrays, y the list of floats the reads give, which the CSV
-    writer takes as it is.
+    """Sampled input and output (t, u, y) of a pulse train: t and u arrays,
+    y the list of floats ``_respond`` reads, which the CSV writer takes as it is."""
+    t, u = render_signal(amplitudes, tau, sample_step)
+    return t, u, _respond(mu, iface0, u.tolist())
+
+
+def _respond(mu, iface: MemoryInterface, values) -> list:
+    """The output after each push of ``values`` onto ``iface``, as floats.
 
     Along a monotone ramp every push links a new head to survivors of the
-    state at the ramp's start, or wipes every corner, so the outputs of the
-    ramp combine the expansions the reader holds for that start with the
-    ramp's slab terms; only a last state that wiped every corner is read.
-    A sample that starts no such ramp is pushed and read on its own, and a
-    sample within the merge tolerance of the input before it, which leaves
-    the state as it is, takes the output before it.
-
-    The first pass walks each ramp once (``ramp_slabs``) and reads nothing:
-    it keeps the slab points of every sample the ramp walks, the survivor
-    each of their heads links to and the state that ends the ramp.  E is
-    then evaluated at all the slab points in one array call, and the
-    second pass reads the ramps in order (``read_slabs``), each from the
-    state that ends the ramp before, which the reader keeps.  E at a point
-    does not depend on when it is evaluated, so every output is the float
-    of a push and a read per sample.
+    state at the ramp's start, or wipes every corner.  So a first pass
+    walks each ramp once (``ramp_slabs``) and keeps the slab points of its
+    pushes, their survivors and the state that ends it; E is evaluated at
+    all the points in one array call; and a second pass reads the ramps in
+    order (``read_slabs``), each output the survivor's expansion plus its
+    slab's terms, from the end of the ramp before, which the reader keeps.
+    ``iface`` and a push that starts no ramp are read in full, and a push
+    within the merge tolerance of the input before takes the output before
+    it.  E at a point does not depend on when it is evaluated, so every
+    output is the float of a push and a read per value.
     """
-    t, u = render_signal(amplitudes, tau, sample_step)
-    values = u.tolist()
-    iface = iface0.push_extremum(values[0])
-    # per ramp: the survivors of the heads of its samples (none for a sample
-    # read in full), its last state and the samples after it that leave that
+    # per ramp: the survivors of the heads of its pushes (none for a state
+    # read in full), its last state and the pushes after it that leave that
     # state as it is
     ramps = [[[], iface, 0]]
     alphas, betas = [], []
-    i = 1
+    i = 0
     while i < len(values):
         start = iface
         a, b, survivors, iface = start.ramp_slabs(values, i)
@@ -338,7 +338,7 @@ def dense_response(mu, iface0: MemoryInterface, amplitudes, tau: float, sample_s
         else:
             y.append(reader.read(iface))
         y += y[-1:] * repeats
-    return t, u, y
+    return y[1:]  # after the output of iface
 
 
 def sampled_remnants(mu, iface0: MemoryInterface, amplitudes, u, y):

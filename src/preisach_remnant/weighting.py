@@ -614,10 +614,10 @@ class OutputReader:
         in a run, which looks it up once and fills the slab's two terms
         into one list.  A head with no survivor (None) is the whole curve
         (v, v), (v, b), whose full read sums to E(v, v).  An ``end`` that
-        wiped every corner is read in full; one whose seam links to the
-        last survivor takes its expansion grown by the last slab's terms,
-        at the seam and the head after a fall, at the head only after a
-        rise, where the seam shares the head's alpha.
+        wiped every corner keeps that read's terms, from the last slab's E;
+        one whose seam links to the last survivor takes its expansion grown
+        by the last slab's terms, at the seam and the head after a fall, at
+        the head only after a rise, where the seam shares the head's alpha.
         """
         seen, total, fsum = self._seen, self.mu.total_mass, math.fsum
         e = iter(e)
@@ -637,7 +637,10 @@ class OutputReader:
             out.append(2.0 * fsum(terms) - total)
         head, seam = end.head, end.head[1]
         if survivor is None:
-            self.below(end)
+            # the terms ``below`` sums for the curve (v, v), (v, b) the push leaves:
+            # E(v, b) at a tail above the field's beta_lo, then the head's slab
+            tail = [e2] if (seam or head)[0][1] > self.mu.support_box.beta_lo else []
+            seen[:] = [(seam, tail), (head, _grow(tail, (e1, -e2)))] if seam else [(head, tail)]
         elif seam is None or seam[1] is not survivor:
             raise ValueError("ramp end is not linked to the last survivor")
         else:

@@ -627,7 +627,12 @@ class TestController:
 
 def incremental_scenes():
     """Grid fields and the butterfly with pulse trains that include a zero
-    pulse, repeats and pulses past the support box."""
+    pulse, repeats and pulses past the support box; the butterfly under an
+    interface whose box floor lies 5e-10 above the field's, within the box
+    tolerance, so E at the tail of a curve that wiped every corner is not
+    zero; then a Gaussian lobe at the origin under an interface at 8e-10,
+    a zero crossing within the input tolerance that a leading zero pulse
+    must leave where it is, and zero pulses between the others."""
     rng = np.random.default_rng(71)
     for _ in range(4):
         mu = random_grid_field(rng)
@@ -636,6 +641,21 @@ def incremental_scenes():
         yield mu, MemoryInterface.virgin(box), amplitudes + [0.0, amplitudes[3], amplitudes[3]]
     mu, _ = make_butterfly()
     yield mu, MemoryInterface.virgin(mu.support_box), [0.9, -0.7, 0.0, 0.5, -0.2, 0.5, 1.2]
+    raised = Box(-1.0, 1.0, -1.0 + 5e-10, 1.0)
+    yield mu, MemoryInterface.virgin(raised), [0.4, -0.5, 0.8, -1.2, 0.3, -0.2, 1.1, -0.9]
+    mu, iface = off_zero_scene()
+    yield mu, iface, [0.0, 0.5, 0.0, 0.0, -0.5, 0.0, 3e-10, 0.0]
+
+
+def off_zero_scene():
+    """A Gaussian lobe at the origin, 1e-9 wide, beside a unit lobe on Q,
+    and the interface at 8e-10, inside the input tolerance of zero."""
+    box = Box(-1.0, 1.0, -1.0, 1.0)
+    mu = GaussianWeighting([
+        GaussianComponent(1e18, 5e-10, 2.5e-10, 3e-10, 3e-10, Box(0.0, 1e-9, 0.0, 1e-9)),
+        GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, Box(0.0, 1.0, -1.0, 0.0)),
+    ], box)
+    return mu, MemoryInterface.from_corners([(8e-10, 8e-10)], box)
 
 
 class TestIncrementalReads:
@@ -791,10 +811,10 @@ class TestDenseResponse:
         del reads[:]
         _, _, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / 16)
         assert [x.hex() for x in y] == [x.hex() for x in expected]
-        # the first sample and the peak, whose rise from the virgin state
-        # wipes every corner; the other ramps end linked, and the reader
-        # keeps their ends without a read
-        assert len(reads) == 2
+        # the first sample only: the rise from the virgin state wipes every
+        # corner, and the reader keeps that ramp's end from its last slab's
+        # values; the other ramps end linked and are kept without a read too
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("field", ["grid", "butterfly"])
     def test_a_linked_ramp_end_makes_no_scalar_everett_call(self, field, monkeypatch):
@@ -852,12 +872,7 @@ class TestDenseResponse:
         input tolerance), but the train's first sample pushes it to zero,
         which a lobe at the origin feels: the sampled outputs are not the
         remnants, so none are taken from them."""
-        box = Box(-1.0, 1.0, -1.0, 1.0)
-        mu = GaussianWeighting([
-            GaussianComponent(1e18, 5e-10, 2.5e-10, 3e-10, 3e-10, Box(0.0, 1e-9, 0.0, 1e-9)),
-            GaussianComponent(1.0, 0.5, -0.5, 0.5, 0.5, Box(0.0, 1.0, -1.0, 0.0)),
-        ], box)
-        iface = MemoryInterface.from_corners([(8e-10, 8e-10)], box)
+        mu, iface = off_zero_scene()
         amplitudes = [0.0, 0.5, -0.5]
         _, u, y = dense_response(mu, iface, amplitudes, 1.0, 0.5)
         assert y[2] != pulse_remnants(mu, iface, amplitudes)[0]

@@ -11,9 +11,11 @@ of negative pulses in ``OUT/oracle-down``, a ``bounds`` and a ``control``
 of a density <= 0 on Q in ``OUT/negative-grid``, a ``bounds`` and a
 ``control`` of the butterfly on a smaller Q in ``OUT/butterfly-small-q``,
 two seeded-grid ``simulate`` runs of nested pulses, at 7 and 2.5 samples
-per pulse, in ``OUT/grid-nested-7`` and ``OUT/grid-nested-2.5``, and a
+per pulse, in ``OUT/grid-nested-7`` and ``OUT/grid-nested-2.5``, a
 seeded-grid ``control`` from the default ``w0`` of 0 in
-``OUT/grid-control-w0``, runs every command of one pass of each against
+``OUT/grid-control-w0``, and a seeded-grid ``simulate`` of a train with a
+leading zero pulse and two in a row, at 7 samples per pulse, in
+``OUT/grid-zeros``, runs every command of one pass of each against
 ``TREE/src``, which writes its ``--out`` directory beside them, and
 writes the exit codes to ``OUT/exit-codes.json``.  It fails when any JSON
 or CSV file under ``OUT`` holds a number that is not finite.  The inputs
@@ -90,6 +92,13 @@ NESTED_SAMPLES = (7, 2.5)
 #: the default w0 of 0: a first pulse of zero, whose samples leave the
 #: state as it is
 CONTROL_W0 = "grid-control-w0"
+
+#: a simulate on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0] of
+#: a train that starts with a zero pulse and holds two zero pulses in a
+#: row, at an odd number of samples per pulse: its remnants are pushed and
+#: read pulse by pulse, zero pulses included
+ZEROS = "grid-zeros"
+ZEROS_AMPLITUDES = [0.0, 0.6, 0.0, -0.5, 0.0, 0.0, 0.4]
 
 #: bounds and control of the butterfly on Q = [0, 0.5] x [-0.6, 0], from
 #: an interface admissible there: its four distinct sector scans each skip
@@ -258,6 +267,12 @@ def main(argv):
     write_grid_case(CONTROL_W0, values, {"controller": {"gamma_d": 0.3}})
     names.append(os.path.join(CONTROL_W0, "control"))
     argvs.append(["control", "--config", os.path.join(CONTROL_W0, "config.json"), "--out", names[-1]])
+    write_grid_case(
+        ZEROS, 1.0 + np.random.default_rng(30).uniform(0.0, 0.5, (100, 100)),
+        {"amplitudes": ZEROS_AMPLITUDES, "signal_samples_per_pulse": 7},
+    )
+    names.append(os.path.join(ZEROS, "simulate"))
+    argvs.append(["simulate", "--config", os.path.join(ZEROS, "config.json"), "--out", names[-1]])
     os.makedirs(SMALL_Q, exist_ok=True)
     with open(os.path.join(SMALL_Q, "config.json"), "w") as fh:
         json.dump(SMALL_Q_CONFIG, fh, indent=1)
