@@ -21,7 +21,6 @@ from .control import (
     pulse_remnants,
     remnant_extrema,
     run_controller,
-    sampled_remnants,
 )
 from .errors import ConfigurationError, DegenerateBoundsError
 from .interface import MemoryInterface
@@ -245,14 +244,12 @@ def cmd_control(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
-    """``remnants.csv`` from the dense response where it samples every
-    pulse's end state (``sampled_remnants``), else from ``pulse_remnants``;
-    ``signal.csv`` and ``summary.json``."""
+    """``remnants.csv`` from ``pulse_remnants``, the pulses pushed and read
+    whatever the sampling; ``signal.csv`` from ``dense_response``, and
+    ``summary.json``."""
     out = args.out or "."
     t, u, y = dense_response(cfg.mu, cfg.iface, cfg.amplitudes, cfg.tau, cfg.sample_step)
-    remnants = sampled_remnants(cfg.mu, cfg.iface, cfg.amplitudes, u, y)
-    if remnants is None:
-        remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
+    remnants = pulse_remnants(cfg.mu, cfg.iface, cfg.amplitudes)
     _write_csv(
         os.path.join(out, "remnants.csv"), "k,w_k,gamma_k", "%d,%r,%r\n",
         range(len(remnants)), cfg.amplitudes, remnants,

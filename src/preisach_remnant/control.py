@@ -340,80 +340,3 @@ def _respond(mu, iface: MemoryInterface, values) -> list:
         y += y[-1:] * repeats
     return y[1:]  # after the output of iface
 
-
-def sampled_remnants(mu, iface0: MemoryInterface, amplitudes, u, y):
-    """The remnants ``pulse_remnants`` gives for a train, read off the
-    output y of ``dense_response`` at the sample that ends each pulse; None
-    where the proof below does not reach, and the caller pushes and reads
-    the pulses instead.
-
-    Write N for the input of a staircase S, tol for the merge tolerance
-    and P(S, v) for a push: S itself when |v - N| <= tol, else the
-    canonicalised list of the head (v, v), the seam corner and the corners
-    of S past v (alpha > v after a rise, beta < v after a fall).  Call S
-    exact when every two consecutive corners, but perhaps the first two,
-    share their alpha or their beta, and no corner lies left of or above
-    the head.  Canonical corners lie more than tol apart, and no three of
-    them line up within tol, so the corners of an exact staircase past its
-    second turn at each corner, with steps of more than tol.
-
-    Lemma.  Let S be exact with its corners in the box, and let v1, then
-    v2, rise in the box past N, then past v1, by more than tol.  Then
-    P(S, v1) is exact and P(P(S, v1), v2) = P(S, v2).  Proof: let s1 =
-    (a1, b1), s2 = (a1, b2), s3 = (a3, b2), ... be the corners of S past v1;
-    the corner before s1 lies at alpha <= v1, so s1 turns down, and b1 <= N
-    < v1 - tol.  In the box no clamp acts.  Canonicalising the list, the
-    seam (v1, b1) lies more than tol from the head.  If a1 - v1 > tol,
-    nothing merges or lines up, and the list, the linked head of
-    ``ramp_slabs``, is P(S, v1).  Else s1 merges into the seam, s2 lines up
-    with the head and the seam and takes the seam's place, and from s3 on,
-    more than tol from the head and s2, every corner stays as in S; only
-    the first two corners of P(S, v1) may then share neither coordinate.
-    Either way the corners of P(S, v1) past v2 > v1 + tol are those of S,
-    so both pushes to v2 canonicalise one list.  A fall mirrors this.
-
-    Pulses.  The corners of ``iface0`` share a coordinate pairwise, its
-    input is +-0.0, ``u`` lies in the box and holds m + 1 samples per
-    pulse of amplitude w (m >= 2, h = m // 2): a zero pulse is +-0.0
-    throughout; any other starts and ends at +-0.0 and moves monotonically
-    to w at its h-th sample and back, by more than tol at the h-th and the
-    last.  (At an odd m, ``render_signal`` samples no peak.)  So
-    a zero pulse pushes +-0.0 onto a state at +-0.0 and changes nothing.
-    Along any other pulse from its start state S, every push that moves
-    the input rises past the one before it until the peak, so by the
-    lemma the state there is S pushed directly to the last that moved, and
-    the input before the peak sample is no further along than the sample
-    before it, so that last is w; the fall to the end sample ends likewise
-    in P(P(S, w), +-0.0), again exact and in the box.  ``apply_pulse``
-    pushes w and +0.0, or nothing for w = 0.  Pushes to -0.0 and +0.0
-    compare alike and build the same corners up to the signs of zeros, so
-    by induction over the pulses each pulse ends in the state
-    ``pulse_remnants`` reads, up to those signs.  There E is the same real
-    number, so the reader's exact sums agree, and so do the outputs
-    2 fsum - total_mass unless both are zeros: hence a nonzero total mass.
-    """
-    n = len(amplitudes)
-    m = (len(u) - 1) // n if n else 0
-    corners = iface0.corners
-    box = iface0.support_box
-    if not (
-        m >= 2 and len(u) == n * m + 1
-        and iface0.current_value == 0.0 and mu.total_mass != 0.0
-        and box.beta_lo <= u.min() and u.max() <= box.alpha_hi
-        and all(a1 == a2 or b1 == b2 for (a1, b1), (a2, b2) in zip(corners, corners[1:]))
-    ):
-        return None
-    h, tol = m // 2, box.merge_tol
-    w = np.asarray(amplitudes, float)
-    pulses = np.lib.stride_tricks.sliding_window_view(u, m + 1)[::m]
-    zero = w == 0.0
-    s = pulses[~zero] * np.sign(w[~zero])[:, None]  # each pulse moving up
-    if not (
-        (pulses[zero] == 0.0).all()
-        and (s[:, 0] == 0.0).all() and (s[:, m] == 0.0).all()
-        and (pulses[~zero, h] == w[~zero]).all()
-        and (np.diff(s[:, :h + 1]) >= 0.0).all() and (np.diff(s[:, h:]) <= 0.0).all()
-        and (s[:, h] - s[:, h - 1] > tol).all() and (s[:, m - 1] > tol).all()
-    ):
-        return None
-    return y[m::m]

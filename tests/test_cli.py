@@ -1,9 +1,12 @@
 """Experiment-runner subcommands, exit codes and artifact reproducibility."""
 
+import ast
 import copy
+import inspect
 import json
 import math
 import os
+import re
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preisach_remnant import cli
+from preisach_remnant import cli, presets
 from preisach_remnant.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -123,6 +126,7 @@ class TestBounds:
         path.write_bytes(text)
         assert run("bounds", str(path), tmp_path / "out") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: %s is not a JSON config: " % path)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_grid_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -165,6 +169,7 @@ class TestBounds:
         )
         assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["controller", "weighting", "initial_interface", "q"])
     def test_null_section_is_config_error(self, tmp_path, capsys, key):
@@ -173,11 +178,13 @@ class TestBounds:
         assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: %s must be a mapping" % key)
+        assert not (tmp_path / "out").exists()
 
     def test_config_that_is_not_a_mapping_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", [deadbeat_config()])
         assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: config must be a mapping")
+        assert not (tmp_path / "out").exists()
 
 
 class TestControl:
@@ -201,6 +208,7 @@ class TestControl:
         cfg = write_config(tmp_path, "c.json", bad)
         assert run("control", cfg, tmp_path / "out") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "top, controller, field",
@@ -297,6 +305,7 @@ class TestSimulate:
             },
         )
         assert run("bounds", cfg, tmp_path / "b") == EXIT_CONFIG
+        assert not (tmp_path / "b").exists()
         assert run("simulate", cfg, tmp_path / "s") == EXIT_OK
         rows = (tmp_path / "s" / "remnants.csv").read_text().strip().splitlines()[1:]
         # every relay has alpha < 0, so it holds +1 at zero input
@@ -494,6 +503,7 @@ class TestSignOnQ:
         cfg = dict(deadbeat_config(), controller={"gamma_d": 0.5, "mode": mode})
         assert run("bounds", write_config(tmp_path, "c.json", cfg), tmp_path / "out") == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: controller.mode is not a known config key\n"
+        assert not (tmp_path / "out").exists()
 
 
 #: a config value that ``with_changes`` deletes its key for
@@ -755,8 +765,13 @@ def test_inadmissible_interface_exits_2(tmp_path, capsys, command):
     """An initial interface in the forbidden strips is a config error; a
     sweep records it for the run it ends."""
     cfg = write_config(tmp_path, "c.json", INADMISSIBLE)
-    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == EXIT_CONFIG
     assert "initial interface enters the forbidden strips" in capsys.readouterr().err
+    if command == "sweep":  # its record, and no directory for the run it ends
+        assert [p.name for p in out.iterdir()] == ["sweep.json"]
+    else:
+        assert not out.exists()
 
 
 def test_readme_sample_config_runs_bounds(tmp_path, capsys):
@@ -766,6 +781,28 @@ def test_readme_sample_config_runs_bounds(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", json.loads(block))
     assert run("bounds", cfg, tmp_path / "out") == EXIT_OK
     assert json.loads((tmp_path / "out" / "bounds.json").read_text())["max_gain"] > 0.0
+
+
+def test_readme_names_every_command_exit_code_and_config_key():
+    """README names every command of the parser, in its command list; the
+    value of every ``EXIT_*`` code of ``cli.py``, in its exit-code line;
+    and every config key ``load_config`` accepts, quoted under "Config
+    file": the keys of ``cli._KEYS`` and those each per-preset
+    ``known_keys`` call of ``cli.py`` and ``presets.py`` lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    assert [c for c in commands if "\n- `%s` — " % c not in readme] == []
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    listed = readme.split("\nExit codes: ", 1)[1].split(".", 1)[0]
+    assert {int(n) for n in re.findall(r"\b(\d+) [a-z]", listed)} == codes
+    keys = {key for section in cli._KEYS.values() for key in section}
+    for module in (cli, presets):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "known_keys"
+            if call and isinstance(node.args[2], ast.Tuple):  # not cli._KEYS[key]
+                keys.update(ast.literal_eval(node.args[2]))
+    config_file = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+    assert sorted(k for k in keys if '"%s"' % k not in config_file) == []
 
 
 # -- config fuzz ---------------------------------------------------------------

@@ -37,7 +37,7 @@ from preisach_remnant import (
     validate_initial_interface,
 )
 from preisach_remnant import cli
-from preisach_remnant.control import sampled_remnants
+from preisach_remnant.control import _respond
 from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader, rect_mass
@@ -843,13 +843,12 @@ class TestDenseResponse:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("samples_per_pulse", [1, 2, 7, 16, 50, 2.5])
-    def test_simulate_pushes_the_pulses_at_odd_or_non_integer_samples_only(
+    def test_simulate_writes_pulse_remnants_at_any_samples_per_pulse(
         self, samples_per_pulse, tmp_path, capsys, monkeypatch
     ):
-        """At an even number of samples per pulse the dense response samples
-        each pulse's peak and end, and ``simulate`` takes its remnants from
-        it; at an odd or non-integer number it pushes and reads the pulses.
-        ``remnants.csv`` holds the floats of ``pulse_remnants`` either way."""
+        """``simulate`` pushes and reads the pulses with one
+        ``pulse_remnants`` call, however the dense response samples them:
+        ``remnants.csv`` holds its floats at every rate."""
         amplitudes = [0.75, -0.5, 0.25, 0.0, -0.125, 0.125]
         mu, iface = uniform_scene()
         rows = "".join("%d,%r,%r\n" % row for row in zip(
@@ -865,24 +864,24 @@ class TestDenseResponse:
         }))
         assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "remnants.csv").read_text() == "k,w_k,gamma_k\n" + rows
-        assert len(calls) == (samples_per_pulse % 2 != 0)
+        assert len(calls) == 1
 
     def test_an_interface_off_zero_takes_its_pulses_pushed(self):
         """An initial input of 8e-10 passes as a zero crossing (within the
         input tolerance), but the train's first sample pushes it to zero,
         which a lobe at the origin feels: the sampled outputs are not the
-        remnants, so none are taken from them."""
+        remnants, which come from pushing the pulses."""
         mu, iface = off_zero_scene()
         amplitudes = [0.0, 0.5, -0.5]
-        _, u, y = dense_response(mu, iface, amplitudes, 1.0, 0.5)
+        _, _, y = dense_response(mu, iface, amplitudes, 1.0, 0.5)
         assert y[2] != pulse_remnants(mu, iface, amplitudes)[0]
-        assert sampled_remnants(mu, iface, amplitudes, u, y) is None
 
-    #: a sampled pulse of 0.5 at 4 samples, then each way it can leave the
-    #: proof of ``sampled_remnants``: per case the field's value, the
-    #: interface's corners, the amplitudes and the samples
+    #: a sampled pulse of 0.5 at 4 samples, then each way a signal can leave
+    #: the shape of a rendered pulse, or a field or an interface its edge:
+    #: per case the field's value, the interface's corners, the amplitudes
+    #: and the samples
     PULSE = [0.0, 0.25, 0.5, 0.25, 0.0]
-    NOT_REACHED = {
+    OFF_THE_PULSE = {
         "peak missed": (1.0, None, [0.5], [0.0, 0.25, 0.4, 0.25, 0.0]),
         "start off zero": (1.0, None, [0.5], [1e-17, 0.25, 0.5, 0.25, 0.0]),
         "end off zero": (1.0, None, [0.5], [0.0, 0.25, 0.5, 0.25, 1e-17]),
@@ -900,20 +899,25 @@ class TestDenseResponse:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(NOT_REACHED))
-    def test_sampled_remnants_refuse_where_the_proof_does_not_reach(self, case):
-        """``sampled_remnants`` checks the samples it is given, not the way
-        they were rendered: each case leaves the proof one way and is
-        refused, while the pulse they vary is read off its end sample."""
-        value, corners, amplitudes, u = self.NOT_REACHED[case]
+    @pytest.mark.parametrize("case", sorted(OFF_THE_PULSE))
+    def test_signals_off_the_pulse_shape_read_as_per_sample_pushes(self, case):
+        """``simulate``'s two paths on signals that are not a rendered
+        train: the batched reader of the dense response gives the floats of
+        a push and a read per sample, whatever the samples, and the pulses
+        pushed and read give the chained remnants, whatever the field or
+        the interface."""
+        value, corners, amplitudes, u = self.OFF_THE_PULSE[case]
         mu = uniform_field(Q_UNIT, value=value)
         iface = MemoryInterface.virgin(UNIT_BOX)
-        y = [float(i) for i in range(len(self.PULSE))]
-        assert sampled_remnants(uniform_field(Q_UNIT), iface, [0.5], np.array(self.PULSE), y) == [4.0]
         if corners is not None:
             iface = MemoryInterface.from_corners(corners, UNIT_BOX)
-        y = [float(i) for i in range(len(u))]
-        assert sampled_remnants(mu, iface, amplitudes, np.array(u), y) is None
+        y = _respond(mu, iface, u)
+        assert [x.hex() for x in y] == [x.hex() for x in per_sample_reads(mu, iface, np.array(u))]
+        expected, cur = [], iface
+        for w in amplitudes:
+            g, cur = remnant(mu, cur, w)
+            expected.append(g)
+        assert [x.hex() for x in pulse_remnants(mu, iface, amplitudes)] == [x.hex() for x in expected]
 
     def test_rate_independence_of_boundary_outputs(self):
         mu, iface = uniform_scene()

@@ -1,12 +1,16 @@
 """Property tests of the Everett corner sums, the incremental output reads,
 the batched reads along a ramp and the head-only staircase update, each
 against a reference kept in this file, of the exact scaling of every
-answer under a power-of-two rescale of the field, and of the controller's
-non-expansion on random grids below the gain cap."""
+answer under a power-of-two rescale of the field, of the controller's
+non-expansion on random grids below the gain cap, and of the remnants
+``simulate`` writes at every sampling rate."""
 
 import math
+import os
 import sys
+import tempfile
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from preisach_remnant import (
     uniform_field,
     validate_initial_interface,
 )
-from preisach_remnant.control import sampled_remnants
+from preisach_remnant import cli
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
 from preisach_remnant.weighting import OutputReader, _grow, rect_mass
 
@@ -412,9 +416,8 @@ def test_a_sampled_monotone_ramp_ends_in_a_direct_push(ops, rising, steps):
     """Pushing the samples of a monotone ramp one after another ends in the
     state of one push, from the ramp's start, to the last sample that moved
     the input by more than the merge tolerance: the wiping-out property,
-    tolerance included.  ``simulate`` reads its remnants off the sampled
-    output on this ground (``control.sampled_remnants``).  Steps of a few
-    merge tolerances and values past the box on either side are drawn."""
+    tolerance included.  Steps of a few merge tolerances and values past
+    the box on either side are drawn."""
     iface = MemoryInterface.virgin(BOX)
     for v in input_values(ops):
         iface = iface.push_extremum(v)
@@ -502,20 +505,24 @@ def remnant_trains(draw):
 )
 @PROPERTY
 @given(case=remnant_trains())
-# the sampled outputs stand in for every remnant, at both zeros: the second
-# pulse ends at -0.0, where the next one starts
+# a pulse that ends at -0.0, where the next one starts
 @example(case=(uniform_field(QRegion(1.0, -1.0)), MemoryInterface.virgin(Box(0.0, 1.0, -1.0, 0.0)),
                [0.5, 0.25, -0.5, 0.0, -0.25]))
-def test_sampled_remnants_are_pulse_remnants(samples_per_pulse, tau, case):
-    """``simulate`` writes the remnants of ``sampled_remnants`` where it
-    gives them, else those of ``pulse_remnants``: ``remnants.csv`` holds
-    the floats of ``pulse_remnants`` either way.  At tau = 0.3 the samples
-    miss the peaks by an ulp."""
+def test_simulate_writes_chained_remnants_at_every_rate(samples_per_pulse, tau, case):
+    """``remnants.csv`` holds the floats of chained ``remnant`` calls, at
+    even, odd and non-integer samples per pulse; at tau = 0.3 the samples
+    miss the peaks by an ulp.  The rate sets only ``signal.csv``."""
     mu, iface, amplitudes = case
-    _, u, y = dense_response(mu, iface, amplitudes, tau, tau / samples_per_pulse)
-    got = sampled_remnants(mu, iface, amplitudes, u, y)
-    if got is not None:
-        assert hexes(got) == hexes(pulse_remnants(mu, iface, amplitudes))
+    expected, cur = [], iface
+    for w in amplitudes:
+        g, cur = remnant(mu, cur, w)
+        expected.append(g)
+    cfg = SimpleNamespace(mu=mu, iface=iface, amplitudes=amplitudes, tau=tau, sample_step=tau / samples_per_pulse)
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.cmd_simulate(cfg, SimpleNamespace(out=out)) == cli.EXIT_OK
+        with open(os.path.join(out, "remnants.csv")) as f:
+            rows = f.read().splitlines()[1:]
+    assert hexes(float(row.split(",")[2]) for row in rows) == hexes(expected)
 
 
 # -- exact expansions ------------------------------------------------------------

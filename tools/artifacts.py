@@ -11,7 +11,8 @@ of negative pulses in ``OUT/oracle-down``, a ``bounds`` and a ``control``
 of a density <= 0 on Q in ``OUT/negative-grid``, a ``bounds`` and a
 ``control`` of the butterfly on a smaller Q in ``OUT/butterfly-small-q``,
 two seeded-grid ``simulate`` runs of nested pulses, at 7 and 2.5 samples
-per pulse, in ``OUT/grid-nested-7`` and ``OUT/grid-nested-2.5``, a
+per pulse, whose samples miss the peaks, in ``OUT/grid-nested-7`` and
+``OUT/grid-nested-2.5``, a
 seeded-grid ``control`` from the default ``w0`` of 0 in
 ``OUT/grid-control-w0``, and a seeded-grid ``simulate`` of a train with a
 leading zero pulse and two in a row, at 7 samples per pulse, in
@@ -82,8 +83,8 @@ NEGATIVE = "negative-grid"
 #: simulates on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0] of
 #: alternating pulses that nest inside the one before, at an odd number of
 #: samples per pulse, whose peaks are not sampled, and at a non-integer
-#: one, where every other pulse end falls between samples too: their
-#: remnants are pushed and read pulse by pulse, not taken from the output
+#: one, where every other pulse end falls between samples too: they pin
+#: ``simulate`` at odd and non-integer samples per pulse
 NESTED = "grid-nested"
 NESTED_AMPLITUDES = [0.9, -0.85, 0.7, -0.6, 0.55, -0.5, 0.3, -0.25, 0.2, -0.1]
 NESTED_SAMPLES = (7, 2.5)
@@ -95,8 +96,8 @@ CONTROL_W0 = "grid-control-w0"
 
 #: a simulate on a seeded positive 100 x 100 grid over [0, 1] x [-1, 0] of
 #: a train that starts with a zero pulse and holds two zero pulses in a
-#: row, at an odd number of samples per pulse: its remnants are pushed and
-#: read pulse by pulse, zero pulses included
+#: row: it pins ``simulate`` at an odd number of samples per pulse, zero
+#: pulses included
 ZEROS = "grid-zeros"
 ZEROS_AMPLITUDES = [0.0, 0.6, 0.0, -0.5, 0.0, 0.0, 0.4]
 
