@@ -1,6 +1,8 @@
 """Experiment runner: bounds, closed-loop control, open-loop simulation,
 oracle cross-checks and parameter sweeps driven by a JSON config file;
-``load_config`` checks it once into the frozen ``Config`` the commands read."""
+``load_config`` checks it once into the frozen ``Config`` the commands read.
+This module writes every artifact: the library returns numbers and holds no
+file format."""
 
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from .control import (
 from .errors import ConfigurationError, DegenerateBoundsError
 from .interface import MemoryInterface
 from .oracle import oracle_pulse_remnants
-from .presets import butterfly_preset, interface_from_spec, known_keys, number, numbers
-from .weighting import GridWeighting, QRegion, SectorBounds, uniform_field
+from .presets import interface_from_spec, known_keys, number, numbers
+from .weighting import GridWeighting, QRegion, SectorBounds, make_butterfly, uniform_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,7 +113,7 @@ def _field(cfg):
     if preset == "butterfly":
         scale = number(spec.get("scale", 1.0), "weighting.scale")
         known_keys(spec, "weighting", ("preset", "scale"))
-        mu, own_q = butterfly_preset(scale=scale)
+        mu, own_q = make_butterfly(scale=scale)
         return mu, q or own_q
     raise ConfigurationError("unknown weighting spec %r" % (spec,))
 
@@ -188,7 +190,9 @@ def _write_csv(path, header, row, *columns):
     """The CSV at ``path``: its ``header`` line, then a ``row`` format per
     element of the equally long ``columns`` (lists or tuples of plain
     Python numbers), formatted by one ``%`` over the columns interleaved by
-    slice assignment: the bytes of a ``%`` per row."""
+    slice assignment: the bytes of a ``%`` per row, without a format call
+    and a string per row.  The ``repr`` of the floats is the floor, and no
+    repr is cached by value: +0.0 and -0.0 compare equal but print apart."""
     n, k = len(columns[0]), len(columns)
     flat = [None] * (k * n)
     for i, column in enumerate(columns):

@@ -245,7 +245,11 @@ def run_controller(
 ) -> ControlTrace:
     """Iterate the amplitude update until the remnant error is within
     tolerance or the pulse budget runs out.  The sign on Q is checked, and
-    sets the step's sign, whether ``bounds`` are given or computed."""
+    sets the step's sign, whether ``bounds`` are given or computed.  Each
+    pulse is pushed and read on its own, since its amplitude depends on the
+    read before it.  The target may lie outside the reachable remnant range
+    by 1e-9 of the range's larger magnitude, with no floor, so it is judged
+    at the field's own scale."""
     q = cfg.q
     g_max, g_min = remnant_extrema(mu, iface0, q)
     if not (q.beta2 <= cfg.w0 <= q.alpha2):
@@ -310,8 +314,11 @@ def _respond(mu, iface: MemoryInterface, values) -> list:
     slab's terms, from the end of the ramp before, which the reader keeps.
     ``iface`` and a push that starts no ramp are read in full, and a push
     within the merge tolerance of the input before takes the output before
-    it.  E at a point does not depend on when it is evaluated, so every
-    output is the float of a push and a read per value.
+    it (near a peak that falls between two samples, two samples can land
+    about 1e-15 apart).  E at a point does not depend on when it is
+    evaluated, so every output is the float of a push and a read per value.
+    The first pass holds every push's survivor and slab points until the
+    one call of E, so its memory grows with the train.
     """
     # per ramp: the survivors of the heads of its pushes (none for a state
     # read in full), its last state and the pushes after it that leave that

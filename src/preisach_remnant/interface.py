@@ -34,7 +34,22 @@ _NEG_INF = float("-inf")
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle [alpha_lo, alpha_hi] x [beta_lo, beta_hi]; every coordinate
-    comparison takes its tolerance from it, scaled by its largest |coordinate|."""
+    comparison takes its tolerance from it, scaled by its largest |coordinate|.
+
+    ``merge_tol`` is ``VERTEX_MERGE_TOL`` times that scale: corners within
+    it merge or line up, and a push must move on by more than it.
+    ``input_tol`` is ``INPUT_TOL`` times the scale: the slack of
+    ``contains`` (so an interface box may reach that far past the field's
+    beta_lo, and a tail corner on that floor keeps its term of E), of the
+    first corner's diagonal check, of a pulse's zero crossing and of the
+    forbidden strips.  On a box of scale 1, as the butterfly's and the
+    benchmark grids' are, these are absolute tolerances of 1e-12 and 1e-9.
+    Scaling every coordinate and input by a power of two 2^k scales both
+    tolerances by 2^k, so every decision stays the same and every answer is
+    its exact image, as long as no number turns subnormal: corners 2^k
+    times, grid outputs unchanged (cell values times 2^-2k), butterfly
+    outputs 2^2k times.
+    """
 
     alpha_lo: float
     alpha_hi: float

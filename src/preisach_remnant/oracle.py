@@ -121,7 +121,23 @@ class RelayGrid:
     def output(self) -> float:
         """The weighted sum of the states: numpy's sum of their n x n
         products, bit for bit, without an n x n product array; only the
-        blocks whose states changed since their last sum are summed again."""
+        blocks whose states changed since their last sum are summed again.
+
+        The kept sums hold because the weights never change: the lattice
+        makes them read-only when it builds them, and ``weights`` cannot be
+        assigned.  Most outputs of a replay change few blocks.  A pulse no
+        larger than the last one of its sign, with none of the other sign
+        between them, switches no relay: each relay it could switch was
+        switched the same way by the larger pulse and is still there (the
+        wiping-out property of the Preisach model).  A pulse nested inside
+        the last one of the other sign switches only relays with alpha below
+        the last positive peak, a leading block of rows, so it changes only
+        the blocks over those rows.  And a pulse that outgrows the last one
+        of its sign by less than one lattice line switches nothing either.
+        So the controller's converging approach leaves most blocks as they
+        were.  An output whose every block changed pays one copy and compare
+        of its states on top of the sums.
+        """
         flat = self.n * self.n
         return _pairwise_sum(self.states.reshape(flat), self._weights.reshape(flat),
                              self._block, self._kept, 0, flat)
@@ -132,7 +148,9 @@ def oracle_pulse_remnants(mu, init: MemoryInterface, amplitudes, n: int,
     """Per-pulse remnants of a pulse train on the relay lattice.
 
     Each half-pulse is monotone, so any sample density yields the same
-    final relay states; density only affects intermediate outputs.
+    final relay states; density only affects intermediate outputs.  Each
+    pulse is one ``step`` call with every sample of the pulse, so no sample
+    is skipped.
     """
     grid = RelayGrid(mu, n)
     grid.initialize(init)

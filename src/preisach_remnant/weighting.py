@@ -203,7 +203,8 @@ class GridWeighting:
         The cuts run below zero, on the mirrored axis for a cut end above
         it.  Each cell term is its value times the width of the cell between
         the far cut and zero, and one cumulative sum of the terms downward
-        from zero gives the integral to every edge and to the far cut.  The
+        from zero gives the integral to every edge and to the far cut; only
+        the order of the additions differs from a per-line dot product.  The
         cut at 0 gives 0, which enters the extrema as +0.0 ahead of every
         term, so a zero bound is +0.0.  A term or sum that overflows gives
         an infinite extremum, and one where +inf meets -inf gives NaN for
@@ -526,7 +527,8 @@ class OutputReader:
     With corners (a_j, b_j) from the diagonal outward to the tail corner
     (a_n, b_n), the region below the curve is the union of the slabs
     [alpha_lo, a_j] x [b_{j+1}, b_j] and [alpha_lo, a_n] x [beta_lo, b_n],
-    so its mass is, by Everett's identity,
+    so its mass is, by Everett's identity (Everett 1955, Trans. Faraday
+    Soc. 51; Mayergoyz, Mathematical Models of Hysteresis, 1991),
 
         sum over j < n of E(a_j, b_j) - E(a_j, b_{j+1}),  plus E(a_n, b_n).
 
@@ -684,12 +686,26 @@ class SectorBounds:
 def sector_bounds(mu, q: QRegion, resolution: int = 512) -> SectorBounds:
     """Sector-bound constants for the remnant response of ``mu``.
 
+    Each bound is twice an extremum of a one-dimensional cumulative
+    integral of the density: the beta-scan F(alpha, b), the integral of
+    mu(alpha, beta) over beta from b up to 0, over lines alpha and cuts
+    b <= 0; and the alpha-scan G(a, beta), the integral of mu(alpha, beta)
+    over alpha from 0 up to a, over lines beta and cuts a >= 0, which is
+    the beta-scan with the axes swapped.  Each field scans itself
+    (``line_integral_extrema``) and returns the minimum and maximum over
+    its lines and cuts.
+
     The general bounds scan the whole support inside the quadrant
     alpha >= 0 >= beta; the Q-restricted variants scan only Q.  Grid fields
     are resolved exactly at their own lattice; the resolution controls the
     scan density for analytic fields (``line_integral_extrema``).  A bound
     is twice a line integral, which can overflow on a field of finite mass:
     a non-finite bound gives no gain cap and is refused.
+
+    The cost is O(resolution) for an analytic scan that meets one lobe,
+    O(resolution^2) array operations, a block of lines at a time, for one
+    that meets more, and O(n_alpha * n_beta) for a grid, whose scan holds
+    one array of the cells between the far cut and zero.
     """
     box = mu.support_box
     if box.alpha_hi < 0.0 or box.beta_lo > 0.0:

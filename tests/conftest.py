@@ -10,6 +10,7 @@ from preisach_remnant import (
     Box,
     GridWeighting,
     MemoryInterface,
+    OutputReader,
     QRegion,
     apply_pulse,
     validate_initial_interface,
@@ -109,6 +110,17 @@ def close_to(iface: MemoryInterface, other: MemoryInterface, tol: float = 1e-9) 
         abs(a1 - a2) <= tol and abs(b1 - b2) <= tol
         for (a1, b1), (a2, b2) in zip(iface.corners, other.corners)
     )
+
+
+def per_sample_reads(mu, iface, u):
+    """The output after each sample of ``u`` (an array or a list of
+    floats), pushed and read one by one: the reference of the batched
+    ``dense_response``."""
+    reader, out = OutputReader(mu), []
+    for v in np.asarray(u, float).tolist():
+        iface = iface.push_extremum(v)
+        out.append(reader.read(iface))
+    return out
 
 
 def random_gamma_interface(rng, box: Box) -> MemoryInterface:

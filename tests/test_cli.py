@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import importlib
 import inspect
 import json
 import math
@@ -783,26 +784,80 @@ def test_readme_sample_config_runs_bounds(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "bounds.json").read_text())["max_gain"] > 0.0
 
 
+def config_keys():
+    """Every key ``load_config`` accepts, by section ("" for the top level):
+    the sections of ``cli._KEYS``, then the keys each per-preset
+    ``known_keys`` call of ``cli.py`` and ``presets.py`` lists, in the
+    order of the source, each key once."""
+    keys = {section: list(known) for section, known in cli._KEYS.items()}
+    for module in (cli, presets):
+        calls = [
+            node for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "known_keys"
+            and isinstance(node.args[2], ast.Tuple)  # not cli._KEYS[key]
+        ]
+        for call in sorted(calls, key=lambda node: node.lineno):
+            section = keys.setdefault(ast.literal_eval(call.args[1]), [])
+            section += [k for k in ast.literal_eval(call.args[2]) if k not in section]
+    return {section: tuple(known) for section, known in keys.items()}
+
+
 def test_readme_names_every_command_exit_code_and_config_key():
     """README names every command of the parser, in its command list; the
     value of every ``EXIT_*`` code of ``cli.py``, in its exit-code line;
-    and every config key ``load_config`` accepts, quoted under "Config
-    file": the keys of ``cli._KEYS`` and those each per-preset
-    ``known_keys`` call of ``cli.py`` and ``presets.py`` lists."""
+    and every config key ``load_config`` accepts (``config_keys``), quoted
+    under "Config file"."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
     assert [c for c in commands if "\n- `%s` — " % c not in readme] == []
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     listed = readme.split("\nExit codes: ", 1)[1].split(".", 1)[0]
     assert {int(n) for n in re.findall(r"\b(\d+) [a-z]", listed)} == codes
-    keys = {key for section in cli._KEYS.values() for key in section}
-    for module in (cli, presets):
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "known_keys"
-            if call and isinstance(node.args[2], ast.Tuple):  # not cli._KEYS[key]
-                keys.update(ast.literal_eval(node.args[2]))
+    keys = {key for section in config_keys().values() for key in section}
     config_file = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
     assert sorted(k for k in keys if '"%s"' % k not in config_file) == []
+
+
+#: the first parts of the names README cites that the gate below resolves,
+#: besides the package itself: its modules and the classes it exports
+README_MODULES = ("interface", "weighting", "control", "oracle", "cli", "presets", "errors")
+README_CLASSES = ("OutputReader", "MemoryInterface", "GridWeighting", "GaussianWeighting",
+                  "RelayGrid", "Box")
+
+
+def readme_names():
+    """Each backticked name of README, dotted or not, that starts with the
+    package, one of ``README_MODULES`` or one of ``README_CLASSES``,
+    without the arguments that may follow it: ``OutputReader.read_slabs``
+    of ``OutputReader.read_slabs(survivors, e, end)``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    roots = ("preisach_remnant",) + README_MODULES + README_CLASSES
+    return [
+        match[0]
+        for span in re.findall(r"`([^`\n]+)`", readme)
+        for match in [re.match(r"([A-Za-z_]\w*)(?:\.\w+)*", span)]
+        if match and match[1] in roots
+    ]
+
+
+def test_every_name_readme_cites_resolves():
+    """Every name ``readme_names`` finds is an attribute that exists, so a
+    rename cannot leave README pointing at a docstring that is gone."""
+    names = readme_names()
+    assert {"control._sign_on_q", "OutputReader.read_slabs", "oracle._pairwise_sum"} <= set(names)
+    package = importlib.import_module("preisach_remnant")
+    missing = []
+    for name in names:
+        first, *rest = name.split(".")
+        if first in README_MODULES:
+            obj = importlib.import_module("preisach_remnant." + first)
+        else:
+            obj = package if first == "preisach_remnant" else getattr(package, first, None)
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
 
 
 # -- config fuzz ---------------------------------------------------------------
@@ -822,15 +877,10 @@ FUZZ_BASE = {
     "amplitudes": [0.5, -0.3],
     "sweep": {"param": "gamma_d", "values": [0.3, -0.2]},
 }
-#: the keys of the sections whose layout depends on the preset
-PRESET_KEYS = {
-    "weighting": ("preset", "scale", "value", "grid_csv"),
-    "initial_interface": ("preset", "extrema", "alpha_max", "shelf_beta"),
-}
 #: every dotted key the loader reads, and an unknown key in every section
 FUZZ_KEYS = [
     (section + "." if section else "") + key
-    for section, keys in list(cli._KEYS.items()) + list(PRESET_KEYS.items())
+    for section, keys in config_keys().items()
     for key in keys + ("unknown",)
 ]
 EXTREMES = (1e308, -1e308, 1e-308, 5e-324, 0.0, -0.0, -1)

@@ -42,7 +42,13 @@ from preisach_remnant.interface import INPUT_TOL, VERTEX_MERGE_TOL
 from preisach_remnant.presets import interface_from_spec
 from preisach_remnant.weighting import OutputReader, rect_mass
 
-from conftest import close_to, random_gamma_interface, random_grid_field, random_nonneg_q_scenario
+from conftest import (
+    close_to,
+    per_sample_reads,
+    random_gamma_interface,
+    random_grid_field,
+    random_nonneg_q_scenario,
+)
 
 UNIT_BOX = Box(0.0, 1.0, -1.0, 0.0)
 Q_UNIT = QRegion(1.0, -1.0)
@@ -685,15 +691,6 @@ class TestIncrementalReads:
             assert all(type(x) is float for x in y)  # as the CSV writer takes them
 
 
-def per_sample_reads(mu, iface, u):
-    """The output after each sample of ``u``, pushed and read one by one."""
-    reader, out = OutputReader(mu), []
-    for v in u.tolist():
-        iface = iface.push_extremum(v)
-        out.append(reader.read(iface))
-    return out
-
-
 class TestDenseResponse:
     def test_boundary_outputs_match_per_pulse_remnants(self):
         mu, iface = uniform_scene()
@@ -912,7 +909,7 @@ class TestDenseResponse:
         if corners is not None:
             iface = MemoryInterface.from_corners(corners, UNIT_BOX)
         y = _respond(mu, iface, u)
-        assert [x.hex() for x in y] == [x.hex() for x in per_sample_reads(mu, iface, np.array(u))]
+        assert [x.hex() for x in y] == [x.hex() for x in per_sample_reads(mu, iface, u)]
         expected, cur = [], iface
         for w in amplitudes:
             g, cur = remnant(mu, cur, w)

@@ -43,7 +43,7 @@ from preisach_remnant import cli
 from preisach_remnant.interface import VERTEX_MERGE_TOL, _canonical_corners
 from preisach_remnant.weighting import OutputReader, _grow, rect_mass
 
-from conftest import cell_sum, full_range_repair
+from conftest import cell_sum, full_range_repair, per_sample_reads
 
 #: derandomized so the suite gives the same verdict on every run
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -442,16 +442,6 @@ def chain_ids(iface):
     return ids
 
 
-def per_sample_response(mu, iface, u):
-    """Output after each input sample, pushed and read one at a time."""
-    reader = OutputReader(mu)
-    out = []
-    for v in u:
-        iface = iface.push_extremum(v)
-        out.append(reader.read(iface))
-    return out
-
-
 @st.composite
 def pulse_trains(draw):
     """A field, an initial interface and a pulse train: amplitudes anywhere
@@ -471,7 +461,7 @@ def pulse_trains(draw):
 def test_dense_response_equals_per_sample_reads(case):
     mu, iface, amplitudes, samples_per_pulse = case
     _, u, y = dense_response(mu, iface, amplitudes, 1.0, 1.0 / samples_per_pulse)
-    expected = per_sample_response(mu, iface, u.tolist())
+    expected = per_sample_reads(mu, iface, u)
     assert [x.hex() for x in y] == [x.hex() for x in expected]
 
 
